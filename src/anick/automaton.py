@@ -133,44 +133,27 @@ def is_finite_dimensional(aut: NormalWordAutomaton) -> FiniteDimVerdict:
     The verdict is marked conditional when the automaton was built from a
     truncated obstruction set, since later obstructions could change it.
     """
-    reachable = set()
-    stack = [aut.start]
-    while stack:
-        s = stack.pop()
-        if s in reachable:
-            continue
-        reachable.add(s)
-        for t in aut.transitions[s]:
-            if t is not None and t not in reachable:
-                stack.append(t)
-
     conditional = aut.valid_degree is not None
 
-    # Longest path over the reachable subgraph; a back edge means a cycle.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {s: WHITE for s in reachable}
+    # Iterative depth-first search for the longest path from the start; a
+    # state met again while still on the search path closes a cycle.
     longest: dict[int, int] = {}
-
-    def visit(s: int) -> int | None:
-        color[s] = GRAY
-        best = 0
-        for t in aut.transitions[s]:
-            if t is None or t not in reachable:
+    on_path = {aut.start}
+    stack = [(aut.start, iter(aut.transitions[aut.start]))]
+    while stack:
+        s, edges = stack[-1]
+        for t in edges:
+            if t is None or t in longest:
                 continue
-            if color[t] == GRAY:
-                return None
-            if color[t] == BLACK:
-                sub = longest[t]
-            else:
-                sub = visit(t)
-                if sub is None:
-                    return None
-            best = max(best, 1 + sub)
-        color[s] = BLACK
-        longest[s] = best
-        return best
-
-    top = visit(aut.start)
-    if top is None:
-        return FiniteDimVerdict(False, None, conditional)
-    return FiniteDimVerdict(True, top, conditional)
+            if t in on_path:
+                return FiniteDimVerdict(False, None, conditional)
+            on_path.add(t)
+            stack.append((t, iter(aut.transitions[t])))
+            break
+        else:
+            stack.pop()
+            on_path.discard(s)
+            longest[s] = max(
+                (1 + longest[t] for t in aut.transitions[s] if t is not None), default=0
+            )
+    return FiniteDimVerdict(True, longest[aut.start], conditional)

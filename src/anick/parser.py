@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import AlgebraError, ParseError
 from .fields import Field, Rationals, field_from_name
 from .groebner import Presentation
 from .poly import Polynomial, render_poly
@@ -106,7 +106,7 @@ def _parse_polynomial(
             chunk_pos = i
             try:
                 letters = alphabet.word(tokens[i][1])
-            except Exception:
+            except AlgebraError:
                 raise error(f"unknown letter {tokens[i][1]!r}", chunk_pos) from None
             i += 1
             power = 1

@@ -49,27 +49,29 @@ class Alphabet:
     def word(self, text: str) -> Word:
         """Split a juxtaposed string like ``xyx`` into a word.
 
-        Letter names are matched greedily, longest first, with backtracking,
-        so multi-character names are handled as long as the split is
-        unambiguous.
+        Letter names are tried longest first.  ``splittable[pos]`` records
+        whether ``text[pos:]`` splits into letters; the split then takes at
+        each position the first name that leaves a splittable rest, which is
+        the split a longest-first backtracking search finds.
         """
         by_length = sorted(range(self.size), key=lambda i: -len(self.letters[i]))
-        out: list[int] = []
+        n = len(text)
+        splittable = [False] * n + [True]
 
-        def go(pos: int) -> bool:
-            if pos == len(text):
-                return True
-            for idx in by_length:
-                name = self.letters[idx]
-                if text.startswith(name, pos):
-                    out.append(idx)
-                    if go(pos + len(name)):
-                        return True
-                    out.pop()
-            return False
+        def fits(idx: int, pos: int) -> bool:
+            name = self.letters[idx]
+            return text.startswith(name, pos) and splittable[pos + len(name)]
 
-        if not go(0):
+        for pos in range(n - 1, -1, -1):
+            splittable[pos] = any(fits(idx, pos) for idx in by_length)
+        if not splittable[0]:
             raise AlgebraError(f"cannot read {text!r} over alphabet {self.letters}")
+        out: list[int] = []
+        pos = 0
+        while pos < n:
+            idx = next(idx for idx in by_length if fits(idx, pos))
+            out.append(idx)
+            pos += len(self.letters[idx])
         return tuple(out)
 
     def str_word(self, w: Word) -> str:

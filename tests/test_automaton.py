@@ -121,3 +121,12 @@ def test_accepts_only_factor_avoiding_words(xyz, xyz_gb8):
                 contains_factor(tuple(w), o) for o in xyz_gb8.obstructions
             )
             assert aut.accepts(tuple(w)) == expected
+
+
+def test_deep_finite_automaton_needs_no_recursion():
+    # One obstruction a^1501: the automaton is a path of 1501 states, deeper
+    # than the interpreter's default recursion limit.
+    aut = normal_word_automaton(Alphabet(("a",)), [(0,) * 1501], None)
+    verdict = is_finite_dimensional(aut)
+    assert verdict.finite and verdict.top_degree == 1500
+    assert not verdict.conditional

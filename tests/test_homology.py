@@ -17,6 +17,7 @@ from anick import (
     resolution_slices,
 )
 from anick.errors import CoverageError, NotQuadraticError
+from anick.fields import PrimeField
 from anick.homology import induced_matrix_from_context
 from anick.linalg import rref
 from anick.resolution import ResolutionContext
@@ -94,6 +95,14 @@ def test_monomial_relation_betti(xyz):
     assert all(
         table.entry(3, j) == 0 for j in range(7)
     )
+
+
+def test_betti_table_over_fp_matches_q_at_degree_ten(xyz):
+    fp = parse_presentation(
+        "vars: x > y > z\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n",
+        field_override=PrimeField(32003),
+    )
+    assert betti_table(fp, 10, 10).values == betti_table(xyz, 10, 10).values
 
 
 def test_koszul_verdict_main_fixture(xyz, xyz_ctx):

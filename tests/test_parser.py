@@ -121,3 +121,14 @@ def test_unicode_letter_names():
     pres = parse_presentation("vars: α > β\nrelations:\n α*β - β*α\n")
     assert pres.alphabet.letters == ("α", "β")
     assert len(pres.relations) == 1
+
+
+def test_long_juxtaposed_word_is_split():
+    pres = parse_presentation("vars: x > y\nrelations:\n  " + "xy" * 600 + "\n")
+    (rel,) = pres.relations
+    assert rel.terms == {(0, 1) * 600: 1}
+
+
+def test_long_word_with_unknown_letter_is_an_error():
+    with pytest.raises(ParseError, match="unknown letter"):
+        parse_presentation("vars: x > y\nrelations:\n  " + "xy" * 600 + "q\n")

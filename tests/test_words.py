@@ -117,3 +117,13 @@ def test_antichain_check(xyz_alpha):
     check_antichain(good)
     with pytest.raises(AntichainError):
         check_antichain([xyz_alpha.word("xz"), xyz_alpha.word("xzy")])
+
+
+def test_word_split_prefers_longer_names_and_backtracks():
+    alpha = Alphabet(("a", "ab", "bc", "b"))
+    assert alpha.word("abab") == (1, 1)
+    # "ab" first would leave "c", which no letter starts.
+    assert alpha.word("abc") == (0, 2)
+    assert alpha.word("abbc") == (1, 2)
+    with pytest.raises(AlgebraError):
+        alpha.word("abd")
