@@ -48,13 +48,7 @@ from .homology import (
 )
 from .parser import format_presentation, parse_presentation
 from .poly import Polynomial, poly_combine, render_poly
-from .resolution import (
-    FreeElement,
-    ResolutionContext,
-    ResolutionSlice,
-    differential,
-    resolution_slices,
-)
+from .resolution import FreeElement, ResolutionContext, ResolutionSlice, resolution_slices
 from .words import Alphabet, DegLex, Word, overlaps
 
 __version__ = "0.1.0"
@@ -96,7 +90,6 @@ __all__ = [
     "chain_graph_dot",
     "chain_split",
     "complete",
-    "differential",
     "enumerate_chains",
     "euler_check",
     "field_from_name",

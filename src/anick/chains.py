@@ -206,6 +206,12 @@ class GraphNode:
             return self.word
         return self.word[self.overlap:]
 
+    def name(self, alphabet: Alphabet) -> str:
+        """Node id in DOT and JSON output: the letter, or ``word|overlap``."""
+        if self.kind == "letter":
+            return alphabet.str_word(self.word)
+        return f"{alphabet.str_word(self.word)}|{self.overlap}"
+
 
 @dataclass
 class ChainGraph:
@@ -282,15 +288,9 @@ def chain_graph(alphabet: Alphabet, obstructions: list[Word]) -> ChainGraph:
 def chain_graph_dot(graph: ChainGraph) -> str:
     """Render the chain-generation graph in DOT format."""
     alphabet = graph.alphabet
-
-    def node_id(node: GraphNode) -> str:
-        if node.kind == "letter":
-            return alphabet.str_word(node.word)
-        return f"{alphabet.str_word(node.word)}|{node.overlap}"
-
+    names = [node.name(alphabet) for node in graph.nodes]
     lines = ["digraph chains {", "  rankdir=LR;"]
-    for node in graph.nodes:
-        nid = node_id(node)
+    for nid, node in zip(names, graph.nodes):
         if node.kind == "letter":
             lines.append(f'  "{nid}" [shape=doublecircle];')
         else:
@@ -299,6 +299,6 @@ def chain_graph_dot(graph: ChainGraph) -> str:
                 f'  "{nid}" [shape=box, label="{label}", tail_degree={len(node.tail)}];'
             )
     for a, b in graph.edges:
-        lines.append(f'  "{node_id(graph.nodes[a])}" -> "{node_id(graph.nodes[b])}";')
+        lines.append(f'  "{names[a]}" -> "{names[b]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cached_property
 
 from . import __version__
 from .automaton import normal_word_automaton
@@ -18,7 +19,7 @@ from .chains import chain_graph, chain_graph_dot, enumerate_chains
 from .dual import gldim_report, quadratic_dual
 from .errors import AlgebraError, NotQuadraticError
 from .fields import field_from_name
-from .groebner import Presentation, complete
+from .groebner import GroebnerBasis, complete
 from .homology import betti_table, koszul_verdict
 from .parser import parse_presentation
 from .reports import (
@@ -28,29 +29,118 @@ from .reports import (
     dual_payload,
     gb_payload,
     gldim_payload,
+    graph_payload,
     hilbert_payload,
     koszul_payload,
     render_json,
     render_text,
     slices_payload,
 )
-from .resolution import ResolutionContext, resolution_slices
-
-COMMANDS = (
-    "gb",
-    "chains",
-    "resolution",
-    "betti",
-    "koszul",
-    "dual",
-    "hilbert",
-    "gldim",
-    "graph",
-)
+from .resolution import ResolutionContext
 
 
 class CertificationFailure(Exception):
     """Raised when --require-certified cannot be honored."""
+
+
+def _read_input(path: str | None) -> str:
+    if path is None:
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
+class Pipeline:
+    """One invocation: the parsed input, its bounds and, at most once, its
+    completion."""
+
+    def __init__(self, args):
+        field = field_from_name(args.field) if args.field else None
+        self.presentation = parse_presentation(_read_input(args.input), field)
+        self.alphabet = self.presentation.alphabet
+        self.max_deg = args.max_deg
+        self.max_level = args.max_deg if args.max_level is None else args.max_level
+        self.require_certified = args.require_certified
+        self.format = args.format
+
+    @cached_property
+    def gb(self) -> GroebnerBasis:
+        gb = complete(self.presentation, self.max_deg)
+        if self.require_certified and not gb.certificate.complete:
+            raise CertificationFailure(
+                f"basis is only {gb.certificate}; certified answer unavailable "
+                f"at degree {self.max_deg}"
+            )
+        return gb
+
+    def context(self, level_max: int) -> ResolutionContext:
+        return ResolutionContext(self.gb, level_max, self.max_deg)
+
+
+def _chains(run: Pipeline) -> dict:
+    chain_set = enumerate_chains(run.alphabet, run.gb.obstructions, run.max_level, run.max_deg)
+    return chains_payload(chain_set)
+
+
+def _betti(run: Pipeline) -> dict:
+    ctx = run.context(run.max_level)
+    return betti_payload(betti_table(run.presentation, run.max_level, run.max_deg, ctx=ctx))
+
+
+def _koszul(run: Pipeline) -> dict:
+    if not run.presentation.is_quadratic:
+        raise NotQuadraticError("Koszul verdicts need a quadratic presentation")
+    ctx = run.context(run.max_deg)
+    table = betti_table(run.presentation, run.max_deg, run.max_deg, ctx=ctx)
+    return koszul_payload(koszul_verdict(table, run.max_deg))
+
+
+def _hilbert(run: Pipeline) -> dict:
+    gb = run.gb
+    automaton = normal_word_automaton(run.alphabet, gb.obstructions, gb.valid_degree)
+    return hilbert_payload(automaton.hilbert_coefficients(run.max_deg), gb.valid_degree)
+
+
+def _gldim(run: Pipeline) -> dict:
+    report = gldim_report(run.presentation, run.max_deg)
+    if run.require_certified and (
+        not report.dual_certificate.complete or report.dual_verdict.conditional
+    ):
+        raise CertificationFailure(
+            "dual basis is not certified complete; the top degree is "
+            "not exact at this bound"
+        )
+    return gldim_payload(report)
+
+
+def _graph(run: Pipeline) -> dict | str:
+    """The DOT text itself under --format dot, a payload otherwise."""
+    graph = chain_graph(run.alphabet, run.gb.obstructions)
+    return chain_graph_dot(graph) if run.format == "dot" else graph_payload(graph)
+
+
+# Each command's payload builder.  Builders look the engine and report
+# functions up in this module when they run, where perfbench/tracer.py
+# wraps them.
+PAYLOADS = {
+    "gb": lambda run: gb_payload(run.gb),
+    "chains": _chains,
+    "resolution": lambda run: slices_payload(run.alphabet, run.context(run.max_level).slices()),
+    "betti": _betti,
+    "koszul": _koszul,
+    "dual": lambda run: dual_payload(quadratic_dual(run.presentation)),
+    "hilbert": _hilbert,
+    "gldim": _gldim,
+    "graph": _graph,
+}
+COMMANDS = tuple(PAYLOADS)
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,8 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--input", default=None, help="presentation file (default: stdin)")
-        p.add_argument("--max-deg", type=int, default=8, dest="max_deg")
-        p.add_argument("--max-level", type=int, default=None, dest="max_level")
+        p.add_argument("--max-deg", type=nonnegative_int, default=8, dest="max_deg")
+        p.add_argument("--max-level", type=nonnegative_int, default=None, dest="max_level")
         p.add_argument(
             "--format",
             choices=("json", "text", "dot"),
@@ -81,166 +171,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str | None) -> str:
-    if path is None:
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _run_command(args) -> tuple[dict, str | None, "Presentation"]:
-    """Return (payload, dot_text, presentation); dot_text only for graphs."""
-    field_override = field_from_name(args.field) if args.field else None
-    presentation = parse_presentation(_read_input(args.input), field_override)
-    max_deg = args.max_deg
-    max_level = args.max_level if args.max_level is not None else max_deg
-    require = args.require_certified
-    command = args.command
-
-    def demand_certified(certificate) -> None:
-        if require and not certificate.complete:
-            raise CertificationFailure(
-                f"basis is only {certificate}; certified answer unavailable "
-                f"at degree {max_deg}"
-            )
-
-    if command == "gb":
-        gb = complete(presentation, max_deg)
-        demand_certified(gb.certificate)
-        return gb_payload(gb), None, presentation
-
-    if command == "chains":
-        gb = complete(presentation, max_deg)
-        demand_certified(gb.certificate)
-        chain_set = enumerate_chains(
-            presentation.alphabet,
-            [o for o in gb.obstructions if len(o) <= max_deg],
-            max_level,
-            max_deg,
-        )
-        return chains_payload(chain_set), None, presentation
-
-    if command == "resolution":
-        gb = complete(presentation, max_deg)
-        demand_certified(gb.certificate)
-        slices = resolution_slices(presentation, max_level, max_deg)
-        return slices_payload(presentation.alphabet, slices), None, presentation
-
-    if command == "betti":
-        gb = complete(presentation, max_deg)
-        demand_certified(gb.certificate)
-        ctx = ResolutionContext(gb, level_max=max_level, deg_max=max_deg)
-        table = betti_table(presentation, max_level, max_deg, ctx=ctx)
-        return betti_payload(table), None, presentation
-
-    if command == "koszul":
-        if not presentation.is_quadratic:
-            raise NotQuadraticError("Koszul verdicts need a quadratic presentation")
-        gb = complete(presentation, max_deg)
-        demand_certified(gb.certificate)
-        ctx = ResolutionContext(gb, level_max=max_deg, deg_max=max_deg)
-        table = betti_table(presentation, max_deg, max_deg, ctx=ctx)
-        return koszul_payload(koszul_verdict(table, max_deg)), None, presentation
-
-    if command == "dual":
-        return dual_payload(quadratic_dual(presentation)), None, presentation
-
-    if command == "hilbert":
-        gb = complete(presentation, max_deg)
-        demand_certified(gb.certificate)
-        automaton = normal_word_automaton(
-            presentation.alphabet, gb.obstructions, gb.valid_degree
-        )
-        coefficients = automaton.hilbert_coefficients(max_deg)
-        return hilbert_payload(coefficients, gb.valid_degree), None, presentation
-
-    if command == "gldim":
-        report = gldim_report(presentation, max_deg)
-        if require and (
-            not report.dual_certificate.complete or report.dual_verdict.conditional
-        ):
-            raise CertificationFailure(
-                "dual basis is not certified complete; the top degree is "
-                "not exact at this bound"
-            )
-        return gldim_payload(report), None, presentation
-
-    if command == "graph":
-        gb = complete(presentation, max_deg)
-        demand_certified(gb.certificate)
-        graph = chain_graph(
-            presentation.alphabet,
-            [o for o in gb.obstructions if len(o) <= max_deg],
-        )
-        if args.format == "dot":
-            return {}, chain_graph_dot(graph), presentation
-        alphabet = presentation.alphabet
-
-        def node_name(node) -> str:
-            if node.kind == "letter":
-                return alphabet.str_word(node.word)
-            return f"{alphabet.str_word(node.word)}|{node.overlap}"
-
-        payload = {
-            "graph": {
-                "nodes": [
-                    {
-                        "id": node_name(n),
-                        "kind": n.kind,
-                        "tail_degree": len(n.tail),
-                    }
-                    for n in graph.nodes
-                ],
-                "edges": [
-                    [node_name(graph.nodes[a]), node_name(graph.nodes[b])]
-                    for a, b in graph.edges
-                ],
-            }
-        }
-        return payload, None, presentation
-
-    raise AlgebraError(f"unknown command {command!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    if args.format == "dot" and args.command != "graph":
+        print("error: dot format is only available for the graph command", file=sys.stderr)
+        return 1
     started = time.perf_counter()
     try:
-        payload, dot, presentation = _run_command(args)
+        run = Pipeline(args)
+        payload = PAYLOADS[args.command](run)
     except CertificationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - started
 
-    if dot is not None:
-        sys.stdout.write(dot)
+    if isinstance(payload, str):
+        sys.stdout.write(payload)
         return 0
     config = {
         "input": args.input or "<stdin>",
-        "max_deg": args.max_deg,
-        "max_level": args.max_level if args.max_level is not None else args.max_deg,
-        "order": " > ".join(presentation.alphabet.letters),
-        "field": presentation.field.name,
+        "max_deg": run.max_deg,
+        "max_level": run.max_level,
+        "order": " > ".join(run.alphabet.letters),
+        "field": run.presentation.field.name,
         "format": args.format,
     }
     report = build_report(args.command, config, payload, elapsed)
-    if args.format == "text":
-        sys.stdout.write(render_text(report))
-    elif args.format == "json":
-        sys.stdout.write(render_json(report))
-    else:
-        print("error: dot format is only available for the graph command", file=sys.stderr)
-        return 1
+    render = render_text if args.format == "text" else render_json
+    sys.stdout.write(render(report))
     return 0
 
 

@@ -119,6 +119,8 @@ def betti_table(
     ctx: ResolutionContext | None = None,
 ) -> BettiTable:
     """Compute b[i][j] for homological degrees <= i_max, internal <= j_max."""
+    if i_max < 0 or j_max < 0:
+        raise CoverageError(f"Betti bounds must be >= 0, got ({i_max}, {j_max})")
     if ctx is None:
         gb = complete(presentation, j_max)
         ctx = ResolutionContext(gb, level_max=i_max, deg_max=j_max)

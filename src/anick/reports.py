@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .chains import ChainSet
+from .chains import ChainGraph, ChainSet
 from .dual import GldimReport
 from .groebner import GroebnerBasis, Presentation
 from .homology import BettiTable, KoszulVerdict
@@ -61,6 +61,15 @@ def chains_payload(chain_set: ChainSet) -> dict[str, Any]:
                 )
         levels.append({"level": level, "count": len(entries), "chains": entries})
     return {"chains": levels}
+
+
+def graph_payload(graph: ChainGraph) -> dict[str, Any]:
+    names = [node.name(graph.alphabet) for node in graph.nodes]
+    nodes = [
+        {"id": nid, "kind": node.kind, "tail_degree": len(node.tail)}
+        for nid, node in zip(names, graph.nodes)
+    ]
+    return {"graph": {"nodes": nodes, "edges": [[names[a], names[b]] for a, b in graph.edges]}}
 
 
 def _pair_label(alphabet: Alphabet, pair) -> dict[str, str]:

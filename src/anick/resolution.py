@@ -256,9 +256,27 @@ class ResolutionContext:
             columns.append({row_index[k]: a for k, a in image.terms.items()})
         return ResolutionSlice(level, degree, cols, rows, columns)
 
+    def slices(self) -> list[ResolutionSlice]:
+        """Exact differential matrices for all levels and degrees in range.
 
-def differential(c: Chain, ctx: ResolutionContext) -> FreeElement:
-    return ctx.differential(c)
+        The composite of consecutive differentials is verified to vanish in
+        every internal degree, and each slice records that check.
+        """
+        out: list[ResolutionSlice] = []
+        for level in range(0, self.level_max + 1):
+            for degree in range(0, self.deg_max + 1):
+                s = self.slice(level, degree)
+                if level >= 1:
+                    # The same degree one level down, deg_max + 1 slices back.
+                    lower = out[-(self.deg_max + 1)]
+                    s.composes_to_zero = verify_composition(lower, s)
+                    if not s.composes_to_zero:
+                        raise SplittingError(
+                            f"differential composition is nonzero at level {level}, "
+                            f"degree {degree}"
+                        )
+                out.append(s)
+        return out
 
 
 def verify_composition(lower: ResolutionSlice, upper: ResolutionSlice) -> bool:
@@ -280,26 +298,6 @@ def verify_composition(lower: ResolutionSlice, upper: ResolutionSlice) -> bool:
 def resolution_slices(
     presentation: Presentation, level_max: int, deg_max: int
 ) -> list[ResolutionSlice]:
-    """Exact differential matrices for all levels and degrees in range.
-
-    The composite of consecutive differentials is verified to vanish in
-    every internal degree, and each slice records that check.
-    """
-    gb = complete(presentation, deg_max)
-    ctx = ResolutionContext(gb, level_max, deg_max)
-    out: list[ResolutionSlice] = []
-    by_key: dict[tuple[int, int], ResolutionSlice] = {}
-    for level in range(0, level_max + 1):
-        for degree in range(0, deg_max + 1):
-            s = ctx.slice(level, degree)
-            if level >= 1:
-                lower = by_key[(level - 1, degree)]
-                s.composes_to_zero = verify_composition(lower, s)
-                if not s.composes_to_zero:
-                    raise SplittingError(
-                        f"differential composition is nonzero at level {level}, "
-                        f"degree {degree}"
-                    )
-            by_key[(level, degree)] = s
-            out.append(s)
-    return out
+    """Exact differential matrices for all levels and degrees in range,
+    each checked by ``ResolutionContext.slices``."""
+    return ResolutionContext(complete(presentation, deg_max), level_max, deg_max).slices()

@@ -1,8 +1,10 @@
+import hashlib
 import json
+import pathlib
 
 import pytest
 
-from anick.cli import main
+from anick.cli import COMMANDS, main
 
 XYZ = "vars: x > y > z\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n"
 YXSQ_LOW = "vars: x < y\nrelations:\n  x^2 - y*x\n"
@@ -211,8 +213,6 @@ def test_cubic_koszul_request_exits_one(capsys, tmp_path):
 
 
 def test_gldim_payload_matches_golden_file(capsys, xyz_file):
-    import pathlib
-
     code, out, err = run(
         capsys, "gldim", "--input", xyz_file, "--max-deg", "8", "--format", "json"
     )
@@ -220,3 +220,60 @@ def test_gldim_payload_matches_golden_file(capsys, xyz_file):
     payload = json.loads(out)["payload"]
     golden = pathlib.Path(__file__).parent / "golden" / "gldim_xyz_payload.json"
     assert json.dumps(payload, indent=2) + "\n" == golden.read_text()
+
+
+EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "example.alg"
+
+# sha256 of each command's output on example.alg at D=8: the payload as the
+# JSON report renders it, or the DOT text for graph.
+EXAMPLE_DIGESTS = {
+    "gb": "a02f92e82b49c9f470da93782f07dba30dc8380c34ccc4478ae920559dab765a",
+    "chains": "26dfd4116e58d8f6b618c9198e63de77278f8589da304e34b26959562db1f9a2",
+    "resolution": "7237b891760b15e32eb068aac561e776e92db5945ed88db6bb5f4e4c25264e09",
+    "betti": "c11c36158f3638610617e4d11cc449a45ec9d3d59f8d0f3a9f6a3f5dc0955be8",
+    "koszul": "23b55435b7804fa748cf74b1827841546ccf0bcf28eaca0f78b5a00e07e52598",
+    "dual": "65709ded8f3010cee47878a62d62ea67e5aad41d9c045d6f8f88d4291827b84c",
+    "hilbert": "eea8ff644330c83d1423ed51f803e48affa4a1cad3900ec1cbef7efc897298ef",
+    "gldim": "7907384b28862459b36a35f415ce79603ff2c3a28fbd8dd2939a911b279bcdec",
+    "graph": "ce763e2af0a92324e1ba8a8a7a1325b2cfb8dfa73848923b214037738d68ea83",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_example_output_matches_pinned_digest(capsys, command):
+    code, out, err = run(capsys, command, "--input", str(EXAMPLE), "--max-deg", "8")
+    assert code == 0, err
+    if command != "graph":
+        out = out.split('\n  "payload": ', 1)[1].rsplit(',\n  "timing": ', 1)[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLE_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_completes_at_most_once(capsys, monkeypatch, xyz_file, command):
+    import anick.cli
+    import anick.dual
+    import anick.homology
+    import anick.resolution
+    from anick.groebner import complete
+
+    calls = []
+
+    def counting_complete(presentation, max_deg):
+        calls.append(max_deg)
+        return complete(presentation, max_deg)
+
+    for module in (anick.cli, anick.resolution, anick.homology, anick.dual):
+        monkeypatch.setattr(module, "complete", counting_complete)
+    code, out, err = run(capsys, command, "--input", xyz_file, "--max-deg", "5")
+    assert code == 0, err
+    expected = {"dual": 0, "gldim": 2}.get(command, 1)  # gldim: the input and its dual
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("flag", ["--max-deg", "--max-level"])
+@pytest.mark.parametrize("command", ["betti", "chains", "resolution"])
+def test_negative_bound_exits_one(capsys, xyz_file, command, flag):
+    code, out, err = run(capsys, command, "--input", xyz_file, flag, "-1")
+    assert code == 1
+    assert f"argument {flag}" in err and ">= 0" in err
+    assert out == ""

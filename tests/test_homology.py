@@ -71,6 +71,12 @@ def test_betti_table_of_main_fixture(xyz, xyz_ctx):
                 assert table.entry(i, j) == 0
 
 
+@pytest.mark.parametrize("i_max, j_max", [(-1, 4), (2, -1)])
+def test_betti_table_rejects_negative_bounds(xyz, i_max, j_max):
+    with pytest.raises(CoverageError):
+        betti_table(xyz, i_max, j_max)
+
+
 def test_betti_both_orderings_of_two_letter_fixture(yxsq_low, yxsq_high):
     low = betti_table(yxsq_low, 4, 6)
     high = betti_table(yxsq_high, 4, 6)

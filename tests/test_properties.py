@@ -124,6 +124,7 @@ def test_completion_is_confluent_within_bound(pres):
     from anick.words import overlaps
 
     gb = complete(pres, 6)
+    assert all(len(w) <= 6 for w in gb.obstructions)
     basis = list(gb.elements)
     for g in basis:
         for h in basis:
