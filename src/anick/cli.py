@@ -59,7 +59,10 @@ class Pipeline:
         self.presentation = parse_presentation(_read_input(args.input), field)
         self.alphabet = self.presentation.alphabet
         self.max_deg = args.max_deg
-        self.max_level = args.max_deg if args.max_level is None else args.max_level
+        # Koszul and gldim verdicts need every level up to D, so D is the
+        # level bound they use and report.
+        level_is_degree = args.max_level is None or args.command in ("koszul", "gldim")
+        self.max_level = args.max_deg if level_is_degree else args.max_level
         self.require_certified = args.require_certified
         self.format = args.format
 
@@ -82,17 +85,15 @@ def _chains(run: Pipeline) -> dict:
     return chains_payload(chain_set)
 
 
-def _betti(run: Pipeline) -> dict:
+def _betti_table(run: Pipeline):
     ctx = run.context(run.max_level)
-    return betti_payload(betti_table(run.presentation, run.max_level, run.max_deg, ctx=ctx))
+    return betti_table(run.presentation, run.max_level, run.max_deg, ctx=ctx)
 
 
 def _koszul(run: Pipeline) -> dict:
     if not run.presentation.is_quadratic:
         raise NotQuadraticError("Koszul verdicts need a quadratic presentation")
-    ctx = run.context(run.max_deg)
-    table = betti_table(run.presentation, run.max_deg, run.max_deg, ctx=ctx)
-    return koszul_payload(koszul_verdict(table, run.max_deg))
+    return koszul_payload(koszul_verdict(_betti_table(run), run.max_deg))
 
 
 def _hilbert(run: Pipeline) -> dict:
@@ -126,7 +127,7 @@ PAYLOADS = {
     "gb": lambda run: gb_payload(run.gb),
     "chains": _chains,
     "resolution": lambda run: slices_payload(run.alphabet, run.context(run.max_level).slices()),
-    "betti": _betti,
+    "betti": lambda run: betti_payload(_betti_table(run)),
     "koszul": _koszul,
     "dual": lambda run: dual_payload(quadratic_dual(run.presentation)),
     "hilbert": _hilbert,

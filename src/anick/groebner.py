@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AlgebraError, TruncationError
 from .fields import Field
-from .poly import Polynomial
+from .poly import Polynomial, poly_combine
 from .words import EMPTY, Alphabet, Word, contains_factor, overlaps
 
 
@@ -138,7 +138,7 @@ def normal_form(
             continue
         pos, gi = hit
         left, right = w[:pos], w[pos + len(leads[gi]):]
-        pending = pending - basis[gi].word_mul(left, right).scaled(c)
+        pending = poly_combine(pending, -c, left, basis[gi], right)
         if trace is not None:
             trace.append((gi, c, left, right))
     return Polynomial(done, order)

@@ -67,7 +67,7 @@ def _parse_polynomial(
     if not tokens:
         raise ParseError("empty relation", line_no, 1)
     order = alphabet.order
-    terms: dict[tuple[int, ...], object] = {}
+    terms: list[tuple[tuple[int, ...], object]] = []
     i = 0
 
     def error(msg: str, tok_index: int) -> ParseError:
@@ -126,11 +126,8 @@ def _parse_polynomial(
                 i += 1
         if not saw_factor:
             raise error("a term needs at least one letter", i)
-        coeff = field.of(sign * numerator, denominator)
-        key = tuple(word)
-        existing = terms.get(key)
-        terms[key] = coeff if existing is None else existing + coeff
-    poly = Polynomial(terms, order)
+        terms.append((tuple(word), field.of(sign * numerator, denominator)))
+    poly = Polynomial.from_pairs(terms, order)
     if poly.is_zero:
         raise ParseError("relation is zero", line_no, 1)
     if not poly.is_homogeneous:

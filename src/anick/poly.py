@@ -1,9 +1,10 @@
-"""Exact polynomials in the free associative algebra.
+"""Exact sparse linear combinations, and polynomials in the free algebra.
 
-A polynomial is a finitely supported map from words to nonzero scalars,
-together with the deglex order used for leading-term queries.  All
-operations are pure and return new values; zero coefficients are pruned
-on construction so the support invariant holds after every operation.
+``LinComb`` is a finitely supported map from keys to nonzero scalars with
+its arithmetic.  A polynomial is one keyed by words, together with the
+deglex order used for leading-term queries.  All operations are pure and
+return new values; zero coefficients are pruned on construction and by
+every operation, so the support invariant always holds.
 """
 
 from __future__ import annotations
@@ -14,12 +15,83 @@ from .errors import AlgebraError
 from .words import EMPTY, Alphabet, DegLex, Word
 
 
-class Polynomial:
-    __slots__ = ("terms", "order")
+class LinComb:
+    """A finitely supported map from keys to nonzero scalars.
+
+    Polynomials (keyed by words) and free-module elements (keyed by chain
+    and normal word) share this arithmetic.  Results are new values of the
+    caller's kind; zero coefficients never survive an operation.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping):
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[object, object]], *space):
+        """The sum of ``(key, coeff)`` pairs; ``space`` is the rest of the
+        constructor's arguments (a polynomial's order)."""
+        out: dict = {}
+        for k, c in pairs:
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
+        return cls(out, *space)
+
+    def _like(self, terms: dict):
+        """An element of the same kind and space over already pruned terms."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        return out
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def add_scaled(self, other: "LinComb", c):
+        """``self + c * other`` in one pass over ``other``."""
+        if not c:
+            return self
+        out = dict(self.terms)
+        for k, a in other.terms.items():
+            prev = out.get(k)
+            s = c * a if prev is None else prev + c * a
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return self._like(out)
+
+    def __add__(self, other):
+        return self.add_scaled(other, 1)
+
+    def __sub__(self, other):
+        return self.add_scaled(other, -1)
+
+    def __neg__(self):
+        return self._like({k: -a for k, a in self.terms.items()})
+
+    def scaled(self, c):
+        return self._like({k: p for k, a in self.terms.items() if (p := c * a)})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+class Polynomial(LinComb):
+    __slots__ = ("order",)
 
     def __init__(self, terms: Mapping[Word, object], order: DegLex):
-        self.terms = {w: c for w, c in terms.items() if c}
+        super().__init__(terms)
         self.order = order
+
+    def _like(self, terms: dict) -> "Polynomial":
+        out = super()._like(terms)
+        out.order = self.order
+        return out
 
     @classmethod
     def zero(cls, order: DegLex) -> "Polynomial":
@@ -28,10 +100,6 @@ class Polynomial:
     @classmethod
     def monomial(cls, word: Word, coeff, order: DegLex) -> "Polynomial":
         return cls({word: coeff}, order)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def lead_word(self) -> Word:
         if not self.terms:
@@ -56,72 +124,29 @@ class Polynomial:
         """Terms in descending order, leading term first."""
         return sorted(self.terms.items(), key=lambda t: self.order.key(t[0]), reverse=True)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        merged = dict(self.terms)
-        for w, c in other.terms.items():
-            s = merged.get(w)
-            merged[w] = c if s is None else s + c
-        return Polynomial(merged, self.order)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial({w: -c for w, c in self.terms.items()}, self.order)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def scaled(self, c) -> "Polynomial":
-        if not c:
-            return Polynomial.zero(self.order)
-        return Polynomial({w: c * a for w, a in self.terms.items()}, self.order)
-
     def word_mul(self, left: Word, right: Word) -> "Polynomial":
         """The product ``left * self * right`` with monomial cofactors."""
-        return Polynomial(
-            {left + w + right: c for w, c in self.terms.items()}, self.order
-        )
+        return self._like({left + w + right: c for w, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict[Word, object] = {}
-        for u, a in self.terms.items():
-            for w, b in other.terms.items():
-                key = u + w
-                s = out.get(key)
-                prod = a * b
-                out[key] = prod if s is None else s + prod
-        return Polynomial(out, self.order)
+        return Polynomial.from_pairs(
+            ((u + w, a * b) for u, a in self.terms.items() for w, b in other.terms.items()),
+            self.order,
+        )
 
     def monic(self) -> "Polynomial":
         return self.scaled(1 / self.lead_coeff())
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.order == other.order
-            and self.terms == other.terms
-        )
+        return super().__eq__(other) and self.order == other.order
 
     def __hash__(self):
         return hash((self.order, frozenset(self.terms.items())))
 
-    def __repr__(self) -> str:
-        return f"Polynomial({self.terms!r})"
-
 
 def poly_combine(p: Polynomial, c, left: Word, q: Polynomial, right: Word) -> Polynomial:
     """The elementary rewriting step ``p + c * left * q * right``."""
-    return p + q.word_mul(left, right).scaled(c)
-
-
-def poly_from_pairs(pairs: Iterable[tuple[Word, object]], order: DegLex) -> Polynomial:
-    out: dict[Word, object] = {}
-    for w, c in pairs:
-        s = out.get(w)
-        out[w] = c if s is None else s + c
-    return Polynomial(out, order)
-
-
-def render_scalar(c) -> str:
-    return str(c)
+    return p.add_scaled(q.word_mul(left, right), c)
 
 
 def render_poly(alphabet: Alphabet, p: Polynomial) -> str:
@@ -130,7 +155,7 @@ def render_poly(alphabet: Alphabet, p: Polynomial) -> str:
         return "0"
     pieces: list[str] = []
     for w, c in p.sorted_terms():
-        text = render_scalar(c)
+        text = str(c)
         negative = text.startswith("-")
         if negative:
             text = text[1:]

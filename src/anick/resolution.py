@@ -22,39 +22,15 @@ from .automaton import NormalWordAutomaton, normal_word_automaton
 from .chains import Chain, ChainSet, enumerate_chains
 from .errors import SplittingError, TruncationError
 from .groebner import GroebnerBasis, Presentation, complete, normal_form
-from .poly import Polynomial
+from .poly import LinComb, Polynomial
 from .words import EMPTY, Word
 
 
-class FreeElement:
-    """Element of (chain basis) tensor (algebra) in the normal-word basis."""
+class FreeElement(LinComb):
+    """Element of (chain basis) tensor (algebra) in the normal-word basis,
+    keyed by (chain, normal word)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[Chain, Word], object]):
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FreeElement") -> "FreeElement":
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            s = merged.get(k)
-            merged[k] = c if s is None else s + c
-        return FreeElement(merged)
-
-    def __neg__(self) -> "FreeElement":
-        return FreeElement({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        return self + (-other)
-
-    def scaled(self, c) -> "FreeElement":
-        if not c:
-            return FreeElement({})
-        return FreeElement({k: c * a for k, a in self.terms.items()})
+    __slots__ = ()
 
     def max_term(self, order) -> tuple[tuple[Chain, Word], object]:
         key = max(
@@ -62,12 +38,6 @@ class FreeElement:
             key=lambda k: (order.key(k[0].word + k[1]), len(k[0].word)),
         )
         return key, self.terms[key]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreeElement) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"FreeElement({self.terms!r})"
 
 
 @dataclass
@@ -145,25 +115,19 @@ class ResolutionContext:
         """Right action of a word on a free-module element, in normal form."""
         if not w:
             return elem
-        out: dict[tuple[Chain, Word], object] = {}
-        for (c, u), coeff in elem.terms.items():
-            for word, scalar in self.nf_word(u + w).terms.items():
-                key = (c, word)
-                add = coeff * scalar
-                prev = out.get(key)
-                out[key] = add if prev is None else prev + add
-        return FreeElement(out)
+        return FreeElement.from_pairs(
+            ((c, word), coeff * scalar)
+            for (c, u), coeff in elem.terms.items()
+            for word, scalar in self.nf_word(u + w).terms.items()
+        )
 
     def _split0(self, p: Polynomial) -> FreeElement:
         """Split a positive-degree algebra element over the letter module."""
-        terms: dict[tuple[Chain, Word], object] = {}
-        for w, coeff in p.terms.items():
-            if not w:
-                raise SplittingError("cannot split a degree-0 term")
-            key = (self._letter_chain[w[0]], w[1:])
-            prev = terms.get(key)
-            terms[key] = coeff if prev is None else prev + coeff
-        return FreeElement(terms)
+        if EMPTY in p.terms:
+            raise SplittingError("cannot split a degree-0 term")
+        return FreeElement.from_pairs(
+            ((self._letter_chain[w[0]], w[1:]), coeff) for w, coeff in p.terms.items()
+        )
 
     def split(self, level: int, xi: FreeElement) -> FreeElement:
         """Find eta at the given level whose differential is xi.
@@ -172,7 +136,7 @@ class ResolutionContext:
         supported below the given level's chains, which holds for every
         element this engine feeds in.
         """
-        result: dict[tuple[Chain, Word], object] = {}
+        emitted: list[tuple[tuple[Chain, Word], object]] = []
         work = xi
         while not work.is_zero:
             (c0, w0), coeff = work.max_term(self.order)
@@ -191,10 +155,9 @@ class ResolutionContext:
                     f"ambiguous chain prefix for product word {c0.word + w0}"
                 )
             hat, leftover = found[0]
-            prev = result.get((hat, leftover))
-            result[(hat, leftover)] = coeff if prev is None else prev + coeff
-            work = work - self.act_right(self.differential(hat), leftover).scaled(coeff)
-        return FreeElement(result)
+            emitted.append(((hat, leftover), coeff))
+            work = work.add_scaled(self.act_right(self.differential(hat), leftover), -coeff)
+        return FreeElement.from_pairs(emitted)
 
     def differential(self, c: Chain) -> FreeElement:
         """d(c (x) 1) as an element one level down.  Levels >= 1 only."""
@@ -283,14 +246,12 @@ def verify_composition(lower: ResolutionSlice, upper: ResolutionSlice) -> bool:
     """Check that applying the lower matrix after the upper gives zero."""
     col_index = {k: i for i, k in enumerate(lower.col_labels)}
     for col in upper.columns:
-        acc: dict[int, object] = {}
-        for mid, a in col.items():
-            mid_label = upper.row_labels[mid]
-            for row, b in lower.columns[col_index[mid_label]].items():
-                prev = acc.get(row)
-                term = a * b
-                acc[row] = term if prev is None else prev + term
-        if any(acc.values()):
+        image = LinComb.from_pairs(
+            (row, a * b)
+            for mid, a in col.items()
+            for row, b in lower.columns[col_index[upper.row_labels[mid]]].items()
+        )
+        if not image.is_zero:
             return False
     return True
 

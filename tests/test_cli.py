@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -277,3 +280,35 @@ def test_negative_bound_exits_one(capsys, xyz_file, command, flag):
     assert code == 1
     assert f"argument {flag}" in err and ">= 0" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command, level_bound", [("betti", 3), ("koszul", 5), ("gldim", 5)])
+def test_reported_level_bound_is_the_one_used(capsys, xyz_file, command, level_bound):
+    # Koszul and gldim verdicts need every level up to D, whatever --max-level asks.
+    report = run_json(
+        capsys, command, "--input", xyz_file, "--max-deg", "5", "--max-level", "3"
+    )
+    assert report["config"]["max_level"] == level_bound
+    if command == "betti":
+        assert report["payload"]["i_max"] == level_bound
+
+
+def test_cli_run_loads_only_the_standard_library(xyz_file):
+    # The runtime has no dependencies.  The interpreter runs with -S, so
+    # that modules which site-packages hooks import at start-up do not count.
+    script = (
+        "import json, sys\n"
+        "from anick.cli import main\n"
+        f"code = main(['gldim', '--input', {xyz_file!r}, '--max-deg', '5'])\n"
+        "top = {name.partition('.')[0] for name in sys.modules}\n"
+        "print(json.dumps([code, sorted(top - set(sys.stdlib_module_names))]))\n"
+    )
+    src_dir = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    code, foreign = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert set(foreign) <= {"__main__", "anick"}, foreign

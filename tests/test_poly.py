@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from anick import Alphabet, Polynomial, poly_combine, render_poly
+from anick import Alphabet, FreeElement, Polynomial, poly_combine, render_poly
 from anick.errors import AlgebraError
 from anick.fields import PrimeField, Rationals
 
@@ -59,6 +60,8 @@ def test_no_zero_coefficients_survive(alpha):
     p = poly(alpha, ("xy", 1))
     q = poly(alpha, ("xy", -1))
     assert (p + q).terms == {}
+    assert p.add_scaled(p, Fraction(-1)).terms == {}
+    assert p.add_scaled(q, Fraction(2)).terms == {alpha.word("xy"): -1}
     assert Polynomial({alpha.word("xx"): Fraction(0)}, alpha.order).is_zero
 
 
@@ -100,3 +103,69 @@ def test_prime_field_arithmetic(alpha):
     assert m.terms[alpha.word("yx")] == field.one
     assert (p - p).is_zero
     assert str(field.of(7)) == "2"
+
+
+def test_from_pairs_sums_repeated_keys(alpha):
+    xy, yx = alpha.word("xy"), alpha.word("yx")
+    pairs = [(xy, Fraction(1)), (yx, Fraction(2)), (xy, Fraction(-1)), (yx, Fraction(1))]
+    assert Polynomial.from_pairs(pairs, alpha.order) == poly(alpha, ("yx", 3))
+    assert Polynomial.from_pairs([], alpha.order).is_zero
+
+
+# Words of length at most 2 over two letters: a support this small makes
+# keys collide, so sums cancel often.
+FIELDS = [Rationals(), PrimeField(5)]
+WORDS = st.lists(st.integers(0, 1), max_size=2).map(tuple)
+SMALL = st.integers(-3, 3)
+SCALARS = st.sampled_from([0, 1, -1, 2, -2])
+
+
+@st.composite
+def poly_pairs(draw):
+    """(field, p, q) with q cancelling some of p's terms against c * q."""
+    field = draw(st.sampled_from(FIELDS))
+    order = Alphabet(("x", "y")).order
+    p = {w: field.of(draw(SMALL)) for w in draw(st.lists(WORDS, max_size=5))}
+    q = {w: field.of(draw(SMALL)) for w in draw(st.lists(WORDS, max_size=5))}
+    c = field.of(draw(SCALARS))
+    if c and p:
+        for w in draw(st.lists(st.sampled_from(sorted(p)), max_size=3)):
+            q[w] = -p[w] / c
+    return field, Polynomial(p, order), Polynomial(q, order), c
+
+
+def plain_add_scaled(p: dict, q: dict, c, zero) -> dict:
+    out = dict(p)
+    for w, a in q.items():
+        out[w] = out.get(w, zero) + c * a
+    return {w: a for w, a in out.items() if a}
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs())
+def test_add_scaled_matches_plain_dict_oracle(case):
+    field, p, q, c = case
+    result = p.add_scaled(q, c)
+    assert result.terms == plain_add_scaled(p.terms, q.terms, c, field.zero)
+    assert result.order == p.order
+    for value in (result, p + q, p - q, -p, p.scaled(c), q.word_mul((0,), (1,))):
+        assert all(value.terms.values())
+    assert (p - p).is_zero
+    assert (p + q) - q == p
+    assert p.scaled(field.zero).is_zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(FIELDS),
+    st.dictionaries(st.tuples(st.integers(0, 2), WORDS), SMALL, max_size=5),
+    st.dictionaries(st.tuples(st.integers(0, 2), WORDS), SMALL, max_size=5),
+)
+def test_free_element_arithmetic(field, a_terms, b_terms):
+    a = FreeElement({k: field.of(v) for k, v in a_terms.items()})
+    b = FreeElement({k: field.of(v) for k, v in b_terms.items()})
+    assert (a + b) - b == a
+    assert a.add_scaled(b, field.of(-1)) == a - b
+    assert a.scaled(field.zero).is_zero
+    assert (a - a).is_zero
+    assert all((a + b).terms.values())

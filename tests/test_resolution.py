@@ -220,3 +220,29 @@ def test_resolution_is_exact_in_positive_degrees(xyz, xyz_ctx):
         for level in range(0, 3):
             kernel = dims[level] - ranks[level]
             assert kernel == ranks[level + 1], (degree, level)
+
+
+def apply_differential(ctx, elem):
+    """d(elem) for an element at level >= 1, one level down."""
+    from anick import FreeElement
+
+    out = FreeElement({})
+    for (c, w), v in elem.terms.items():
+        out = out.add_scaled(ctx.act_right(ctx.differential(c), w), v)
+    return out
+
+
+def test_split_inverts_the_differential(xyz_ctx):
+    # split(n - 1, xi) must return a preimage of xi, for every xi that the
+    # differential of a level-n chain feeds it.
+    checked = 0
+    for level in range(2, 5):
+        for chain in xyz_ctx.chains.level(level):
+            if chain.degree > 6:
+                continue
+            xi = xyz_ctx.act_right(xyz_ctx.differential(chain.prefix), chain.tail)
+            eta = xyz_ctx.split(level - 1, xi)
+            assert apply_differential(xyz_ctx, eta) == xi
+            checked += 1
+    assert checked > 10
+
