@@ -31,6 +31,10 @@ class Chain:
     overlap_len: int
     prefix: "Chain | None"
 
+    def __post_init__(self):
+        # Chains key the resolution's dicts; hash the (level, word) pair once.
+        object.__setattr__(self, "_hash", hash((self.level, self.word)))
+
     @property
     def degree(self) -> int:
         return len(self.word)
@@ -64,7 +68,7 @@ class Chain:
         )
 
     def __hash__(self):
-        return hash((self.level, self.word))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Chain(level={self.level}, word={self.word})"

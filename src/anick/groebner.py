@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AlgebraError, TruncationError
 from .fields import Field
-from .poly import Polynomial, poly_combine
+from .poly import Polynomial
 from .words import EMPTY, Alphabet, Word, contains_factor, overlaps
 
 
@@ -105,43 +105,80 @@ def normal_form(
     """Reduce p against a list of monic polynomials.
 
     The order-maximal reducible term is rewritten first; within that term
-    the leftmost obstruction occurrence is used, which makes normal forms
-    deterministic.  When ``trace`` is given, each step appends
+    the leftmost obstruction occurrence is used, by the first basis element
+    whose leading word sits there, which makes normal forms deterministic.
+    When ``trace`` is given, each step appends
     ``(basis index, coefficient, left cofactor, right cofactor)`` with the
     convention ``p == result + sum(c * left * g * right)``.
+
+    Pending terms live in a dict beside a lazy-deletion heap keyed by
+    ``(-len(w), w)``; index 0 is the greatest letter, so the heap minimum
+    is the deglex maximum.  A rewriting step subtracts ``c * left * g *
+    right`` from the dict in place: g's leading word cancels exactly (g is
+    monic) and is skipped, and only words new to the dict are pushed.
+    Every word a step adds is below the word it rewrites, so a popped word
+    never comes back; a popped word missing from the dict has cancelled.
     """
     for g in basis:
         if g.is_zero or not _is_one(g.lead_coeff()):
             raise AlgebraError("normal_form requires monic basis elements")
-    leads = [g.lead_word() for g in basis]
-    order = p.order
+    first: dict[Word, int] = {}
+    for gi, g in enumerate(basis):
+        first.setdefault(g.lead_word(), gi)
+    lengths = sorted({len(lead) for lead in first})
+    pending = dict(p.terms)
+    heap = [(-len(w), w) for w in pending]
+    heapq.heapify(heap)
     done: dict[Word, object] = {}
-    pending = Polynomial(p.terms, order)
-    while not pending.is_zero:
-        w = pending.lead_word()
-        c = pending.terms[w]
-        hit: tuple[int, int] | None = None
-        for pos in range(len(w)):
-            for gi, lead in enumerate(leads):
-                if w[pos:pos + len(lead)] == lead:
-                    hit = (pos, gi)
-                    break
-            if hit:
-                break
+    while heap:
+        w = heapq.heappop(heap)[1]
+        c = pending.pop(w, None)
+        if c is None:
+            continue
+        hit = _find_reducer(w, first, lengths)
         if hit is None:
-            # Irreducible terms leave pending in strictly decreasing order,
-            # so each word lands here at most once.
             done[w] = c
-            pending = Polynomial(
-                {u: a for u, a in pending.terms.items() if u != w}, order
-            )
             continue
         pos, gi = hit
-        left, right = w[:pos], w[pos + len(leads[gi]):]
-        pending = poly_combine(pending, -c, left, basis[gi], right)
+        g = basis[gi]
+        lead = g.lead_word()
+        left, right = w[:pos], w[pos + len(lead):]
+        neg = -c
+        for u, a in g.terms.items():
+            if u == lead:
+                continue
+            x = left + u + right
+            prev = pending.get(x)
+            if prev is None:
+                pending[x] = neg * a
+                heapq.heappush(heap, (-len(x), x))
+            elif total := prev + neg * a:
+                pending[x] = total
+            else:
+                del pending[x]
         if trace is not None:
             trace.append((gi, c, left, right))
-    return Polynomial(done, order)
+    return Polynomial(done, p.order)
+
+
+def _find_reducer(
+    w: Word, first: dict[Word, int], lengths: list[int]
+) -> tuple[int, int] | None:
+    """The leftmost position of w holding a leading word, and the smallest
+    basis index among the leading words there; ``first`` maps each leading
+    word to its first index and ``lengths`` lists their lengths ascending."""
+    n = len(w)
+    for pos in range(n):
+        best = None
+        for length in lengths:
+            if pos + length > n:
+                break
+            gi = first.get(w[pos:pos + length])
+            if gi is not None and (best is None or gi < best):
+                best = gi
+        if best is not None:
+            return pos, best
+    return None
 
 
 def s_polynomial(g: Polynomial, h: Polynomial, overlap_len: int) -> Polynomial:

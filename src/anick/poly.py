@@ -82,15 +82,19 @@ class LinComb:
 
 
 class Polynomial(LinComb):
-    __slots__ = ("order",)
+    # ``_lead`` memoises the leading word; ``terms`` is never mutated after
+    # construction, so the cache stays valid for the object's lifetime.
+    __slots__ = ("order", "_lead")
 
     def __init__(self, terms: Mapping[Word, object], order: DegLex):
         super().__init__(terms)
         self.order = order
+        self._lead = None
 
     def _like(self, terms: dict) -> "Polynomial":
         out = super()._like(terms)
         out.order = self.order
+        out._lead = None
         return out
 
     @classmethod
@@ -102,9 +106,15 @@ class Polynomial(LinComb):
         return cls({word: coeff}, order)
 
     def lead_word(self) -> Word:
-        if not self.terms:
-            raise AlgebraError("zero polynomial has no leading term")
-        return max(self.terms, key=self.order.key)
+        """The deglex-maximal word: the longest, and among those the
+        smallest tuple, since index 0 is the greatest letter."""
+        lead = self._lead
+        if lead is None:
+            if not self.terms:
+                raise AlgebraError("zero polynomial has no leading term")
+            n = max(map(len, self.terms))
+            lead = self._lead = min(w for w in self.terms if len(w) == n)
+        return lead
 
     def lead_coeff(self):
         return self.terms[self.lead_word()]

@@ -32,12 +32,18 @@ class FreeElement(LinComb):
 
     __slots__ = ()
 
-    def max_term(self, order) -> tuple[tuple[Chain, Word], object]:
-        key = max(
-            self.terms,
-            key=lambda k: (order.key(k[0].word + k[1]), len(k[0].word)),
-        )
+    def max_term(self) -> tuple[tuple[Chain, Word], object]:
+        """The term whose product word is deglex-maximal, ties broken by the
+        longer chain; ``(-len(w), w)`` sorts deglex-descending because index
+        0 is the greatest letter."""
+        key = min(self.terms, key=_max_term_key)
         return key, self.terms[key]
+
+
+def _max_term_key(k: tuple[Chain, Word]) -> tuple[int, Word, int]:
+    chain_word = k[0].word
+    w = chain_word + k[1]
+    return -len(w), w, -len(chain_word)
 
 
 @dataclass
@@ -139,7 +145,7 @@ class ResolutionContext:
         emitted: list[tuple[tuple[Chain, Word], object]] = []
         work = xi
         while not work.is_zero:
-            (c0, w0), coeff = work.max_term(self.order)
+            (c0, w0), coeff = work.max_term()
             found: list[tuple[Chain, Word]] = []
             for cut in range(1, len(w0) + 1):
                 cand = self.chains.find(level, c0.word + w0[:cut])

@@ -4,13 +4,19 @@ Everything here recomputes expected values by a route different from the
 engine under test: chains are classified top-down over all words, word
 counts come from exhaustive enumeration, ideal slice dimensions from
 sparse echelon over spanning products, and differentials from the
-closed-form shape formulas for the three-generator fixture.
+closed-form shape formulas for the three-generator fixture.  Normal forms
+come from the plain rewriting loop that rescans the pending polynomial on
+every step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+from anick import Polynomial, poly_combine
+from anick.errors import AlgebraError
+from anick.words import Word
 
 
 # ---------------------------------------------------------------------------
@@ -257,3 +263,57 @@ def series_inverse_coefficients(numerator, top):
             acc += numerator[m] * out[j - m]
         out[j] = -acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# plain rewriting loop, the reference for ``anick.groebner.normal_form``
+
+def _is_one(coeff) -> bool:
+    return not bool(coeff - 1)
+
+
+def normal_form_reference(
+    p: Polynomial,
+    basis: list[Polynomial],
+    trace: list[tuple[int, object, Word, Word]] | None = None,
+) -> Polynomial:
+    """Reduce p against a list of monic polynomials.
+
+    The order-maximal reducible term is rewritten first; within that term
+    the leftmost obstruction occurrence is used, which makes normal forms
+    deterministic.  When ``trace`` is given, each step appends
+    ``(basis index, coefficient, left cofactor, right cofactor)`` with the
+    convention ``p == result + sum(c * left * g * right)``.
+    """
+    for g in basis:
+        if g.is_zero or not _is_one(g.lead_coeff()):
+            raise AlgebraError("normal_form requires monic basis elements")
+    leads = [g.lead_word() for g in basis]
+    order = p.order
+    done: dict[Word, object] = {}
+    pending = Polynomial(p.terms, order)
+    while not pending.is_zero:
+        w = pending.lead_word()
+        c = pending.terms[w]
+        hit: tuple[int, int] | None = None
+        for pos in range(len(w)):
+            for gi, lead in enumerate(leads):
+                if w[pos:pos + len(lead)] == lead:
+                    hit = (pos, gi)
+                    break
+            if hit:
+                break
+        if hit is None:
+            # Irreducible terms leave pending in strictly decreasing order,
+            # so each word lands here at most once.
+            done[w] = c
+            pending = Polynomial(
+                {u: a for u, a in pending.terms.items() if u != w}, order
+            )
+            continue
+        pos, gi = hit
+        left, right = w[:pos], w[pos + len(leads[gi]):]
+        pending = poly_combine(pending, -c, left, basis[gi], right)
+        if trace is not None:
+            trace.append((gi, c, left, right))
+    return Polynomial(done, order)

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from helpers import ideal_slice_dims
+from helpers import bf_normal_count, ideal_slice_dims, normal_form_reference
+from hypothesis import given, settings, strategies as st
 
 from anick import (
+    Alphabet,
     Polynomial,
     complete,
     interreduce,
@@ -15,6 +17,7 @@ from anick import (
     s_polynomial,
 )
 from anick.errors import AlgebraError, TruncationError
+from anick.fields import PrimeField, Rationals
 from anick.words import contains_factor, overlaps
 
 
@@ -61,6 +64,74 @@ def test_normal_form_trace_witnesses_ideal_membership(xyz, xyz_gb8):
     for gi, coeff, left, right in trace:
         rebuilt = rebuilt + basis[gi].word_mul(left, right).scaled(coeff)
     assert rebuilt == p
+
+
+# Words of length 0-4 over three letters; bases of 1-5 monic polynomials,
+# each lead after the first drawn as a fresh word, a factor of an earlier
+# lead, a duplicate of one or the empty word, so bases need not be
+# antichains.
+NF_FIELDS = [Rationals(), PrimeField(5)]
+NF_ORDER = Alphabet(("x", "y", "z")).order
+NF_WORDS = st.lists(st.integers(0, 2), max_size=4).map(tuple)
+NF_COEFFS = st.sampled_from([1, -1, 2, -2, 3])
+
+
+@st.composite
+def monic_with_lead(draw, field, lead):
+    below = [
+        w for w in draw(st.lists(NF_WORDS, max_size=3))
+        if NF_ORDER.key(w) < NF_ORDER.key(lead)
+    ]
+    terms = {w: field.of(draw(NF_COEFFS)) for w in below}
+    terms[lead] = field.one
+    return Polynomial(terms, NF_ORDER)
+
+
+@st.composite
+def reduction_cases(draw):
+    """(p, basis) over Q or F_5, the basis possibly redundant."""
+    field = draw(st.sampled_from(NF_FIELDS))
+    basis = [draw(monic_with_lead(field, draw(NF_WORDS)))]
+    size = draw(st.integers(1, 5))
+    while len(basis) < size:
+        base = draw(st.sampled_from(basis)).lead_word()
+        cut = st.integers(0, len(base))
+        factor = st.tuples(cut, cut).map(lambda ij: base[min(ij):max(ij)])
+        lead = draw(st.one_of(NF_WORDS, factor, st.just(base), st.just(())))
+        basis.insert(draw(st.integers(0, len(basis))), draw(monic_with_lead(field, lead)))
+    p = Polynomial(
+        {w: field.of(draw(NF_COEFFS)) for w in draw(st.lists(NF_WORDS, max_size=6))},
+        NF_ORDER,
+    )
+    return p, basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduction_cases())
+def test_normal_form_matches_plain_rewriting_loop(case):
+    p, basis = case
+    trace, want_trace = [], []
+    assert normal_form(p, basis, trace=trace) == normal_form_reference(
+        p, basis, trace=want_trace
+    )
+    assert trace == want_trace
+    for g in [p, *basis]:
+        if not g.is_zero:
+            assert g.lead_word() == max(g.terms, key=NF_ORDER.key)
+
+
+def test_complete_generic_four_generator_algebra():
+    # Hilbert series 1/(1-2t)^2, counted over the words avoiding the
+    # obstructions rather than through the automaton.
+    g4 = parse_presentation(
+        "vars: a > b > c > d\nrelations:\n  a*b - b*a + c*d\n  a*c - 2*d*b\n"
+        "  b*d + a^2 - c^2\n  d*a - b*c\n"
+    )
+    gb = complete(g4, 6)
+    assert len(gb.elements) == 43
+    assert str(gb.certificate) == "complete-up-to-degree(6)"
+    for n in range(7):
+        assert bf_normal_count(4, n, gb.obstructions) == (n + 1) * 2 ** n
 
 
 def test_s_polynomial_overlap_identity(xyz):

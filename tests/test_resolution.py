@@ -1,14 +1,18 @@
 import pytest
 from helpers import formula_differential
+from hypothesis import given, settings, strategies as st
 
 from anick import (
+    Alphabet,
     Certificate,
+    FreeElement,
     GroebnerBasis,
     ResolutionContext,
     complete,
     parse_presentation,
     resolution_slices,
 )
+from anick.chains import Chain
 from anick.errors import SplittingError, TruncationError
 from anick.resolution import verify_composition
 
@@ -246,3 +250,25 @@ def test_split_inverts_the_differential(xyz_ctx):
             checked += 1
     assert checked > 10
 
+
+
+TERM_KEYS = st.tuples(
+    st.integers(0, 2),
+    st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
+    st.lists(st.integers(0, 2), max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(TERM_KEYS, st.integers(1, 3), min_size=1, max_size=8))
+def test_max_term_is_deglex_maximal_product_then_longest_chain(raw):
+    # Chains of different levels may share a word, so product words tie.
+    order = Alphabet(("x", "y", "z")).order
+    elem = FreeElement(
+        {(Chain(cw, level, 1, 0, None), w): c for (level, cw, w), c in raw.items()}
+    )
+    want = max(elem.terms, key=lambda k: (order.key(k[0].word + k[1]), len(k[0].word)))
+    assert elem.max_term() == (want, elem.terms[want])
+    for chain, _ in elem.terms:
+        twin = Chain(chain.word, chain.level, 2, 1, chain)
+        assert twin == chain and hash(twin) == hash(chain)
