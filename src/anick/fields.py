@@ -1,8 +1,11 @@
 """Exact scalar arithmetic: rational numbers or a prime field.
 
-Rational coefficients are plain ``fractions.Fraction`` values.  Prime-field
-coefficients are ``ModP`` values that carry their modulus, so polynomial
-code never needs to know which field it is working over.
+Rational coefficients are plain ``int`` values when they are integral and
+``fractions.Fraction`` values otherwise; arithmetic between the two stays
+exact, and no scalar is ever a ``float`` (``inverse`` never divides two
+ints with ``/``).  Prime-field coefficients are ``ModP`` values that carry
+their modulus, so polynomial code never needs to know which field it is
+working over.
 """
 
 from __future__ import annotations
@@ -13,66 +16,88 @@ from fractions import Fraction
 from .errors import FieldError
 
 
-@dataclass(frozen=True)
 class ModP:
-    """Residue modulo a prime p."""
+    """Residue modulo a prime p.
 
-    value: int
-    p: int
+    Immutable by convention: equality and hash are on ``(value, p)``, and
+    a residue never equals a bare ``int``.
+    """
 
-    def _other(self, other) -> "ModP | None":
-        if isinstance(other, ModP):
+    __slots__ = ("value", "p")
+
+    def __init__(self, value: int, p: int):
+        self.value = value
+        self.p = p
+
+    def __eq__(self, other):
+        if type(other) is not ModP:
+            return NotImplemented
+        return self.value == other.value and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.value, self.p))
+
+    def __repr__(self) -> str:
+        return f"ModP(value={self.value!r}, p={self.p!r})"
+
+    def _residue(self, other) -> int | None:
+        """The integer an operand stands for, or None if it is no scalar
+        of this field; residues of another modulus raise."""
+        if type(other) is ModP:
             if other.p != self.p:
                 raise FieldError(f"mixed moduli {self.p} and {other.p}")
-            return other
+            return other.value
         if isinstance(other, int):
-            return ModP(other % self.p, self.p)
+            return other
         return None
 
     def __add__(self, other):
-        o = self._other(other)
-        if o is None:
+        v = self._residue(other)
+        if v is None:
             return NotImplemented
-        return ModP((self.value + o.value) % self.p, self.p)
+        return ModP((self.value + v) % self.p, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._other(other)
-        if o is None:
+        v = self._residue(other)
+        if v is None:
             return NotImplemented
-        return ModP((self.value - o.value) % self.p, self.p)
+        return ModP((self.value - v) % self.p, self.p)
 
     def __rsub__(self, other):
-        o = self._other(other)
-        if o is None:
+        v = self._residue(other)
+        if v is None:
             return NotImplemented
-        return o - self
+        return ModP((v - self.value) % self.p, self.p)
 
     def __mul__(self, other):
-        o = self._other(other)
-        if o is None:
+        v = self._residue(other)
+        if v is None:
             return NotImplemented
-        return ModP((self.value * o.value) % self.p, self.p)
+        return ModP(self.value * v % self.p, self.p)
 
     __rmul__ = __mul__
 
     def __neg__(self):
         return ModP(-self.value % self.p, self.p)
 
-    def __truediv__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        if o.value == 0:
+    def _quotient(self, a: int, b: int) -> "ModP":
+        if b % self.p == 0:
             raise ZeroDivisionError("division by zero residue")
-        return self * ModP(pow(o.value, -1, self.p), self.p)
+        return ModP(a * pow(b, -1, self.p) % self.p, self.p)
+
+    def __truediv__(self, other):
+        v = self._residue(other)
+        if v is None:
+            return NotImplemented
+        return self._quotient(self.value, v)
 
     def __rtruediv__(self, other):
-        o = self._other(other)
-        if o is None:
+        v = self._residue(other)
+        if v is None:
             return NotImplemented
-        return o / self
+        return self._quotient(v, self.value)
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -103,15 +128,17 @@ class Rationals:
         return "Q"
 
     @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
     @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
-    def of(self, numerator: int, denominator: int = 1) -> Fraction:
-        return Fraction(numerator, denominator)
+    def of(self, numerator: int, denominator: int = 1) -> int | Fraction:
+        """numerator / denominator: an ``int`` when integral."""
+        q = Fraction(numerator, denominator)
+        return q.numerator if q.denominator == 1 else q
 
 
 @dataclass(frozen=True)
@@ -143,6 +170,19 @@ class PrimeField:
 
 
 Field = Rationals | PrimeField
+
+
+def is_one(c) -> bool:
+    """Whether a scalar of either field is one, without arithmetic."""
+    return getattr(c, "value", c) == 1
+
+
+def inverse(c):
+    """The exact inverse of a nonzero scalar; over Q an ``int`` whenever
+    it is integral (c = 1/n), never a ``float``."""
+    if isinstance(c, ModP):
+        return 1 / c
+    return Rationals().of(c.denominator, c.numerator)
 
 
 def field_from_name(text: str) -> Field:

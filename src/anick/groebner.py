@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import AlgebraError, TruncationError
-from .fields import Field
+from .fields import Field, is_one
 from .poly import Polynomial
 from .words import EMPTY, Alphabet, Word, contains_factor, overlaps
 
@@ -93,10 +93,6 @@ class GroebnerBasis:
         return self.valid_degree is None or degree <= self.valid_degree
 
 
-def _is_one(coeff) -> bool:
-    return not bool(coeff - 1)
-
-
 def normal_form(
     p: Polynomial,
     basis: list[Polynomial],
@@ -119,11 +115,10 @@ def normal_form(
     Every word a step adds is below the word it rewrites, so a popped word
     never comes back; a popped word missing from the dict has cancelled.
     """
-    for g in basis:
-        if g.is_zero or not _is_one(g.lead_coeff()):
-            raise AlgebraError("normal_form requires monic basis elements")
     first: dict[Word, int] = {}
     for gi, g in enumerate(basis):
+        if g.is_zero or not is_one(g.lead_coeff()):
+            raise AlgebraError("normal_form requires monic basis elements")
         first.setdefault(g.lead_word(), gi)
     lengths = sorted({len(lead) for lead in first})
     pending = dict(p.terms)
@@ -188,7 +183,7 @@ def s_polynomial(g: Polynomial, h: Polynomial, overlap_len: int) -> Polynomial:
     the result is ``g * suffix - prefix * h`` where the shared overlap word
     cancels.
     """
-    if not _is_one(g.lead_coeff()) or not _is_one(h.lead_coeff()):
+    if not is_one(g.lead_coeff()) or not is_one(h.lead_coeff()):
         raise AlgebraError("s_polynomial requires monic inputs")
     u, w = g.lead_word(), h.lead_word()
     if not (1 <= overlap_len < len(u)) or not (overlap_len < len(w)):

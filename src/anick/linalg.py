@@ -5,8 +5,9 @@ reduced by one elimination routine on plain Python integers.  Over Q each
 row is first scaled by the lcm of its denominators and then eliminated
 fraction-free over Z (``row <- g*row - f*pivot``, divided by its content
 gcd), so no intermediate value is ever rounded.  Over Fp the residues are
-reduced modulo p against monic pivot rows.  Field elements (``Fraction``
-or ``ModP``) appear again only in the rows that ``rref`` returns.
+reduced modulo p against monic pivot rows.  Field elements appear again
+only in the rows that ``rref`` returns: over Q an ``int`` where the entry
+is integral and a ``Fraction`` otherwise, over Fp a ``ModP``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .fields import Field, PrimeField
 
 def _int_row(row: list, p: int) -> dict[int, int]:
     """Nonzero entries as residues mod p or, over Q (p = 0), as integers
-    after scaling the row by the lcm of its denominators."""
+    after scaling the row by the lcm of its denominators (an ``int`` entry
+    has denominator 1)."""
     if p:
         return {j: r for j, x in enumerate(row) if (r := getattr(x, "value", x) % p)}
     entries = {j: x for j, x in enumerate(row) if x}

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .errors import AlgebraError
+from .fields import inverse, is_one
 from .words import EMPTY, Alphabet, DegLex, Word
 
 
@@ -145,7 +146,8 @@ class Polynomial(LinComb):
         )
 
     def monic(self) -> "Polynomial":
-        return self.scaled(1 / self.lead_coeff())
+        c = self.lead_coeff()
+        return self if is_one(c) else self.scaled(inverse(c))
 
     def __eq__(self, other) -> bool:
         return super().__eq__(other) and self.order == other.order

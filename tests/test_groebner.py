@@ -158,6 +158,37 @@ def test_s_polynomial_rejects_bad_overlap(xyz):
         s_polynomial(mono(xyz, "zy"), mono(xyz, "xz"), 1)
 
 
+@pytest.mark.parametrize(
+    "field, lead, ok",
+    [
+        (Rationals(), 1, True),
+        (Rationals(), Fraction(1), True),
+        (Rationals(), 2, False),
+        (Rationals(), -1, False),
+        (Rationals(), Fraction(1, 2), False),
+        (PrimeField(5), PrimeField(5).one, True),
+        (PrimeField(5), PrimeField(5).of(2), False),
+        (PrimeField(5), PrimeField(5).of(-1), False),
+    ],
+)
+def test_monicity_is_checked_for_every_scalar_kind(field, lead, ok):
+    alpha = Alphabet(("x", "y"))
+    order = alpha.order
+    g = Polynomial({alpha.word("xy"): lead, alpha.word("yx"): field.one}, order)
+    h = Polynomial.monomial(alpha.word("yx"), field.one, order)
+    p = Polynomial.monomial(alpha.word("xyy"), field.one, order)
+    if ok:
+        assert normal_form(p, [g]) == Polynomial.monomial(alpha.word("yyx"), field.one, order)
+        assert s_polynomial(g, h, 1) == Polynomial.monomial(alpha.word("yxx"), field.one, order)
+        return
+    with pytest.raises(AlgebraError):
+        normal_form(p, [g])
+    with pytest.raises(AlgebraError):
+        s_polynomial(g, h, 1)
+    with pytest.raises(AlgebraError):
+        s_polynomial(h, g, 1)
+
+
 def expected_family(xyz, k_max):
     out = []
     for k in range(k_max + 1):

@@ -111,6 +111,24 @@ def test_betti_table_over_fp_matches_q_at_degree_ten(xyz):
     assert betti_table(fp, 10, 10).values == betti_table(xyz, 10, 10).values
 
 
+G4_TEXT = (
+    "vars: a > b > c > d\nrelations:\n  a*b - b*a + c*d\n  a*c - 2*d*b\n"
+    "  b*d + a^2 - c^2\n  d*a - b*c\n"
+)
+
+
+def test_betti_table_over_fp_matches_q_with_fraction_coefficients():
+    # xyz keeps every coefficient an int; g4 (a*c - 2*d*b) also needs
+    # non-integral rationals, so this is the cross-check of that path.
+    g4 = parse_presentation(G4_TEXT)
+    kinds = {type(c) for g in complete(g4, 6).elements for c in g.terms.values()}
+    assert kinds == {int, Fraction}
+    q = betti_table(g4, 5, 5).values
+    fp = betti_table(parse_presentation(G4_TEXT, field_override=PrimeField(32003)), 5, 5)
+    assert fp.values == q
+    assert q == [[[1, 4, 4, 0, 0, 0][i] if i == j else 0 for j in range(6)] for i in range(6)]
+
+
 def test_koszul_verdict_main_fixture(xyz, xyz_ctx):
     table = betti_table(xyz, 8, 8, ctx=xyz_ctx)
     verdict = koszul_verdict(table, 8)

@@ -1,5 +1,6 @@
 """Randomized properties on small presentations, two letters, degree <= 6."""
 
+from fractions import Fraction
 from itertools import product
 
 from hypothesis import given, settings, strategies as st
@@ -8,13 +9,15 @@ from anick import (
     Alphabet,
     Polynomial,
     Presentation,
+    ResolutionContext,
     complete,
     enumerate_chains,
     interreduce,
     normal_form,
     normal_word_automaton,
 )
-from anick.fields import Rationals
+from anick.fields import ModP, PrimeField, Rationals
+from anick.linalg import nullspace
 from anick.words import contains_factor
 from helpers import bf_chains, bf_normal_count
 
@@ -145,3 +148,57 @@ def test_reports_are_stable_across_runs(pres):
     for _ in range(2):
         payloads.append(json.dumps(gb_payload(complete(pres, 5)), indent=2))
     assert payloads[0] == payloads[1]
+
+
+@st.composite
+def scalar_guard_cases(draw):
+    """(presentation, polynomial, unit) over Q or F_5.  With ``unit`` every
+    relation is +-u or +-(u - v), so every element completion produces is
+    one of those too and no scalar is ever divided."""
+    field = draw(st.sampled_from([FIELD, PrimeField(5)]))
+    unit = draw(st.booleans())
+    rels = []
+    for _ in range(draw(st.integers(1, 2))):
+        pool = all_words(draw(st.integers(2, 3)))
+        if unit:
+            pair = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+            sign = draw(st.sampled_from([1, -1]))
+            terms = {w: field.of(sign * (-1) ** i) for i, w in enumerate(pair)}
+        else:
+            support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+            terms = {w: field.of(draw(st.sampled_from([-2, -1, 1, 2]))) for w in support}
+        rels.append(Polynomial(terms, ORDER))
+    pool = all_words(draw(st.integers(1, 5)))
+    support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
+    p = Polynomial({w: field.of(draw(st.sampled_from([-3, -1, 1, 2]))) for w in support}, ORDER)
+    return Presentation(ALPHA, field, tuple(rels)), p, unit
+
+
+RELATION_COLUMNS = all_words(2) + all_words(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalar_guard_cases())
+def test_scalars_stay_int_fraction_or_modp(case):
+    # A float can only enter through int / int; integral rationals are
+    # ints wherever nothing was divided.
+    pres, p, unit = case
+    field = pres.field
+    gb = complete(pres, 5)
+    basis = list(gb.elements)
+    returned = [c for g in basis for c in g.terms.values()]
+    returned += normal_form(p, basis).terms.values()
+    ctx = ResolutionContext(gb, 3, 5)
+    for level in (2, 3):
+        for chain in ctx.chains.level(level):
+            xi = ctx.act_right(ctx.differential(chain.prefix), chain.tail)
+            returned += ctx.split(level - 1, xi).terms.values()
+    rows = [[r.terms.get(w, field.zero) for w in RELATION_COLUMNS] for r in pres.relations]
+    kernel = [c for vec in nullspace(rows, len(RELATION_COLUMNS), field) for c in vec]
+    if field == FIELD:
+        assert all(type(c) in (int, Fraction) for c in returned + kernel)
+        assert all(type(c) is int for c in kernel if c.denominator == 1)
+        if unit:
+            assert all(type(c) is int for c in returned)
+    else:
+        assert all(type(c) is ModP and c.p == 5 for c in returned + kernel)
