@@ -1,20 +1,23 @@
-"""Normal forms, S-polynomials and truncated Buchberger completion.
+"""Normal forms, S-polynomials and truncated completion.
 
-Completion processes critical pairs in ascending overlap-word degree, so a
-degree bound D yields every reduced-basis element of degree at most D.  A
-pair whose overlap word exceeds D is never silently dropped: it downgrades
-the completeness certificate instead.
+Relations are homogeneous, so completion runs degree by degree: the basis
+elements of degree d follow from those of lower degree alone, and a
+degree bound D yields every reduced-basis element of degree at most D.
+An S-pair whose overlap word exceeds D is never silently dropped: it
+downgrades the completeness certificate instead.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 
+from . import linalg
 from .errors import AlgebraError, TruncationError
 from .fields import Field, is_one
 from .poly import Polynomial
-from .words import EMPTY, Alphabet, Word, contains_factor, overlaps
+from .words import EMPTY, Alphabet, Word, overlaps
 
 
 @dataclass(frozen=True)
@@ -222,12 +225,17 @@ def interreduce(polys: list[Polynomial]) -> list[Polynomial]:
 
 
 def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
-    """Truncated Buchberger completion with a completeness certificate.
+    """The reduced Groebner basis through degree max_deg, one degree at a time.
 
-    Critical pairs are processed in ascending overlap-word degree (ties
-    broken by the overlap word itself), the basis is kept monic and
-    inter-reduced throughout, and the certificate is certified-complete
-    exactly when no pending pair above the bound was left unprocessed.
+    At degree d the relations of degree d and the S-polynomials whose
+    overlap word has length d are reduced against the basis so far, which
+    holds only elements of lower degree.  One reduced echelon step over
+    the nonzero remainders, with the degree-d words as columns (greatest
+    first), gives the degree-d elements as its monic pivot rows.  A
+    degree-d leading word divides no shorter word, so no earlier element
+    is ever superseded or reduced again.  Elements come out sorted by
+    leading word, and the certificate is certified-complete exactly when
+    no overlap word is longer than max_deg.
     """
     if max_deg < presentation.max_relation_degree():
         raise TruncationError(
@@ -235,78 +243,36 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
             f"{presentation.max_relation_degree()}"
         )
     order = presentation.order
-    alive: dict[int, Polynomial] = {}
-    next_id = 0
-    heap: list[tuple[int, tuple, int, int, int, int]] = []
-    seq = 0
-    overflow = False
-
-    def push_pairs(new_id: int) -> None:
-        nonlocal seq
-        g = alive[new_id]
-        u = g.lead_word()
-        for other_id, h in list(alive.items()):
-            w = h.lead_word()
-            for l in overlaps(u, w):
-                word = u + w[l:]
-                seq += 1
-                heapq.heappush(heap, (len(word), order.key(word), seq, new_id, other_id, l))
-            if other_id != new_id:
-                for l in overlaps(w, u):
-                    word = w + u[l:]
-                    seq += 1
-                    heapq.heappush(heap, (len(word), order.key(word), seq, other_id, new_id, l))
-
-    def reduce_tail(g: Polynomial, others: list[Polynomial]) -> Polynomial:
-        lead = g.lead_word()
-        tail = Polynomial({w: c for w, c in g.terms.items() if w != lead}, order)
-        reduced = normal_form(tail, others)
-        return Polynomial({lead: g.terms[lead], **reduced.terms}, order)
-
-    def add_element(candidate: Polynomial) -> None:
-        nonlocal next_id
-        queue = [candidate]
-        while queue:
-            cand = queue.pop(0)
-            cand = normal_form(cand, list(alive.values()))
-            if cand.is_zero:
-                continue
-            cand = cand.monic()
-            lead = cand.lead_word()
-            # Existing elements whose leading term the new lead divides are
-            # superseded; they go back through full reduction.
-            stash = []
-            for eid, g in list(alive.items()):
-                if contains_factor(g.lead_word(), lead):
-                    stash.append(g)
-                    del alive[eid]
-            alive[next_id] = cand
-            push_pairs(next_id)
-            next_id += 1
-            # Tail-reduce survivors against the enlarged basis; leading
-            # terms are untouched, so queued pairs stay valid.
-            for eid, g in list(alive.items()):
-                others = [h for oid, h in alive.items() if oid != eid]
-                g2 = reduce_tail(g, others)
-                if g2 != g:
-                    alive[eid] = g2
-            queue.extend(stash)
-
-    for rel in interreduce(list(presentation.relations)):
-        add_element(rel)
-
-    while heap:
-        deg, _, _, i, j, l = heapq.heappop(heap)
-        if i not in alive or j not in alive:
-            continue
-        if deg > max_deg:
-            overflow = True
-            continue
-        s = s_polynomial(alive[i], alive[j], l)
-        reduced = normal_form(s, list(alive.values()))
-        if not reduced.is_zero:
-            add_element(reduced.monic())
-
-    certificate = Certificate.certified() if not overflow else Certificate.up_to(max_deg)
-    elements = tuple(sorted(alive.values(), key=lambda g: order.key(g.lead_word())))
-    return GroebnerBasis(presentation, elements, max_deg, certificate)
+    relations: dict[int, list[Polynomial]] = {}
+    for rel in presentation.relations:
+        relations.setdefault(rel.degree(), []).append(rel)
+    # S-pairs (i, j, overlap length) bucketed by overlap-word length; every
+    # overlap word is longer than both leading words.
+    pairs: dict[int, list[tuple[int, int, int]]] = {}
+    basis: list[Polynomial] = []
+    # Degrees with nothing to reduce are skipped, so a bound far above a
+    # finite basis costs nothing.
+    while relations or pairs:
+        d = min(chain(relations, pairs))
+        if d > max_deg:
+            break
+        s_polys = (s_polynomial(basis[i], basis[j], l) for i, j, l in pairs.pop(d, ()))
+        # The words of one degree are the columns: as tuples they ascend
+        # in descending deglex order, so a row's smallest column is its
+        # leading word.  The basis grows only after echelon has drawn
+        # every remainder.
+        remainders = (normal_form(p, basis).terms for p in chain(relations.pop(d, ()), s_polys))
+        for row in reversed(linalg.echelon(remainders, presentation.field)):
+            new = len(basis)
+            basis.append(Polynomial(row, order))
+            u = basis[new].lead_word()
+            for j, h in enumerate(basis):
+                w = h.lead_word()
+                for l in overlaps(u, w):
+                    pairs.setdefault(len(u) + len(w) - l, []).append((new, j, l))
+                if j != new:
+                    for l in overlaps(w, u):
+                        pairs.setdefault(len(u) + len(w) - l, []).append((j, new, l))
+    # What is left are pairs above max_deg.
+    certificate = Certificate.up_to(max_deg) if pairs else Certificate.certified()
+    return GroebnerBasis(presentation, tuple(basis), max_deg, certificate)

@@ -1,34 +1,38 @@
 """Exact sparse linear algebra over the rationals or a prime field.
 
-Rows are stored as ``{column: int}`` maps of their nonzero entries and
-reduced by one elimination routine on plain Python integers.  Over Q each
-row is first scaled by the lcm of its denominators and then eliminated
-fraction-free over Z (``row <- g*row - f*pivot``, divided by its content
-gcd), so no intermediate value is ever rounded.  Over Fp the residues are
-reduced modulo p against monic pivot rows.  Field elements appear again
-only in the rows that ``rref`` returns: over Q an ``int`` where the entry
-is integral and a ``Fraction`` otherwise, over Fp a ``ModP``.
+``echelon`` is the one entry point for sparse rows: it takes ``{column:
+scalar}`` maps and returns the reduced row echelon form as monic pivot
+rows.  ``rref`` and ``nullspace`` take dense rows and are built on it;
+``rank`` counts the pivots of the same forward pass.  Inside, rows are
+plain Python integers: over Q each row is first scaled by the lcm of its
+denominators and then eliminated fraction-free over Z (``row <- g*row -
+f*pivot``, divided by its content gcd), so no intermediate value is ever
+rounded; over Fp the residues are reduced modulo p against monic pivot
+rows.  Field elements appear again only in the rows ``echelon`` returns:
+over Q an ``int`` where the entry is integral and a ``Fraction``
+otherwise, over Fp a ``ModP``.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from typing import Iterable
 
 from .fields import Field, PrimeField
 
 
-def _int_row(row: list, p: int) -> dict[int, int]:
-    """Nonzero entries as residues mod p or, over Q (p = 0), as integers
-    after scaling the row by the lcm of its denominators (an ``int`` entry
-    has denominator 1)."""
+def _int_row(row: Iterable[tuple], p: int) -> dict:
+    """The nonzero entries of ``(column, scalar)`` pairs as residues mod p
+    or, over Q (p = 0), as integers after scaling the row by the lcm of
+    its denominators (an ``int`` entry has denominator 1)."""
     if p:
-        return {j: r for j, x in enumerate(row) if (r := getattr(x, "value", x) % p)}
-    entries = {j: x for j, x in enumerate(row) if x}
+        return {j: r for j, x in row if (r := getattr(x, "value", x) % p)}
+    entries = {j: x for j, x in row if x}
     scale = lcm(*(x.denominator for x in entries.values()))
     return {j: x.numerator * (scale // x.denominator) for j, x in entries.items()}
 
 
-def _cancel(vec: dict[int, int], pivot: dict[int, int], col: int, p: int) -> dict[int, int]:
+def _cancel(vec: dict, pivot: dict, col, p: int) -> dict:
     """Clear ``vec[col]`` with ``g*vec - f*pivot``, where f, g sit at col.
 
     Pivots mod p are monic, so g = 1 there; over Z a row that had to be
@@ -53,15 +57,16 @@ def _cancel(vec: dict[int, int], pivot: dict[int, int], col: int, p: int) -> dic
     return vec
 
 
-def _echelon(rows: list[list], field: Field) -> tuple[dict[int, dict[int, int]], int]:
-    """Pivot rows keyed by their leading (smallest) column, and p (0 for Q).
+def _pivots(rows: Iterable, field: Field) -> tuple[dict, int]:
+    """The forward pass over rows of ``(column, scalar)`` pairs: pivot rows
+    keyed by their leading (smallest) column, and p (0 for Q).
 
     Each row is reduced by its leading column until it vanishes or starts
-    a new pivot row, which is then made monic (mod p) or primitive with a
+    a new pivot row, which is kept monic (mod p) or primitive with a
     positive leading entry (over Z).
     """
     p = field.p if isinstance(field, PrimeField) else 0
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict = {}
     for row in rows:
         vec = _int_row(row, p)
         while vec:
@@ -80,26 +85,41 @@ def _echelon(rows: list[list], field: Field) -> tuple[dict[int, dict[int, int]],
     return pivots, p
 
 
+def echelon(rows: Iterable[dict], field: Field) -> list[dict]:
+    """Reduced row echelon form of sparse rows: the nonzero rows, each
+    with a one at its leading (smallest) column and zeros at the other
+    rows' leading columns, by ascending leading column.
+
+    Columns may be any totally ordered keys, and zero entries are
+    dropped.  The pivot rows of the forward pass are back-substituted
+    from the last one up with the same cancellation step.
+    """
+    pivots, p = _pivots((row.items() for row in rows), field)
+    cols = sorted(pivots)
+    for c in reversed(cols):
+        for k in [k for k in pivots[c] if k != c and k in pivots]:
+            pivots[c] = _cancel(pivots[c], pivots[k], k, p)
+    return [{k: field.of(v, pivots[c][c]) for k, v in pivots[c].items()} for c in cols]
+
+
 def rank(rows: list[list], field: Field) -> int:
-    return len(_echelon(rows, field)[0])
+    """The number of pivot rows of the forward pass; a rank needs no
+    back-substitution."""
+    return len(_pivots(map(enumerate, rows), field)[0])
 
 
 def rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
     """Reduced row echelon form and pivot column indices.
 
-    The pivot rows come first, back-substituted and scaled to a leading
-    one, then one zero row for every dependent input row.
+    The pivot rows come first, scaled to a leading one, then one zero row
+    for every dependent input row.
     """
-    pivots, p = _echelon(rows, field)
-    cols = sorted(pivots)
-    for c in reversed(cols):
-        for k in [k for k in pivots[c] if k != c and k in pivots]:
-            pivots[c] = _cancel(pivots[c], pivots[k], k, p)
+    reduced = echelon([dict(enumerate(row)) for row in rows], field)
     out = [[field.zero] * (len(rows[0]) if rows else 0) for _ in rows]
-    for r, c in enumerate(cols):
-        for k, v in pivots[c].items():
-            out[r][k] = field.of(v, pivots[c][c])
-    return out, cols
+    for r, row in enumerate(reduced):
+        for k, v in row.items():
+            out[r][k] = v
+    return out, [min(row) for row in reduced]
 
 
 def nullspace(rows: list[list], ncols: int, field: Field) -> list[list]:

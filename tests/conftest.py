@@ -1,4 +1,7 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from anick import ResolutionContext, complete, parse_presentation
 
@@ -6,6 +9,11 @@ XYZ_TEXT = "vars: x > y > z\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n"
 XYZ_ALT_TEXT = "vars: y > x > z\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n"
 YXSQ_LOW_TEXT = "vars: x < y\nrelations:\n  x^2 - y*x\n"
 YXSQ_HIGH_TEXT = "vars: x > y\nrelations:\n  x^2 - y*x\n"
+
+# Properties that leave their example count to the profile run 4x as many
+# examples under HYPOTHESIS_PROFILE=ci; an explicit max_examples wins.
+settings.register_profile("ci", max_examples=4 * settings.get_profile("default").max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -6,17 +6,28 @@ counts come from exhaustive enumeration, ideal slice dimensions from
 sparse echelon over spanning products, and differentials from the
 closed-form shape formulas for the three-generator fixture.  Normal forms
 come from the plain rewriting loop that rescans the pending polynomial on
-every step.
+every step.  Truncated Groebner bases come from incremental Buchberger
+completion over a pair heap, the engine's algorithm before it completed
+degree by degree.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import product
 
 from anick import Polynomial, poly_combine
-from anick.errors import AlgebraError
-from anick.words import Word
+from anick.errors import AlgebraError, TruncationError
+from anick.groebner import (
+    Certificate,
+    GroebnerBasis,
+    Presentation,
+    interreduce,
+    normal_form,
+    s_polynomial,
+)
+from anick.words import Word, contains_factor, overlaps
 
 
 # ---------------------------------------------------------------------------
@@ -317,3 +328,97 @@ def normal_form_reference(
         if trace is not None:
             trace.append((gi, c, left, right))
     return Polynomial(done, order)
+
+
+# ---------------------------------------------------------------------------
+# incremental Buchberger completion, the reference for ``anick.complete``
+
+def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasis:
+    """Truncated Buchberger completion with a completeness certificate.
+
+    Critical pairs are processed in ascending overlap-word degree (ties
+    broken by the overlap word itself), the basis is kept monic and
+    inter-reduced throughout, and the certificate is certified-complete
+    exactly when no pending pair above the bound was left unprocessed.
+    """
+    if max_deg < presentation.max_relation_degree():
+        raise TruncationError(
+            f"truncation degree {max_deg} is below the maximal relation degree "
+            f"{presentation.max_relation_degree()}"
+        )
+    order = presentation.order
+    alive: dict[int, Polynomial] = {}
+    next_id = 0
+    heap: list[tuple[int, tuple, int, int, int, int]] = []
+    seq = 0
+    overflow = False
+
+    def push_pairs(new_id: int) -> None:
+        nonlocal seq
+        g = alive[new_id]
+        u = g.lead_word()
+        for other_id, h in list(alive.items()):
+            w = h.lead_word()
+            for l in overlaps(u, w):
+                word = u + w[l:]
+                seq += 1
+                heapq.heappush(heap, (len(word), order.key(word), seq, new_id, other_id, l))
+            if other_id != new_id:
+                for l in overlaps(w, u):
+                    word = w + u[l:]
+                    seq += 1
+                    heapq.heappush(heap, (len(word), order.key(word), seq, other_id, new_id, l))
+
+    def reduce_tail(g: Polynomial, others: list[Polynomial]) -> Polynomial:
+        lead = g.lead_word()
+        tail = Polynomial({w: c for w, c in g.terms.items() if w != lead}, order)
+        reduced = normal_form(tail, others)
+        return Polynomial({lead: g.terms[lead], **reduced.terms}, order)
+
+    def add_element(candidate: Polynomial) -> None:
+        nonlocal next_id
+        queue = [candidate]
+        while queue:
+            cand = queue.pop(0)
+            cand = normal_form(cand, list(alive.values()))
+            if cand.is_zero:
+                continue
+            cand = cand.monic()
+            lead = cand.lead_word()
+            # Existing elements whose leading term the new lead divides are
+            # superseded; they go back through full reduction.
+            stash = []
+            for eid, g in list(alive.items()):
+                if contains_factor(g.lead_word(), lead):
+                    stash.append(g)
+                    del alive[eid]
+            alive[next_id] = cand
+            push_pairs(next_id)
+            next_id += 1
+            # Tail-reduce survivors against the enlarged basis; leading
+            # terms are untouched, so queued pairs stay valid.
+            for eid, g in list(alive.items()):
+                others = [h for oid, h in alive.items() if oid != eid]
+                g2 = reduce_tail(g, others)
+                if g2 != g:
+                    alive[eid] = g2
+            queue.extend(stash)
+
+    for rel in interreduce(list(presentation.relations)):
+        add_element(rel)
+
+    while heap:
+        deg, _, _, i, j, l = heapq.heappop(heap)
+        if i not in alive or j not in alive:
+            continue
+        if deg > max_deg:
+            overflow = True
+            continue
+        s = s_polynomial(alive[i], alive[j], l)
+        reduced = normal_form(s, list(alive.values()))
+        if not reduced.is_zero:
+            add_element(reduced.monic())
+
+    certificate = Certificate.certified() if not overflow else Certificate.up_to(max_deg)
+    elements = tuple(sorted(alive.values(), key=lambda g: order.key(g.lead_word())))
+    return GroebnerBasis(presentation, elements, max_deg, certificate)

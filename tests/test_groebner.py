@@ -1,12 +1,16 @@
+import hashlib
+import json
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
-from helpers import bf_normal_count, ideal_slice_dims, normal_form_reference
+from helpers import bf_normal_count, complete_reference, ideal_slice_dims, normal_form_reference
 from hypothesis import given, settings, strategies as st
 
 from anick import (
     Alphabet,
     Polynomial,
+    Presentation,
     complete,
     interreduce,
     normal_form,
@@ -18,7 +22,17 @@ from anick import (
 )
 from anick.errors import AlgebraError, TruncationError
 from anick.fields import PrimeField, Rationals
+from anick.reports import gb_payload
 from anick.words import contains_factor, overlaps
+
+G4_RELATIONS = (
+    "relations:\n  a*b - b*a + c*d\n  a*c - 2*d*b\n  b*d + a^2 - c^2\n  d*a - b*c\n"
+)
+
+
+def g4(letters="abcd"):
+    """Generic four-generator quadratic algebra, letters greatest first."""
+    return parse_presentation(f"vars: {' > '.join(letters)}\n" + G4_RELATIONS)
 
 
 def words(presentation, *texts):
@@ -123,15 +137,99 @@ def test_normal_form_matches_plain_rewriting_loop(case):
 def test_complete_generic_four_generator_algebra():
     # Hilbert series 1/(1-2t)^2, counted over the words avoiding the
     # obstructions rather than through the automaton.
-    g4 = parse_presentation(
-        "vars: a > b > c > d\nrelations:\n  a*b - b*a + c*d\n  a*c - 2*d*b\n"
-        "  b*d + a^2 - c^2\n  d*a - b*c\n"
-    )
-    gb = complete(g4, 6)
+    gb = complete(g4(), 6)
     assert len(gb.elements) == 43
     assert str(gb.certificate) == "complete-up-to-degree(6)"
     for n in range(7):
         assert bf_normal_count(4, n, gb.obstructions) == (n + 1) * 2 ** n
+
+
+# Basis size and sha256 of json.dumps(gb_payload(complete(g4, D)), indent=2),
+# computed with the incremental Buchberger completion that
+# ``complete_reference`` keeps.
+G4_PAYLOADS = {
+    6: (43, "0dd1cdfcb19f01d058c61ce7c05d48a0b209a5a0905650672ecc2306bcde6cae"),
+    7: (67, "0234fd602265131fde20a80832864d79719cedc8c98c29b642d9c12f836adbf1"),
+}
+
+
+@pytest.mark.parametrize("max_deg", sorted(G4_PAYLOADS))
+def test_g4_payload_digest_is_pinned(max_deg):
+    gb = complete(g4(), max_deg)
+    text = json.dumps(gb_payload(gb), indent=2)
+    assert (len(gb.elements), hashlib.sha256(text.encode()).hexdigest()) == G4_PAYLOADS[max_deg]
+
+
+ORACLE_COEFFS = [1, -1, 2, -3]
+
+
+@st.composite
+def oracle_presentations(draw):
+    """2-3 letters over Q or F_5 and 1-3 relations of degree 1-3 with
+    non-monic leads; after the first, a relation may duplicate an earlier
+    one or be a combination of earlier ones of its degree."""
+    field = draw(st.sampled_from(NF_FIELDS))
+    alphabet = Alphabet(("x", "y", "z")[: draw(st.integers(2, 3))])
+    coeff = st.sampled_from(ORACLE_COEFFS).map(field.of)
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "dependent"])) if rels else "fresh"
+        if kind == "duplicate":
+            rel = draw(st.sampled_from(rels))
+        elif kind == "dependent":
+            base = draw(st.sampled_from(rels))
+            other = draw(st.sampled_from([r for r in rels if r.degree() == base.degree()]))
+            rel = base.scaled(draw(coeff)).add_scaled(other, draw(coeff))
+            if rel.is_zero:
+                rel = base.scaled(draw(coeff))
+        else:
+            pool = list(product(range(alphabet.size), repeat=draw(st.integers(1, 3))))
+            support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+            rel = Polynomial({w: draw(coeff) for w in support}, alphabet.order)
+        rels.append(rel)
+    return Presentation(alphabet, field, tuple(rels))
+
+
+def assert_matches_oracle(pres, max_deg):
+    got, want = complete(pres, max_deg), complete_reference(pres, max_deg)
+    assert [g.terms for g in got.elements] == [g.terms for g in want.elements]
+    assert got.certificate == want.certificate
+
+
+# The example count comes from the active hypothesis profile (conftest.py).
+@settings(deadline=None)
+@given(oracle_presentations())
+def test_complete_matches_buchberger_oracle(pres):
+    for max_deg in range(pres.max_relation_degree(), 7):
+        assert_matches_oracle(pres, max_deg)
+
+
+def test_complete_matches_oracle_under_every_g4_precedence():
+    for letters in permutations("abcd"):
+        assert_matches_oracle(g4(letters), 5)
+
+
+def test_complete_with_a_bound_far_above_a_finite_basis_returns_at_once(yxsq_low):
+    gb = complete(yxsq_low, 10**9)
+    assert gb.elements == complete(yxsq_low, 6).elements
+    assert gb.certificate.complete
+
+
+def test_complete_never_calls_rank_or_nullspace(monkeypatch, xyz):
+    # The benchmark's traced run wraps linalg.rank and linalg.nullspace and
+    # counts every rank argument as a homology matrix, so completion must
+    # reach the eliminator through linalg.echelon only.
+    import anick.linalg
+
+    calls = []
+    for name in ("rank", "nullspace"):
+        real = getattr(anick.linalg, name)
+        monkeypatch.setattr(
+            anick.linalg, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    complete(g4(), 6)
+    complete(xyz, 11)
+    assert calls == []
 
 
 def test_s_polynomial_overlap_identity(xyz):

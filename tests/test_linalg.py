@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import SparseEchelon
 
 from anick.fields import ModP, PrimeField, Rationals
-from anick.linalg import nullspace, rank, rref
+from anick.linalg import echelon, nullspace, rank, rref
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -88,3 +88,21 @@ def test_rank_accepts_int_zeros_beside_field_elements(field, data):
     rows, _ = data.draw(matrices(ENTRIES[field]))
     mixed = [[x if x else 0 for x in row] for row in rows]
     assert rank(mixed, field) == rank(rows, field)
+
+
+@settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+@given(data=st.data())
+def test_echelon_returns_monic_reduced_rows_spanning_the_input(field, data):
+    rows, ncols = data.draw(matrices(ENTRIES[field]))
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    reduced = echelon(sparse, field)
+    leads = [min(row) for row in reduced]
+    assert leads == sorted(set(leads))
+    for row, c in zip(reduced, leads):
+        assert row[c] == field.one and all(row.values())
+        assert not any(k in row for k in leads if k != c)
+    dense = [[row.get(j, field.zero) for j in range(ncols)] for row in reduced]
+    assert len(reduced) == rank(rows, field) == rank(rows + dense, field)
+    if field == Q:
+        assert all(type(x) is int for row in reduced for x in row.values() if x.denominator == 1)

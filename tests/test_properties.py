@@ -197,6 +197,11 @@ def test_scalars_stay_int_fraction_or_modp(case):
     kernel = [c for vec in nullspace(rows, len(RELATION_COLUMNS), field) for c in vec]
     if field == FIELD:
         assert all(type(c) in (int, Fraction) for c in returned + kernel)
+        # Completion builds its coefficients with field.of, never an
+        # integral Fraction.
+        assert not any(
+            type(c) is Fraction and c.denominator == 1 for g in basis for c in g.terms.values()
+        )
         assert all(type(c) is int for c in kernel if c.denominator == 1)
         if unit:
             assert all(type(c) is int for c in returned)
