@@ -13,7 +13,7 @@ from .automaton import (
     is_finite_dimensional,
     normal_word_automaton,
 )
-from .chains import Chain, ChainSet, chain_graph, chain_graph_dot, chain_split, enumerate_chains
+from .chains import Chain, ChainSet, chain_graph, chain_graph_dot, enumerate_chains
 from .dual import GldimReport, gldim_report, quadratic_dual
 from .errors import (
     AlgebraError,
@@ -32,30 +32,27 @@ from .groebner import (
     GroebnerBasis,
     Presentation,
     complete,
-    interreduce,
     normal_form,
     s_polynomial,
 )
 from .homology import (
     BettiTable,
-    InducedComplex,
     KoszulVerdict,
     betti_table,
     euler_check,
-    induce,
     koszul_verdict,
     koszul_verdict_for,
 )
 from .parser import format_presentation, parse_presentation
-from .poly import Polynomial, poly_combine, render_poly
+from .poly import Polynomial, render_poly
 from .resolution import FreeElement, ResolutionContext, ResolutionSlice, resolution_slices
 from .words import Alphabet, DegLex, Word, overlaps
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
     "AlgebraError",
+    "Alphabet",
     "AntichainError",
     "BettiTable",
     "Certificate",
@@ -70,7 +67,6 @@ __all__ = [
     "FreeElement",
     "GldimReport",
     "GroebnerBasis",
-    "InducedComplex",
     "KoszulVerdict",
     "ModP",
     "NormalWordAutomaton",
@@ -88,15 +84,12 @@ __all__ = [
     "betti_table",
     "chain_graph",
     "chain_graph_dot",
-    "chain_split",
     "complete",
     "enumerate_chains",
     "euler_check",
     "field_from_name",
     "format_presentation",
     "gldim_report",
-    "induce",
-    "interreduce",
     "is_finite_dimensional",
     "koszul_verdict",
     "koszul_verdict_for",
@@ -104,7 +97,6 @@ __all__ = [
     "normal_word_automaton",
     "overlaps",
     "parse_presentation",
-    "poly_combine",
     "quadratic_dual",
     "render_poly",
     "resolution_slices",

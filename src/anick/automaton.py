@@ -35,15 +35,6 @@ class NormalWordAutomaton:
                 f"got {degree}"
             )
 
-    def accepts(self, w: Word) -> bool:
-        self._check_degree(len(w))
-        state: int | None = self.start
-        for letter in w:
-            state = self.transitions[state][letter]
-            if state is None:
-                return False
-        return True
-
     def hilbert_coefficients(self, max_degree: int) -> list[int]:
         """Counts of accepted words for each degree 0..max_degree."""
         self._check_degree(max_degree)
@@ -63,7 +54,11 @@ class NormalWordAutomaton:
         return out
 
     def accepted_words(self, degree: int) -> list[Word]:
-        """All accepted words of the given degree, sorted ascending in deglex."""
+        """All accepted words of the given degree, ascending in deglex.
+
+        The frontier grows letter by letter from index 0 up, so it ascends
+        as tuples, which for words of one length is descending deglex.
+        """
         self._check_degree(degree)
         frontier: list[tuple[Word, int]] = [((), self.start)]
         for _ in range(degree):
@@ -74,8 +69,7 @@ class NormalWordAutomaton:
                     if target is not None:
                         nxt.append((w + (letter,), target))
             frontier = nxt
-        order = self.alphabet.order
-        return sorted((w for w, _ in frontier), key=order.key)
+        return [w for w, _ in reversed(frontier)]
 
 
 def normal_word_automaton(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ChainError
-from .words import Alphabet, Word, check_antichain, occurrences
+from .words import Alphabet, Word, check_antichain, deglex_desc, occurrences
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,14 +74,6 @@ class Chain:
         return f"Chain(level={self.level}, word={self.word})"
 
 
-def chain_split(c: Chain) -> tuple[Chain, Word]:
-    """The level-(n-1) prefix chain and the tail; recombining yields c."""
-    if c.level == 0:
-        raise ChainError("a 0-chain has no prefix decomposition")
-    assert c.prefix is not None
-    return c.prefix, c.tail
-
-
 def _window_is_clean(window: Word, start: int, end: int, obstructions: list[Word]) -> bool:
     """True when the only obstruction factor of window is [start, end)."""
     for o in obstructions:
@@ -112,7 +104,8 @@ def _extensions(tail: Word, obstructions: list[Word]) -> list[tuple[Word, int]]:
 
 @dataclass
 class ChainSet:
-    """Chains grouped by (level, degree), complete within the given bounds."""
+    """Chains grouped by (level, degree), each group ascending in deglex,
+    complete within the given bounds."""
 
     alphabet: Alphabet
     obstructions: tuple[Word, ...]
@@ -125,10 +118,7 @@ class ChainSet:
         return self.by_level_degree.get((level, degree), [])
 
     def level(self, level: int) -> list[Chain]:
-        out = []
-        for degree in range(0, self.deg_max + 1):
-            out.extend(self.at(level, degree))
-        return out
+        return [c for degree in range(self.deg_max + 1) for c in self.at(level, degree)]
 
     def find(self, level: int, word: Word) -> Chain | None:
         return self.index.get((level, word))
@@ -155,7 +145,6 @@ def enumerate_chains(
                 "resolution machinery; eliminate the dead generator first"
             )
     chain_set = ChainSet(alphabet, tuple(obs), level_max, deg_max)
-    order = alphabet.order
 
     def store(c: Chain) -> None:
         key = (c.level, c.word)
@@ -187,12 +176,11 @@ def enumerate_chains(
                 if len(word) > deg_max:
                     continue
                 nxt.append(Chain(word, level, len(new_tail), ov, c))
-        nxt.sort(key=lambda c: order.key(c.word))
         for c in nxt:
             store(c)
         current = nxt
     for bucket in chain_set.by_level_degree.values():
-        bucket.sort(key=lambda c: order.key(c.word))
+        bucket.sort(key=lambda c: deglex_desc(c.word), reverse=True)
     return chain_set
 
 
@@ -225,30 +213,6 @@ class ChainGraph:
     obstructions: tuple[Word, ...]
     nodes: list[GraphNode]
     edges: list[tuple[int, int]]
-
-    def path_counts(self, level_max: int, deg_max: int) -> dict[int, int]:
-        """Number of length-n paths from letter vertices, n = 0..level_max,
-        restricted to paths whose generated chain degree is <= deg_max."""
-        # state: (node index, accumulated degree) -> multiplicity
-        state: dict[tuple[int, int], int] = {}
-        for i, node in enumerate(self.nodes):
-            if node.kind == "letter":
-                state[(i, 1)] = state.get((i, 1), 0) + 1
-        succ: dict[int, list[int]] = {}
-        for a, b in self.edges:
-            succ.setdefault(a, []).append(b)
-        counts = {0: sum(state.values())}
-        for level in range(1, level_max + 1):
-            nxt: dict[tuple[int, int], int] = {}
-            for (i, deg), mult in state.items():
-                for j in succ.get(i, []):
-                    d2 = deg + len(self.nodes[j].tail)
-                    if d2 <= deg_max:
-                        key = (j, d2)
-                        nxt[key] = nxt.get(key, 0) + mult
-            state = nxt
-            counts[level] = sum(state.values())
-        return counts
 
 
 def chain_graph(alphabet: Alphabet, obstructions: list[Word]) -> ChainGraph:

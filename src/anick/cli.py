@@ -188,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     except CertificationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AlgebraError, OSError) as exc:
+    except (AlgebraError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - started

@@ -19,7 +19,7 @@ from .errors import NotQuadraticError
 from .groebner import Certificate, Presentation, complete
 from .homology import KoszulVerdict, betti_table, koszul_verdict
 from .poly import Polynomial
-from .words import Alphabet
+from .words import Alphabet, deglex_desc
 
 
 def quadratic_dual(presentation: Presentation) -> Presentation:
@@ -43,15 +43,14 @@ def quadratic_dual(presentation: Presentation) -> Presentation:
     kernel = linalg.nullspace(rows, n * n, field)
 
     dual_alphabet = Alphabet(tuple(name + "!" for name in alphabet.letters))
-    order = dual_alphabet.order
     relations = []
     for vec in kernel:
         terms = {}
         for idx, c in enumerate(vec):
             if c:
                 terms[(idx // n, idx % n)] = c
-        relations.append(Polynomial(terms, order).monic())
-    relations.sort(key=lambda p: order.key(p.lead_word()))
+        relations.append(Polynomial(terms).monic())
+    relations.sort(key=lambda p: deglex_desc(p.lead_word()), reverse=True)
     return Presentation(dual_alphabet, field, tuple(relations))
 
 

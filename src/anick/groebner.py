@@ -17,7 +17,7 @@ from . import linalg
 from .errors import AlgebraError, TruncationError
 from .fields import Field, is_one
 from .poly import Polynomial
-from .words import EMPTY, Alphabet, Word, overlaps
+from .words import EMPTY, Alphabet, Word, deglex_desc, overlaps
 
 
 @dataclass(frozen=True)
@@ -29,20 +29,16 @@ class Presentation:
     relations: tuple[Polynomial, ...]
 
     def __post_init__(self):
-        order = self.alphabet.order
+        letters = range(self.alphabet.size)
         for rel in self.relations:
-            if rel.order != order:
-                raise AlgebraError("relation order does not match the alphabet")
+            if any(i not in letters for w in rel.terms for i in w):
+                raise AlgebraError("relation uses a letter outside the alphabet")
             if rel.is_zero:
                 raise AlgebraError("zero relation")
             if not rel.is_homogeneous:
                 raise AlgebraError("relations must be homogeneous")
             if rel.degree() < 1:
                 raise AlgebraError("relations must have degree at least 1")
-
-    @property
-    def order(self):
-        return self.alphabet.order
 
     @property
     def is_quadratic(self) -> bool:
@@ -111,10 +107,10 @@ def normal_form(
     convention ``p == result + sum(c * left * g * right)``.
 
     Pending terms live in a dict beside a lazy-deletion heap keyed by
-    ``(-len(w), w)``; index 0 is the greatest letter, so the heap minimum
-    is the deglex maximum.  A rewriting step subtracts ``c * left * g *
-    right`` from the dict in place: g's leading word cancels exactly (g is
-    monic) and is skipped, and only words new to the dict are pushed.
+    ``deglex_desc``, so the heap minimum is the deglex maximum.  A
+    rewriting step subtracts ``c * left * g * right`` from the dict in
+    place: g's leading word cancels exactly (g is monic) and is skipped,
+    and only words new to the dict are pushed.
     Every word a step adds is below the word it rewrites, so a popped word
     never comes back; a popped word missing from the dict has cancelled.
     """
@@ -125,7 +121,7 @@ def normal_form(
         first.setdefault(g.lead_word(), gi)
     lengths = sorted({len(lead) for lead in first})
     pending = dict(p.terms)
-    heap = [(-len(w), w) for w in pending]
+    heap = [deglex_desc(w) for w in pending]
     heapq.heapify(heap)
     done: dict[Word, object] = {}
     while heap:
@@ -149,14 +145,14 @@ def normal_form(
             prev = pending.get(x)
             if prev is None:
                 pending[x] = neg * a
-                heapq.heappush(heap, (-len(x), x))
+                heapq.heappush(heap, deglex_desc(x))
             elif total := prev + neg * a:
                 pending[x] = total
             else:
                 del pending[x]
         if trace is not None:
             trace.append((gi, c, left, right))
-    return Polynomial(done, p.order)
+    return Polynomial(done)
 
 
 def _find_reducer(
@@ -196,34 +192,6 @@ def s_polynomial(g: Polynomial, h: Polynomial, overlap_len: int) -> Polynomial:
     return g.word_mul(EMPTY, w[overlap_len:]) - h.word_mul(u[:len(u) - overlap_len], EMPTY)
 
 
-def interreduce(polys: list[Polynomial]) -> list[Polynomial]:
-    """Monic inter-reduced generating set with the same two-sided ideal.
-
-    Leading terms of the result form an antichain under factor
-    divisibility and every element is fully reduced against the others.
-    """
-    work = [p.monic() for p in polys if not p.is_zero]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work)):
-            rest = work[:i] + work[i + 1:]
-            reduced = normal_form(work[i], rest)
-            if reduced.is_zero:
-                work.pop(i)
-                changed = True
-                break
-            reduced = reduced.monic()
-            if reduced != work[i]:
-                work[i] = reduced
-                changed = True
-                break
-    order = polys[0].order if polys else None
-    if order is None:
-        return []
-    return sorted(work, key=lambda g: order.key(g.lead_word()))
-
-
 def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
     """The reduced Groebner basis through degree max_deg, one degree at a time.
 
@@ -242,7 +210,6 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
             f"truncation degree {max_deg} is below the maximal relation degree "
             f"{presentation.max_relation_degree()}"
         )
-    order = presentation.order
     relations: dict[int, list[Polynomial]] = {}
     for rel in presentation.relations:
         relations.setdefault(rel.degree(), []).append(rel)
@@ -264,7 +231,7 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
         remainders = (normal_form(p, basis).terms for p in chain(relations.pop(d, ()), s_polys))
         for row in reversed(linalg.echelon(remainders, presentation.field)):
             new = len(basis)
-            basis.append(Polynomial(row, order))
+            basis.append(Polynomial(row))
             u = basis[new].lead_word()
             for j, h in enumerate(basis):
                 w = h.lead_word()

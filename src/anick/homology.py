@@ -16,61 +16,7 @@ from . import linalg
 from .chains import Chain
 from .errors import CoverageError, NotQuadraticError
 from .groebner import Presentation, complete
-from .resolution import ResolutionContext, ResolutionSlice
-from .words import EMPTY, Word
-
-
-@dataclass
-class InducedComplex:
-    """Matrices of the induced differentials between chain bases.
-
-    ``matrix(level, degree)`` maps level chains of that internal degree to
-    chains one level down; storage is dense and row-major with rows
-    indexed by target chains.
-    """
-
-    bases: dict[tuple[int, int], list[Word]]
-    matrices: dict[tuple[int, int], list[list]]
-    level_max: int
-    deg_max: int
-
-    def basis(self, level: int, degree: int) -> list[Word]:
-        return self.bases.get((level, degree), [])
-
-    def matrix(self, level: int, degree: int) -> list[list]:
-        return self.matrices.get((level, degree), [])
-
-
-def induce(slices: list[ResolutionSlice]) -> InducedComplex:
-    """Restrict resolution slices to unit algebra cofactors."""
-    bases: dict[tuple[int, int], list[Word]] = {}
-    matrices: dict[tuple[int, int], list[list]] = {}
-    level_max = 0
-    deg_max = 0
-    for s in slices:
-        level_max = max(level_max, s.level)
-        deg_max = max(deg_max, s.degree)
-        cols = [
-            (j, label)
-            for j, label in enumerate(s.col_labels)
-            if isinstance(label, tuple) and isinstance(label[0], Chain) and label[1] == EMPTY
-        ]
-        bases[(s.level, s.degree)] = [label[0].word for _, label in cols]
-        if s.level == 0:
-            continue
-        row_positions = {}
-        row_words = []
-        for i, label in enumerate(s.row_labels):
-            if label[1] == EMPTY:
-                row_positions[i] = len(row_words)
-                row_words.append(label[0].word)
-        dense = [[0] * len(cols) for _ in row_words]
-        for out_col, (j, _) in enumerate(cols):
-            for i, c in s.columns[j].items():
-                if i in row_positions:
-                    dense[row_positions[i]][out_col] = c
-        matrices[(s.level, s.degree)] = dense
-    return InducedComplex(bases, matrices, level_max, deg_max)
+from .resolution import ResolutionContext
 
 
 def induced_matrix_from_context(

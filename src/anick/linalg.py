@@ -2,8 +2,8 @@
 
 ``echelon`` is the one entry point for sparse rows: it takes ``{column:
 scalar}`` maps and returns the reduced row echelon form as monic pivot
-rows.  ``rref`` and ``nullspace`` take dense rows and are built on it;
-``rank`` counts the pivots of the same forward pass.  Inside, rows are
+rows.  ``nullspace`` takes dense rows and is built on it; ``rank``
+counts the pivots of the same forward pass.  Inside, rows are
 plain Python integers: over Q each row is first scaled by the lcm of its
 denominators and then eliminated fraction-free over Z (``row <- g*row -
 f*pivot``, divided by its content gcd), so no intermediate value is ever
@@ -108,34 +108,19 @@ def rank(rows: list[list], field: Field) -> int:
     return len(_pivots(map(enumerate, rows), field)[0])
 
 
-def rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form and pivot column indices.
-
-    The pivot rows come first, scaled to a leading one, then one zero row
-    for every dependent input row.
-    """
-    reduced = echelon([dict(enumerate(row)) for row in rows], field)
-    out = [[field.zero] * (len(rows[0]) if rows else 0) for _ in rows]
-    for r, row in enumerate(reduced):
-        for k, v in row.items():
-            out[r][k] = v
-    return out, [min(row) for row in reduced]
-
-
 def nullspace(rows: list[list], ncols: int, field: Field) -> list[list]:
     """Canonical kernel basis of the linear map given by the rows.
 
     Each basis vector has a one in a distinct free column and the pivot
     columns back-substituted, which makes the output deterministic.
     """
-    reduced, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    reduced = echelon([dict(enumerate(row)) for row in rows], field)
+    pivots = [min(row) for row in reduced]
     basis = []
-    for f in free:
+    for f in sorted(set(range(ncols)).difference(pivots)):
         vec = [field.zero] * ncols
         vec[f] = field.one
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][f]
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row.get(f, field.zero)
         basis.append(vec)
     return basis

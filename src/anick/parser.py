@@ -66,7 +66,6 @@ def _parse_polynomial(
     tokens = _tokenize(text, line_no)
     if not tokens:
         raise ParseError("empty relation", line_no, 1)
-    order = alphabet.order
     terms: list[tuple[tuple[int, ...], object]] = []
     i = 0
 
@@ -74,21 +73,15 @@ def _parse_polynomial(
         col = tokens[tok_index][2] + 1 if tok_index < len(tokens) else len(text) + 1
         return ParseError(msg, line_no, col)
 
-    sign = 1
-    first = True
     while i < len(tokens):
-        if not first:
-            if tokens[i][0] not in "+-":
-                raise error("expected '+' or '-' between terms", i)
+        sign = 1
+        if tokens[i][0] in "+-":
             sign = 1 if tokens[i][0] == "+" else -1
             i += 1
-        else:
-            sign = 1
-            if tokens[i][0] in "+-":
-                sign = 1 if tokens[i][0] == "+" else -1
-                i += 1
-            first = False
+        elif terms:
+            raise error("expected '+' or '-' between terms", i)
         numerator, denominator = 1, 1
+        coeff_at = i
         if i < len(tokens) and tokens[i][0] == "num":
             numerator = int(tokens[i][1])
             i += 1
@@ -116,18 +109,17 @@ def _parse_polynomial(
                     raise error("expected exponent", i)
                 power = int(tokens[i][1])
                 i += 1
-            if power == 0:
-                letters = letters[:-1]
-            elif power > 1:
-                letters = letters[:-1] + (letters[-1],) * power
-            word.extend(letters)
+            word.extend(letters[:-1] + letters[-1:] * power)
             saw_factor = True
             if i < len(tokens) and tokens[i][0] == "*":
                 i += 1
         if not saw_factor:
             raise error("a term needs at least one letter", i)
-        terms.append((tuple(word), field.of(sign * numerator, denominator)))
-    poly = Polynomial.from_pairs(terms, order)
+        try:
+            terms.append((tuple(word), field.of(sign * numerator, denominator)))
+        except ZeroDivisionError:
+            raise error(f"zero denominator in {field.name}", coeff_at) from None
+    poly = Polynomial.from_pairs(terms)
     if poly.is_zero:
         raise ParseError("relation is zero", line_no, 1)
     if not poly.is_homogeneous:
@@ -139,14 +131,13 @@ def parse_presentation(text: str, field_override: Field | None = None) -> Presen
     """Parse a presentation file into a validated Presentation."""
     lines = text.splitlines()
     alphabet: Alphabet | None = None
-    field: Field = Rationals()
-    if field_override is not None:
-        field = field_override
+    field: Field = field_override or Rationals()
     relation_lines: list[tuple[int, str]] = []
     in_relations = False
 
     for line_no, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        body = raw.split("#", 1)[0].rstrip()
+        stripped = body.lstrip()
         if not stripped:
             continue
         low = stripped.lower()
@@ -178,12 +169,14 @@ def parse_presentation(text: str, field_override: Field | None = None) -> Presen
                     raise ParseError(str(exc), line_no, 1) from None
             in_relations = False
         elif low.startswith("relations:"):
-            rest = stripped[10:].strip()
-            if rest:
-                relation_lines.append((line_no, rest))
+            # Relations keep their place in the line, so error columns
+            # count from its first character.
+            cut = len(body) - len(stripped) + 10
+            if body[cut:].strip():
+                relation_lines.append((line_no, " " * cut + body[cut:]))
             in_relations = True
         elif in_relations:
-            relation_lines.append((line_no, stripped))
+            relation_lines.append((line_no, body))
         else:
             raise ParseError(f"unexpected line {stripped!r}", line_no, 1)
 

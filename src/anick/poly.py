@@ -1,8 +1,8 @@
 """Exact sparse linear combinations, and polynomials in the free algebra.
 
 ``LinComb`` is a finitely supported map from keys to nonzero scalars with
-its arithmetic.  A polynomial is one keyed by words, together with the
-deglex order used for leading-term queries.  All operations are pure and
+its arithmetic.  A polynomial is one keyed by words; its leading word
+sorts first by ``words.deglex_desc``.  All operations are pure and
 return new values; zero coefficients are pruned on construction and by
 every operation, so the support invariant always holds.
 """
@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from .errors import AlgebraError
 from .fields import inverse, is_one
-from .words import EMPTY, Alphabet, DegLex, Word
+from .words import EMPTY, Alphabet, Word, deglex_desc
 
 
 class LinComb:
@@ -30,17 +30,16 @@ class LinComb:
         self.terms = {k: c for k, c in terms.items() if c}
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[object, object]], *space):
-        """The sum of ``(key, coeff)`` pairs; ``space`` is the rest of the
-        constructor's arguments (a polynomial's order)."""
+    def from_pairs(cls, pairs: Iterable[tuple[object, object]]):
+        """The sum of ``(key, coeff)`` pairs."""
         out: dict = {}
         for k, c in pairs:
             prev = out.get(k)
             out[k] = c if prev is None else prev + c
-        return cls(out, *space)
+        return cls(out)
 
     def _like(self, terms: dict):
-        """An element of the same kind and space over already pruned terms."""
+        """An element of the same kind over already pruned terms."""
         out = object.__new__(type(self))
         out.terms = terms
         return out
@@ -85,55 +84,48 @@ class LinComb:
 class Polynomial(LinComb):
     # ``_lead`` memoises the leading word; ``terms`` is never mutated after
     # construction, so the cache stays valid for the object's lifetime.
-    __slots__ = ("order", "_lead")
+    __slots__ = ("_lead",)
 
-    def __init__(self, terms: Mapping[Word, object], order: DegLex):
+    def __init__(self, terms: Mapping[Word, object]):
         super().__init__(terms)
-        self.order = order
         self._lead = None
 
     def _like(self, terms: dict) -> "Polynomial":
         out = super()._like(terms)
-        out.order = self.order
         out._lead = None
         return out
 
     @classmethod
-    def zero(cls, order: DegLex) -> "Polynomial":
-        return cls({}, order)
+    def zero(cls) -> "Polynomial":
+        return cls({})
 
     @classmethod
-    def monomial(cls, word: Word, coeff, order: DegLex) -> "Polynomial":
-        return cls({word: coeff}, order)
+    def monomial(cls, word: Word, coeff) -> "Polynomial":
+        return cls({word: coeff})
 
     def lead_word(self) -> Word:
-        """The deglex-maximal word: the longest, and among those the
-        smallest tuple, since index 0 is the greatest letter."""
+        """The deglex-maximal word."""
         lead = self._lead
         if lead is None:
             if not self.terms:
                 raise AlgebraError("zero polynomial has no leading term")
-            n = max(map(len, self.terms))
-            lead = self._lead = min(w for w in self.terms if len(w) == n)
+            lead = self._lead = min(self.terms, key=deglex_desc)
         return lead
 
     def lead_coeff(self):
         return self.terms[self.lead_word()]
 
     def degree(self) -> int:
-        """Maximal word length in the support (undefined for zero)."""
-        if not self.terms:
-            raise AlgebraError("zero polynomial has no degree")
-        return max(len(w) for w in self.terms)
+        """Maximal word length in the support, the leading word's length."""
+        return len(self.lead_word())
 
     @property
     def is_homogeneous(self) -> bool:
-        lengths = {len(w) for w in self.terms}
-        return len(lengths) <= 1
+        return len({len(w) for w in self.terms}) <= 1
 
     def sorted_terms(self) -> list[tuple[Word, object]]:
         """Terms in descending order, leading term first."""
-        return sorted(self.terms.items(), key=lambda t: self.order.key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: deglex_desc(t[0]))
 
     def word_mul(self, left: Word, right: Word) -> "Polynomial":
         """The product ``left * self * right`` with monomial cofactors."""
@@ -141,24 +133,16 @@ class Polynomial(LinComb):
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial.from_pairs(
-            ((u + w, a * b) for u, a in self.terms.items() for w, b in other.terms.items()),
-            self.order,
+            (u + w, a * b) for u, a in self.terms.items() for w, b in other.terms.items()
         )
 
     def monic(self) -> "Polynomial":
         c = self.lead_coeff()
         return self if is_one(c) else self.scaled(inverse(c))
 
-    def __eq__(self, other) -> bool:
-        return super().__eq__(other) and self.order == other.order
-
+    # LinComb's __eq__ would otherwise leave polynomials unhashable.
     def __hash__(self):
-        return hash((self.order, frozenset(self.terms.items())))
-
-
-def poly_combine(p: Polynomial, c, left: Word, q: Polynomial, right: Word) -> Polynomial:
-    """The elementary rewriting step ``p + c * left * q * right``."""
-    return p.add_scaled(q.word_mul(left, right), c)
+        return hash(frozenset(self.terms.items()))
 
 
 def render_poly(alphabet: Alphabet, p: Polynomial) -> str:

@@ -23,7 +23,7 @@ from .chains import Chain, ChainSet, enumerate_chains
 from .errors import SplittingError, TruncationError
 from .groebner import GroebnerBasis, Presentation, complete, normal_form
 from .poly import LinComb, Polynomial
-from .words import EMPTY, Word
+from .words import EMPTY, Word, deglex_desc
 
 
 class FreeElement(LinComb):
@@ -34,16 +34,16 @@ class FreeElement(LinComb):
 
     def max_term(self) -> tuple[tuple[Chain, Word], object]:
         """The term whose product word is deglex-maximal, ties broken by the
-        longer chain; ``(-len(w), w)`` sorts deglex-descending because index
-        0 is the greatest letter."""
+        longer chain."""
         key = min(self.terms, key=_max_term_key)
         return key, self.terms[key]
 
 
-def _max_term_key(k: tuple[Chain, Word]) -> tuple[int, Word, int]:
+def _max_term_key(k: tuple[Chain, Word]) -> tuple[tuple[int, Word], int]:
+    """Sorts pairs descending: by product word under ``deglex_desc``, then
+    longer chain first."""
     chain_word = k[0].word
-    w = chain_word + k[1]
-    return -len(w), w, -len(chain_word)
+    return deglex_desc(chain_word + k[1]), -len(chain_word)
 
 
 @dataclass
@@ -88,7 +88,6 @@ class ResolutionContext:
         self.presentation = gb.presentation
         self.alphabet = gb.presentation.alphabet
         self.field = gb.presentation.field
-        self.order = gb.presentation.order
         self.level_max = level_max
         self.deg_max = deg_max
         relevant = [o for o in gb.obstructions if len(o) <= deg_max]
@@ -104,16 +103,12 @@ class ResolutionContext:
         self._basis_list = list(gb.elements)
         self._nf_cache: dict[Word, Polynomial] = {}
         self._diff_cache: dict[Chain, FreeElement] = {}
-        self._letter_chain = {
-            c.word[0]: c for c in self.chains.level(0)
-        }
+        self._letter_chain = {c.word[0]: c for c in self.chains.level(0)}
 
     def nf_word(self, w: Word) -> Polynomial:
         cached = self._nf_cache.get(w)
         if cached is None:
-            cached = normal_form(
-                Polynomial.monomial(w, self.field.one, self.order), self._basis_list
-            )
+            cached = normal_form(Polynomial.monomial(w, self.field.one), self._basis_list)
             self._nf_cache[w] = cached
         return cached
 
@@ -172,38 +167,29 @@ class ResolutionContext:
         cached = self._diff_cache.get(c)
         if cached is not None:
             return cached
-        one = self.field.one
+        # A level-1 chain's prefix is its first letter, so its correction
+        # splits the word's normal form over the letter module.
         if c.level == 1:
-            v, t = c.word[0], c.word[1:]
-            lead = FreeElement({(self._letter_chain[v], t): one})
-            reduced = self.nf_word(c.word)
-            correction = self._split0(reduced)
-            out = lead - correction
+            correction = self._split0(self.nf_word(c.word))
         else:
-            prefix, tail = c.prefix, c.tail
-            lead = FreeElement({(prefix, tail): one})
-            xi = self.act_right(self.differential(prefix), tail)
+            xi = self.act_right(self.differential(c.prefix), c.tail)
             correction = self.split(c.level - 1, xi)
-            out = lead - correction
+        out = FreeElement({(c.prefix, c.tail): self.field.one}) - correction
         self._diff_cache[c] = out
         return out
 
     def induced_differential(self, c: Chain) -> dict[Chain, object]:
         """Unit-cofactor part of the differential, over chains one level down."""
-        out: dict[Chain, object] = {}
-        for (c2, w), coeff in self.differential(c).terms.items():
-            if w == EMPTY:
-                out[c2] = coeff
-        return out
+        return {c2: a for (c2, w), a in self.differential(c).terms.items() if w == EMPTY}
 
     def pair_basis(self, level: int, degree: int) -> list[tuple[Chain, Word]]:
-        """Sorted basis of the level module in one internal degree."""
+        """Basis of the level module in one internal degree, ascending."""
         out: list[tuple[Chain, Word]] = []
         for d in range(0, degree + 1):
             for c in self.chains.at(level, d):
                 for w in self.automaton.accepted_words(degree - d):
                     out.append((c, w))
-        out.sort(key=lambda k: (self.order.key(k[0].word + k[1]), len(k[0].word)))
+        out.sort(key=_max_term_key, reverse=True)
         return out
 
     def slice(self, level: int, degree: int) -> ResolutionSlice:

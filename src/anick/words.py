@@ -4,6 +4,8 @@ Words are tuples of letter indices into an :class:`Alphabet`.  The alphabet
 stores its letters in descending precedence order, so index 0 is the
 greatest letter under deglex and no separate precedence table is needed.
 The degree of a word is its length (every generator has weight one).
+The engine orders words by ``deglex_desc`` alone; ``DegLex`` is the
+reference definition of the same order.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ class Alphabet:
     @property
     def size(self) -> int:
         return len(self.letters)
-
-    @property
-    def order(self) -> "DegLex":
-        return DegLex(self.size)
 
     def index(self, name: str) -> int:
         try:
@@ -109,11 +107,13 @@ class DegLex:
             if any(i < 0 or i >= self.size for i in word):
                 raise AlgebraError("word uses letters outside the alphabet")
         ku, kw = self.key(u), self.key(w)
-        if ku < kw:
-            return -1
-        if ku > kw:
-            return 1
-        return 0
+        return (ku > kw) - (ku < kw)
+
+
+def deglex_desc(w: Word) -> tuple[int, Word]:
+    """Sort key for descending deglex: longer words first, then smaller
+    tuples, since index 0 is the greatest letter."""
+    return -len(w), w
 
 
 def overlaps(u: Word, w: Word) -> list[int]:
@@ -130,16 +130,12 @@ def overlaps(u: Word, w: Word) -> list[int]:
 
 def occurrences(w: Word, factor: Word) -> list[int]:
     """Start positions of every occurrence of ``factor`` inside ``w``."""
-    if not factor:
-        return list(range(len(w) + 1))
     n, m = len(w), len(factor)
     return [i for i in range(n - m + 1) if w[i:i + m] == factor]
 
 
 def contains_factor(w: Word, factor: Word) -> bool:
     n, m = len(w), len(factor)
-    if m == 0:
-        return True
     return any(w[i:i + m] == factor for i in range(n - m + 1))
 
 

@@ -8,7 +8,8 @@ closed-form shape formulas for the three-generator fixture.  Normal forms
 come from the plain rewriting loop that rescans the pending polynomial on
 every step.  Truncated Groebner bases come from incremental Buchberger
 completion over a pair heap, the engine's algorithm before it completed
-degree by degree.
+degree by degree; it orders words by ``DegLex``, the reference order.
+The last section holds what only tests use, so the package leaves it out.
 """
 
 from __future__ import annotations
@@ -17,17 +18,11 @@ import heapq
 from fractions import Fraction
 from itertools import product
 
-from anick import Polynomial, poly_combine
+from anick import Polynomial
 from anick.errors import AlgebraError, TruncationError
-from anick.groebner import (
-    Certificate,
-    GroebnerBasis,
-    Presentation,
-    interreduce,
-    normal_form,
-    s_polynomial,
-)
-from anick.words import Word, contains_factor, overlaps
+from anick.groebner import Certificate, GroebnerBasis, Presentation, normal_form, s_polynomial
+from anick.linalg import echelon
+from anick.words import EMPTY, DegLex, Word, contains_factor, deglex_desc, overlaps
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +295,8 @@ def normal_form_reference(
         if g.is_zero or not _is_one(g.lead_coeff()):
             raise AlgebraError("normal_form requires monic basis elements")
     leads = [g.lead_word() for g in basis]
-    order = p.order
     done: dict[Word, object] = {}
-    pending = Polynomial(p.terms, order)
+    pending = Polynomial(p.terms)
     while not pending.is_zero:
         w = pending.lead_word()
         c = pending.terms[w]
@@ -318,16 +312,14 @@ def normal_form_reference(
             # Irreducible terms leave pending in strictly decreasing order,
             # so each word lands here at most once.
             done[w] = c
-            pending = Polynomial(
-                {u: a for u, a in pending.terms.items() if u != w}, order
-            )
+            pending = Polynomial({u: a for u, a in pending.terms.items() if u != w})
             continue
         pos, gi = hit
         left, right = w[:pos], w[pos + len(leads[gi]):]
-        pending = poly_combine(pending, -c, left, basis[gi], right)
+        pending = pending.add_scaled(basis[gi].word_mul(left, right), -c)
         if trace is not None:
             trace.append((gi, c, left, right))
-    return Polynomial(done, order)
+    return Polynomial(done)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +338,7 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
             f"truncation degree {max_deg} is below the maximal relation degree "
             f"{presentation.max_relation_degree()}"
         )
-    order = presentation.order
+    order = DegLex(presentation.alphabet.size)
     alive: dict[int, Polynomial] = {}
     next_id = 0
     heap: list[tuple[int, tuple, int, int, int, int]] = []
@@ -371,9 +363,9 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
 
     def reduce_tail(g: Polynomial, others: list[Polynomial]) -> Polynomial:
         lead = g.lead_word()
-        tail = Polynomial({w: c for w, c in g.terms.items() if w != lead}, order)
+        tail = Polynomial({w: c for w, c in g.terms.items() if w != lead})
         reduced = normal_form(tail, others)
-        return Polynomial({lead: g.terms[lead], **reduced.terms}, order)
+        return Polynomial({lead: g.terms[lead], **reduced.terms})
 
     def add_element(candidate: Polynomial) -> None:
         nonlocal next_id
@@ -422,3 +414,99 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
     certificate = Certificate.certified() if not overflow else Certificate.up_to(max_deg)
     elements = tuple(sorted(alive.values(), key=lambda g: order.key(g.lead_word())))
     return GroebnerBasis(presentation, elements, max_deg, certificate)
+
+
+# ---------------------------------------------------------------------------
+# what the package no longer exports: only tests used these
+
+def interreduce(polys: list[Polynomial]) -> list[Polynomial]:
+    """Monic inter-reduced generating set with the same two-sided ideal,
+    ascending by leading word.
+
+    Leading terms of the result form an antichain under factor
+    divisibility and every element is fully reduced against the others.
+    """
+    work = [p.monic() for p in polys if not p.is_zero]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(work)):
+            rest = work[:i] + work[i + 1:]
+            reduced = normal_form(work[i], rest)
+            if reduced.is_zero:
+                work.pop(i)
+                changed = True
+                break
+            reduced = reduced.monic()
+            if reduced != work[i]:
+                work[i] = reduced
+                changed = True
+                break
+    return sorted(work, key=lambda g: deglex_desc(g.lead_word()), reverse=True)
+
+
+def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
+    """Dense reduced row echelon form and pivot column indices: the pivot
+    rows, scaled to a leading one, then one zero row for every dependent
+    input row."""
+    reduced = echelon([dict(enumerate(row)) for row in rows], field)
+    out = [[field.zero] * (len(rows[0]) if rows else 0) for _ in rows]
+    for r, row in enumerate(reduced):
+        for k, v in row.items():
+            out[r][k] = v
+    return out, [min(row) for row in reduced]
+
+
+def induce(slices) -> dict[tuple[int, int], tuple[list[Word], list[list]]]:
+    """Resolution slices of level >= 1 restricted to unit algebra
+    cofactors: ``(level, degree)`` maps to the column chain words and the
+    dense matrix, rows indexed by the unit-cofactor pairs one level down."""
+    out = {}
+    for s in slices:
+        if s.level == 0:
+            continue
+        cols = [j for j, (_, w) in enumerate(s.col_labels) if w == EMPTY]
+        unit_rows = [i for i, (_, w) in enumerate(s.row_labels) if w == EMPTY]
+        row_at = {i: r for r, i in enumerate(unit_rows)}
+        dense = [[0] * len(cols) for _ in unit_rows]
+        for out_col, j in enumerate(cols):
+            for i, c in s.columns[j].items():
+                if i in row_at:
+                    dense[row_at[i]][out_col] = c
+        out[s.level, s.degree] = ([s.col_labels[j][0].word for j in cols], dense)
+    return out
+
+
+def path_counts(graph, level_max: int, deg_max: int) -> dict[int, int]:
+    """Number of length-n paths from letter vertices of a chain graph,
+    n = 0..level_max, restricted to paths whose generated chain degree is
+    <= deg_max."""
+    # state: (node index, accumulated degree) -> multiplicity
+    state: dict[tuple[int, int], int] = {}
+    for i, node in enumerate(graph.nodes):
+        if node.kind == "letter":
+            state[(i, 1)] = state.get((i, 1), 0) + 1
+    succ: dict[int, list[int]] = {}
+    for a, b in graph.edges:
+        succ.setdefault(a, []).append(b)
+    counts = {0: sum(state.values())}
+    for level in range(1, level_max + 1):
+        nxt: dict[tuple[int, int], int] = {}
+        for (i, deg), mult in state.items():
+            for j in succ.get(i, []):
+                d2 = deg + len(graph.nodes[j].tail)
+                if d2 <= deg_max:
+                    nxt[(j, d2)] = nxt.get((j, d2), 0) + mult
+        state = nxt
+        counts[level] = sum(state.values())
+    return counts
+
+
+def accepts(automaton, w: Word) -> bool:
+    """Whether the normal-word automaton reads w without dying."""
+    state = automaton.start
+    for letter in w:
+        state = automaton.transitions[state][letter]
+        if state is None:
+            return False
+    return True

@@ -1,5 +1,5 @@
 import pytest
-from helpers import bf_normal_count, series_inverse_coefficients
+from helpers import accepts, bf_normal_count, series_inverse_coefficients
 
 from anick import (
     Alphabet,
@@ -120,7 +120,7 @@ def test_accepts_only_factor_avoiding_words(xyz, xyz_gb8):
             expected = not any(
                 contains_factor(tuple(w), o) for o in xyz_gb8.obstructions
             )
-            assert aut.accepts(tuple(w)) == expected
+            assert accepts(aut, tuple(w)) == expected
 
 
 def test_deep_finite_automaton_needs_no_recursion():

@@ -1,7 +1,7 @@
 import pytest
-from helpers import bf_chains, shape_chains
+from helpers import bf_chains, path_counts, shape_chains
 
-from anick import Alphabet, chain_graph, chain_graph_dot, chain_split, enumerate_chains
+from anick import Alphabet, chain_graph, chain_graph_dot, enumerate_chains
 from anick.errors import AntichainError, ChainError
 
 
@@ -58,29 +58,27 @@ def test_chain_split_examples(xyz, xyz_ctx):
     a = xyz.alphabet
 
     x3 = chains.find(2, a.word("xxx"))
-    prefix, tail = chain_split(x3)
+    prefix, tail = x3.prefix, x3.tail
     assert (prefix.level, prefix.word) == (1, a.word("xx"))
     assert tail == a.word("x")
 
     xzy = chains.find(2, a.word("xzy"))
-    prefix, tail = chain_split(xzy)
+    prefix, tail = xzy.prefix, xzy.tail
     assert prefix.word == a.word("xz")
     assert tail == a.word("y")
 
     xz = chains.find(1, a.word("xz"))
-    prefix, tail = chain_split(xz)
+    prefix, tail = xz.prefix, xz.tail
     assert (prefix.level, prefix.word) == (0, a.word("x"))
     assert tail == a.word("z")
 
-    letter = chains.find(0, a.word("x"))
-    with pytest.raises(ChainError):
-        chain_split(letter)
+    assert chains.find(0, a.word("x")).prefix is None
 
 
 def test_split_recombines(xyz_ctx):
     for level in range(1, 5):
         for c in xyz_ctx.chains.level(level):
-            prefix, tail = chain_split(c)
+            prefix, tail = c.prefix, c.tail
             assert prefix.word + tail == c.word
             assert prefix.level == c.level - 1
 
@@ -115,7 +113,7 @@ def test_monomial_relation_without_self_overlap_stops_at_level_one():
 def test_graph_path_counts_match_enumeration(xyz, xyz_ctx):
     obstructions = [o for o in xyz_ctx.gb.obstructions]
     graph = chain_graph(xyz.alphabet, obstructions)
-    counts = graph.path_counts(5, 8)
+    counts = path_counts(graph, 5, 8)
     for level in range(0, 6):
         assert counts[level] == len(
             [c for c in xyz_ctx.chains.level(level) if c.degree <= 8]

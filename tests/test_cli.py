@@ -156,6 +156,23 @@ def test_parse_error_exits_one(capsys, tmp_path):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize("field, coeff", [("Q", "1/0"), ("Fp 5", "1/5")])
+def test_zero_denominator_exits_one(capsys, tmp_path, field, coeff):
+    bad = tmp_path / "bad.alg"
+    bad.write_text(f"vars: x > y\nfield: {field}\nrelations:\n  {coeff}*x*y\n")
+    code, out, err = run(capsys, "gb", "--input", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 4, col 3: zero denominator")
+
+
+def test_non_utf8_input_exits_one(capsys, tmp_path):
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(b"\xff\xfe" + XYZ.encode())
+    code, out, err = run(capsys, "gb", "--input", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
 def test_missing_file_exits_one(capsys):
     code, out, err = run(capsys, "gb", "--input", "/nonexistent/file.alg")
     assert code == 1

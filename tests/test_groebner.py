@@ -4,7 +4,13 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from helpers import bf_normal_count, complete_reference, ideal_slice_dims, normal_form_reference
+from helpers import (
+    bf_normal_count,
+    complete_reference,
+    ideal_slice_dims,
+    interreduce,
+    normal_form_reference,
+)
 from hypothesis import given, settings, strategies as st
 
 from anick import (
@@ -12,7 +18,6 @@ from anick import (
     Polynomial,
     Presentation,
     complete,
-    interreduce,
     normal_form,
     normal_word_automaton,
     parse_presentation,
@@ -23,7 +28,7 @@ from anick import (
 from anick.errors import AlgebraError, TruncationError
 from anick.fields import PrimeField, Rationals
 from anick.reports import gb_payload
-from anick.words import contains_factor, overlaps
+from anick.words import DegLex, contains_factor, overlaps
 
 G4_RELATIONS = (
     "relations:\n  a*b - b*a + c*d\n  a*c - 2*d*b\n  b*d + a^2 - c^2\n  d*a - b*c\n"
@@ -40,11 +45,7 @@ def words(presentation, *texts):
 
 
 def mono(presentation, text, coeff=1):
-    return Polynomial.monomial(
-        presentation.alphabet.word(text),
-        presentation.field.of(coeff),
-        presentation.order,
-    )
+    return Polynomial.monomial(presentation.alphabet.word(text), presentation.field.of(coeff))
 
 
 def test_normal_form_kills_obstruction_multiples(xyz, xyz_gb8):
@@ -85,7 +86,7 @@ def test_normal_form_trace_witnesses_ideal_membership(xyz, xyz_gb8):
 # lead, a duplicate of one or the empty word, so bases need not be
 # antichains.
 NF_FIELDS = [Rationals(), PrimeField(5)]
-NF_ORDER = Alphabet(("x", "y", "z")).order
+NF_ORDER = DegLex(3)
 NF_WORDS = st.lists(st.integers(0, 2), max_size=4).map(tuple)
 NF_COEFFS = st.sampled_from([1, -1, 2, -2, 3])
 
@@ -98,7 +99,7 @@ def monic_with_lead(draw, field, lead):
     ]
     terms = {w: field.of(draw(NF_COEFFS)) for w in below}
     terms[lead] = field.one
-    return Polynomial(terms, NF_ORDER)
+    return Polynomial(terms)
 
 
 @st.composite
@@ -114,8 +115,7 @@ def reduction_cases(draw):
         lead = draw(st.one_of(NF_WORDS, factor, st.just(base), st.just(())))
         basis.insert(draw(st.integers(0, len(basis))), draw(monic_with_lead(field, lead)))
     p = Polynomial(
-        {w: field.of(draw(NF_COEFFS)) for w in draw(st.lists(NF_WORDS, max_size=6))},
-        NF_ORDER,
+        {w: field.of(draw(NF_COEFFS)) for w in draw(st.lists(NF_WORDS, max_size=6))}
     )
     return p, basis
 
@@ -185,7 +185,7 @@ def oracle_presentations(draw):
         else:
             pool = list(product(range(alphabet.size), repeat=draw(st.integers(1, 3))))
             support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
-            rel = Polynomial({w: draw(coeff) for w in support}, alphabet.order)
+            rel = Polynomial({w: draw(coeff) for w in support})
         rels.append(rel)
     return Presentation(alphabet, field, tuple(rels))
 
@@ -271,13 +271,12 @@ def test_s_polynomial_rejects_bad_overlap(xyz):
 )
 def test_monicity_is_checked_for_every_scalar_kind(field, lead, ok):
     alpha = Alphabet(("x", "y"))
-    order = alpha.order
-    g = Polynomial({alpha.word("xy"): lead, alpha.word("yx"): field.one}, order)
-    h = Polynomial.monomial(alpha.word("yx"), field.one, order)
-    p = Polynomial.monomial(alpha.word("xyy"), field.one, order)
+    g = Polynomial({alpha.word("xy"): lead, alpha.word("yx"): field.one})
+    h = Polynomial.monomial(alpha.word("yx"), field.one)
+    p = Polynomial.monomial(alpha.word("xyy"), field.one)
     if ok:
-        assert normal_form(p, [g]) == Polynomial.monomial(alpha.word("yyx"), field.one, order)
-        assert s_polynomial(g, h, 1) == Polynomial.monomial(alpha.word("yxx"), field.one, order)
+        assert normal_form(p, [g]) == Polynomial.monomial(alpha.word("yyx"), field.one)
+        assert s_polynomial(g, h, 1) == Polynomial.monomial(alpha.word("yxx"), field.one)
         return
     with pytest.raises(AlgebraError):
         normal_form(p, [g])
@@ -427,6 +426,13 @@ def test_presentation_rejects_inhomogeneous_relations(xyz):
     bad = mono(xyz, "x") + mono(xyz, "xx")
     with pytest.raises(AlgebraError):
         Presentation(xyz.alphabet, xyz.field, (bad,))
+
+
+@pytest.mark.parametrize("letter", [5, -1])
+def test_presentation_rejects_letters_outside_the_alphabet(letter):
+    bad = Polynomial({(0, letter): 1})
+    with pytest.raises(AlgebraError, match="outside the alphabet"):
+        Presentation(Alphabet(("x", "y")), Rationals(), (bad,))
 
 
 def test_prime_field_completion_matches_rational_leads(xyz):

@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from helpers import induce, rref
 
 from anick import (
     betti_table,
     complete,
     euler_check,
     gldim_report,
-    induce,
     koszul_verdict,
     koszul_verdict_for,
     normal_word_automaton,
@@ -19,7 +19,6 @@ from anick import (
 from anick.errors import CoverageError, NotQuadraticError
 from anick.fields import PrimeField
 from anick.homology import induced_matrix_from_context
-from anick.linalg import rref
 from anick.resolution import ResolutionContext
 
 
@@ -53,8 +52,7 @@ def test_induce_from_slices_matches_context(xyz, xyz_ctx):
     for level in range(1, 4):
         for degree in range(0, 6):
             rows, cols, dense = induced_matrix_from_context(xyz_ctx, level, degree)
-            got = induced.matrix(level, degree)
-            got_basis = induced.basis(level, degree)
+            got_basis, got = induced[level, degree]
             assert got_basis == [c.word for c in cols]
             assert [[Fraction(x) for x in row] for row in got] == [
                 [Fraction(x) for x in row] for row in dense

@@ -5,10 +5,10 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from helpers import SparseEchelon
+from helpers import SparseEchelon, rref
 
 from anick.fields import ModP, PrimeField, Rationals
-from anick.linalg import echelon, nullspace, rank, rref
+from anick.linalg import echelon, nullspace, rank
 
 Q = Rationals()
 F5 = PrimeField(5)

@@ -67,6 +67,23 @@ def test_rational_coefficients():
     assert str(rel.terms[pres.alphabet.word("xy")]) == "1/2"
 
 
+@pytest.mark.parametrize(
+    "field, relation",
+    [("Q", "  x*x + 1/0*x*y"), ("Fp 5", "  x*x + 1/5*x*y"), ("Fp 5", "  x*x - 2/10*x*y")],
+)
+def test_zero_denominator_is_a_parse_error_at_the_coefficient(field, relation):
+    with pytest.raises(ParseError, match="zero denominator") as info:
+        parse_presentation(f"vars: x > y\nfield: {field}\nrelations:\n{relation}\n")
+    assert (info.value.line, info.value.col) == (4, 9)
+
+
+def test_error_columns_count_from_the_start_of_the_line():
+    for text, at in (("relations:\n    x*q", (3, 7)), (" relations: x*y + x*q", (2, 21))):
+        with pytest.raises(ParseError, match="unknown letter") as info:
+            parse_presentation("vars: x > y\n" + text)
+        assert (info.value.line, info.value.col) == at
+
+
 def test_field_line_and_override():
     pres = parse_presentation("vars: x > y\nfield: Fp 7\nrelations:\n x*y")
     assert pres.field == PrimeField(7)

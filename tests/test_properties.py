@@ -12,18 +12,16 @@ from anick import (
     ResolutionContext,
     complete,
     enumerate_chains,
-    interreduce,
     normal_form,
     normal_word_automaton,
 )
 from anick.fields import ModP, PrimeField, Rationals
 from anick.linalg import nullspace
-from anick.words import contains_factor
-from helpers import bf_chains, bf_normal_count
+from anick.words import DegLex, contains_factor
+from helpers import bf_chains, bf_normal_count, interreduce
 
 FIELD = Rationals()
 ALPHA = Alphabet(("a", "b"))
-ORDER = ALPHA.order
 
 
 def all_words(degree):
@@ -44,9 +42,7 @@ def homogeneous_polynomials(draw, degree_range=(2, 3)):
             max_size=len(support),
         )
     )
-    return Polynomial(
-        {w: FIELD.of(c) for w, c in zip(support, coeffs)}, ORDER
-    )
+    return Polynomial({w: FIELD.of(c) for w, c in zip(support, coeffs)})
 
 
 @st.composite
@@ -70,7 +66,7 @@ def polynomials(draw):
             max_size=len(support),
         )
     )
-    return Polynomial({w: FIELD.of(c) for w, c in zip(support, coeffs)}, ORDER)
+    return Polynomial({w: FIELD.of(c) for w, c in zip(support, coeffs)})
 
 
 @settings(max_examples=40, deadline=None)
@@ -167,10 +163,10 @@ def scalar_guard_cases(draw):
         else:
             support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
             terms = {w: field.of(draw(st.sampled_from([-2, -1, 1, 2]))) for w in support}
-        rels.append(Polynomial(terms, ORDER))
+        rels.append(Polynomial(terms))
     pool = all_words(draw(st.integers(1, 5)))
     support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
-    p = Polynomial({w: field.of(draw(st.sampled_from([-3, -1, 1, 2]))) for w in support}, ORDER)
+    p = Polynomial({w: field.of(draw(st.sampled_from([-3, -1, 1, 2]))) for w in support})
     return Presentation(ALPHA, field, tuple(rels)), p, unit
 
 
@@ -207,3 +203,47 @@ def test_scalars_stay_int_fraction_or_modp(case):
             assert all(type(c) is int for c in returned)
     else:
         assert all(type(c) is ModP and c.p == 5 for c in returned + kernel)
+
+
+def assert_ordered_as_deglex_defines(pres, degree):
+    """Terms, leading words, chains, normal words and pair bases come out in
+    the order ``DegLex.key`` defines, the reference for the engine's key."""
+    key = DegLex(pres.alphabet.size).key
+
+    def ascending(keys):
+        return all(a < b for a, b in zip(keys, keys[1:]))
+
+    gb = complete(pres, degree)
+    for g in gb.elements + pres.relations:
+        words = [w for w, _ in g.sorted_terms()]
+        assert ascending([key(w) for w in reversed(words)])
+        assert g.lead_word() == words[0] == max(g.terms, key=key)
+    ctx = ResolutionContext(gb, degree, degree)
+    for d in range(degree + 1):
+        assert ascending([key(w) for w in ctx.automaton.accepted_words(d)])
+        for level in range(degree + 1):
+            assert ascending([key(c.word) for c in ctx.chains.at(level, d)])
+            pairs = ctx.pair_basis(level, d)
+            assert ascending([(key(c.word + w), len(c.word)) for c, w in pairs])
+
+
+def test_xyz_comes_out_in_deglex_order(xyz):
+    assert_ordered_as_deglex_defines(xyz, 6)
+
+
+@st.composite
+def quadratic_presentations(draw):
+    alphabet = Alphabet(("x", "y", "z")[: draw(st.integers(2, 3))])
+    pool = list(product(range(alphabet.size), repeat=2))
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+        coeffs = st.sampled_from([-2, -1, 1, 2]).map(FIELD.of)
+        rels.append(Polynomial({w: draw(coeffs) for w in support}))
+    return Presentation(alphabet, FIELD, tuple(rels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(quadratic_presentations())
+def test_random_quadratic_algebra_comes_out_in_deglex_order(pres):
+    assert_ordered_as_deglex_defines(pres, 5)

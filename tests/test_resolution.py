@@ -3,8 +3,8 @@ from helpers import formula_differential
 from hypothesis import given, settings, strategies as st
 
 from anick import (
-    Alphabet,
     Certificate,
+    DegLex,
     FreeElement,
     GroebnerBasis,
     ResolutionContext,
@@ -263,7 +263,7 @@ TERM_KEYS = st.tuples(
 @given(st.dictionaries(TERM_KEYS, st.integers(1, 3), min_size=1, max_size=8))
 def test_max_term_is_deglex_maximal_product_then_longest_chain(raw):
     # Chains of different levels may share a word, so product words tie.
-    order = Alphabet(("x", "y", "z")).order
+    order = DegLex(3)
     elem = FreeElement(
         {(Chain(cw, level, 1, 0, None), w): c for (level, cw, w), c in raw.items()}
     )

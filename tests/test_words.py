@@ -1,9 +1,10 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from anick import Alphabet, AlgebraError, overlaps
-from anick.words import check_antichain, contains_factor, occurrences
+from anick import AlgebraError, Alphabet, DegLex, overlaps
+from anick.words import check_antichain, contains_factor, deglex_desc, occurrences
 from anick.errors import AntichainError
 
 
@@ -13,34 +14,34 @@ def xyz_alpha():
 
 
 def test_compare_equal_degree_first_letter_wins(xyz_alpha):
-    order = xyz_alpha.order
+    order = DegLex(xyz_alpha.size)
     xz = xyz_alpha.word("xz")
     zy = xyz_alpha.word("zy")
     assert order.compare(xz, zy) == 1
 
 
 def test_compare_degree_dominates(xyz_alpha):
-    order = xyz_alpha.order
+    order = DegLex(xyz_alpha.size)
     assert order.compare(xyz_alpha.word("y"), xyz_alpha.word("xz")) == -1
 
 
 def test_compare_ascending_declaration():
     alpha = Alphabet(("y", "x"))  # as parsed from "vars: x < y"
-    order = alpha.order
+    order = DegLex(alpha.size)
     yx = alpha.word("yx")
     xx = alpha.word("xx")
     assert order.compare(yx, xx) == 1
 
 
 def test_compare_rejects_foreign_indices(xyz_alpha):
-    order = xyz_alpha.order
+    order = DegLex(xyz_alpha.size)
     with pytest.raises(AlgebraError):
         order.compare((0, 5), (0,))
 
 
 def test_compare_is_a_total_order_on_small_words():
     alpha = Alphabet(("a", "b"))
-    order = alpha.order
+    order = DegLex(alpha.size)
     words = [tuple(w) for d in range(4) for w in product(range(2), repeat=d)]
     for u in words:
         for w in words:
@@ -57,7 +58,7 @@ def test_compare_is_a_total_order_on_small_words():
 
 def test_compare_is_multiplicative_in_equal_degree():
     alpha = Alphabet(("a", "b"))
-    order = alpha.order
+    order = DegLex(alpha.size)
     degree_two = [tuple(w) for w in product(range(2), repeat=2)]
     contexts = [tuple(w) for d in range(3) for w in product(range(2), repeat=d)]
     for u in degree_two:
@@ -67,6 +68,16 @@ def test_compare_is_multiplicative_in_equal_degree():
             for a in contexts:
                 for b in contexts:
                     assert order.compare(a + u + b, a + w + b) == -1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2), max_size=5).map(tuple), max_size=8))
+def test_native_key_orders_words_as_deglex_does(words):
+    order = DegLex(3)
+    assert sorted(words, key=deglex_desc) == sorted(words, key=order.key, reverse=True)
+    for u in words:
+        for w in words:
+            assert (deglex_desc(u) < deglex_desc(w)) == (order.compare(u, w) == 1)
 
 
 def test_overlaps_examples(xyz_alpha):
