@@ -96,12 +96,10 @@ def normal_word_automaton(
             if any(w[len(w) - len(o):] == o for o in obs_set if len(o) <= len(w)):
                 row.append(None)
                 continue
-            target = None
-            for cut in range(max(0, len(w) - max((len(p) for p in index), default=0)), len(w) + 1):
-                if w[cut:] in index:
-                    target = index[w[cut:]]
-                    break
-            row.append(target)
+            # The longest suffix that is a state; () always is one.
+            while w not in index:
+                w = w[1:]
+            row.append(index[w])
         transitions.append(row)
     return NormalWordAutomaton(alphabet, state_words, transitions, valid_degree)
 

@@ -34,22 +34,11 @@ def quadratic_dual(presentation: Presentation) -> Presentation:
     alphabet = presentation.alphabet
     field = presentation.field
     n = alphabet.size
-    rows = []
-    for rel in presentation.relations:
-        row = [field.zero] * (n * n)
-        for w, c in rel.terms.items():
-            row[w[0] * n + w[1]] = c
-        rows.append(row)
+    rows = [{w[0] * n + w[1]: c for w, c in rel.terms.items()} for rel in presentation.relations]
     kernel = linalg.nullspace(rows, n * n, field)
 
     dual_alphabet = Alphabet(tuple(name + "!" for name in alphabet.letters))
-    relations = []
-    for vec in kernel:
-        terms = {}
-        for idx, c in enumerate(vec):
-            if c:
-                terms[(idx // n, idx % n)] = c
-        relations.append(Polynomial(terms).monic())
+    relations = [Polynomial({divmod(k, n): c for k, c in vec.items()}).monic() for vec in kernel]
     relations.sort(key=lambda p: deglex_desc(p.lead_word()), reverse=True)
     return Presentation(dual_alphabet, field, tuple(relations))
 

@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over the rationals or a prime field.
 
-``echelon`` is the one entry point for sparse rows: it takes ``{column:
-scalar}`` maps and returns the reduced row echelon form as monic pivot
-rows.  ``nullspace`` takes dense rows and is built on it; ``rank``
-counts the pivots of the same forward pass.  Inside, rows are
+``echelon`` takes sparse ``{column: scalar}`` rows and returns the
+reduced row echelon form as monic pivot rows; ``nullspace`` is built on
+it and is sparse too.  ``rank`` counts the pivots of the same forward
+pass and is the one entry point that takes dense rows.  Inside, rows are
 plain Python integers: over Q each row is first scaled by the lcm of its
 denominators and then eliminated fraction-free over Z (``row <- g*row -
 f*pivot``, divided by its content gcd), so no intermediate value is ever
@@ -104,23 +104,29 @@ def echelon(rows: Iterable[dict], field: Field) -> list[dict]:
 
 def rank(rows: list[list], field: Field) -> int:
     """The number of pivot rows of the forward pass; a rank needs no
-    back-substitution."""
+    back-substitution.
+
+    The rows are dense because the benchmark's traced run reads matrix
+    size and fill from them; they become sparse once it counts those from
+    the chains instead.
+    """
     return len(_pivots(map(enumerate, rows), field)[0])
 
 
-def nullspace(rows: list[list], ncols: int, field: Field) -> list[list]:
-    """Canonical kernel basis of the linear map given by the rows.
+def nullspace(rows: list[dict], ncols: int, field: Field) -> list[dict]:
+    """Canonical kernel basis of the linear map given by sparse rows over
+    the columns ``0..ncols-1``, as sparse ``{column: scalar}`` vectors.
 
     Each basis vector has a one in a distinct free column and the pivot
     columns back-substituted, which makes the output deterministic.
     """
-    reduced = echelon([dict(enumerate(row)) for row in rows], field)
+    reduced = echelon(rows, field)
     pivots = [min(row) for row in reduced]
     basis = []
     for f in sorted(set(range(ncols)).difference(pivots)):
-        vec = [field.zero] * ncols
-        vec[f] = field.one
+        vec = {f: field.one}
         for row, c in zip(reduced, pivots):
-            vec[c] = -row.get(f, field.zero)
+            if f in row:
+                vec[c] = -row[f]
         basis.append(vec)
     return basis

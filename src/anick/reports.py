@@ -86,14 +86,18 @@ def slices_payload(alphabet: Alphabet, slices: list[ResolutionSlice]) -> dict[st
             rows: list[Any] = [alphabet.str_word(w) for w in s.row_labels]
         else:
             rows = [_pair_label(alphabet, p) for p in s.row_labels]
-        dense = s.dense()
+        # One shared "0" for every zero entry: str() runs on nonzeros only.
+        matrix = [["0"] * len(s.col_labels) for _ in s.row_labels]
+        for j, col in enumerate(s.columns):
+            for i, x in col.items():
+                matrix[i][j] = str(x)
         out.append(
             {
                 "level": s.level,
                 "degree": s.degree,
                 "source": [_pair_label(alphabet, p) for p in s.col_labels],
                 "target": rows,
-                "matrix": [[str(x) for x in row] for row in dense],
+                "matrix": matrix,
                 "composes_to_zero": s.composes_to_zero,
             }
         )

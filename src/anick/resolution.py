@@ -61,14 +61,6 @@ class ResolutionSlice:
     def shape(self) -> tuple[int, int]:
         return (len(self.row_labels), len(self.col_labels))
 
-    def dense(self) -> list[list]:
-        rows, cols = self.shape
-        out = [[0] * cols for _ in range(rows)]
-        for j, col in enumerate(self.columns):
-            for i, c in col.items():
-                out[i][j] = c
-        return out
-
 
 class ResolutionContext:
     """Shared state for differential computation over one Groebner basis.

@@ -457,6 +457,17 @@ def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
     return out, [min(row) for row in reduced]
 
 
+def dense(s) -> list[list]:
+    """The matrix of a resolution slice as dense rows, padded with the int
+    0 (the package renders and ranks slices from their sparse columns)."""
+    rows, cols = s.shape
+    out = [[0] * cols for _ in range(rows)]
+    for j, col in enumerate(s.columns):
+        for i, c in col.items():
+            out[i][j] = c
+    return out
+
+
 def induce(slices) -> dict[tuple[int, int], tuple[list[Word], list[list]]]:
     """Resolution slices of level >= 1 restricted to unit algebra
     cofactors: ``(level, degree)`` maps to the column chain words and the

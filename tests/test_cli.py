@@ -4,10 +4,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from anick import ResolutionContext, complete, parse_presentation
 from anick.cli import COMMANDS, main
+from anick.reports import slices_payload
 
 XYZ = "vars: x > y > z\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n"
 YXSQ_LOW = "vars: x < y\nrelations:\n  x^2 - y*x\n"
@@ -266,6 +269,45 @@ def test_example_output_matches_pinned_digest(capsys, command):
     if command != "graph":
         out = out.split('\n  "payload": ', 1)[1].rsplit(',\n  "timing": ', 1)[0]
     assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLE_DIGESTS[command]
+
+
+# sha256 of the resolution matrices of example.alg at D=8 in the renderings
+# the digests above leave out: the JSON payload over F_5, and the text
+# report after its config block (which echoes the input path).
+RESOLUTION_DIGESTS = {
+    "json-fp5": "6a40701bbbc30d781162c9fa33f2c97b5cf8a01cf8344b81d882d3cde2a63487",
+    "text-q": "4df5abd176ffdcea6397ec58a2c0958254533d2c58baedd06fcd546f732e0203",
+}
+
+
+@pytest.mark.parametrize(
+    ("name", "flags"),
+    [("json-fp5", ["--field", "fp:5"]), ("text-q", ["--format", "text"])],
+)
+def test_example_resolution_renderings_match_pinned_digest(capsys, name, flags):
+    code, out, err = run(
+        capsys, "resolution", "--input", str(EXAMPLE), "--max-deg", "8", *flags
+    )
+    assert code == 0, err
+    if name.startswith("json"):
+        out = out.split('\n  "payload": ', 1)[1].rsplit(',\n  "timing": ', 1)[0]
+    else:
+        out = out.split("\n\n", 1)[1]
+    assert hashlib.sha256(out.encode()).hexdigest() == RESOLUTION_DIGESTS[name]
+
+
+def test_resolution_payload_allocates_little_beside_its_matrices():
+    # 489,103 matrix entries, 4,126 of them nonzero: a str per entry made
+    # the payload peak at 29 MiB; one shared "0" keeps it near 6 MiB.
+    pres = parse_presentation(EXAMPLE.read_text())
+    slices = ResolutionContext(complete(pres, 8), 8, 8).slices()
+    tracemalloc.start()
+    try:
+        slices_payload(pres.alphabet, slices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -395,7 +395,7 @@ def test_interreduce_rescales_to_monic(xyz):
     assert interreduce([g]) == [mono(xyz, "xx") + mono(xyz, "yx")]
 
 
-def test_interreduce_leading_terms_form_antichain(xyz, xyz_gb8):
+def test_completed_leading_words_form_antichain(xyz, xyz_gb8):
     leads = [g.lead_word() for g in xyz_gb8.elements]
     for i, u in enumerate(leads):
         for j, w in enumerate(leads):

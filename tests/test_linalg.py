@@ -57,7 +57,9 @@ def test_f5_rank_matches_brute_force_span(matrix):
 @given(data=st.data())
 def test_nullspace_is_annihilated_and_has_full_dimension(field, data):
     rows, ncols = data.draw(matrices(ENTRIES[field]))
-    basis = nullspace(rows, ncols, field)
+    basis = nullspace([dict(enumerate(row)) for row in rows], ncols, field)
+    assert all(all(vec.values()) and set(vec) <= set(range(ncols)) for vec in basis)
+    basis = [[vec.get(j, field.zero) for j in range(ncols)] for vec in basis]
     assert len(basis) == ncols - rank(rows, field)
     assert rank(basis, field) == len(basis)
     for vec in basis:
@@ -84,7 +86,7 @@ def test_rref_is_reduced_and_spans_the_rows(field, data):
 @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
 @given(data=st.data())
 def test_rank_accepts_int_zeros_beside_field_elements(field, data):
-    # ResolutionSlice.dense() pads with the int 0, not the field's zero.
+    # helpers.dense pads resolution slices with the int 0, not the field's zero.
     rows, _ = data.draw(matrices(ENTRIES[field]))
     mixed = [[x if x else 0 for x in row] for row in rows]
     assert rank(mixed, field) == rank(rows, field)

@@ -189,8 +189,11 @@ def test_scalars_stay_int_fraction_or_modp(case):
         for chain in ctx.chains.level(level):
             xi = ctx.act_right(ctx.differential(chain.prefix), chain.tail)
             returned += ctx.split(level - 1, xi).terms.values()
-    rows = [[r.terms.get(w, field.zero) for w in RELATION_COLUMNS] for r in pres.relations]
-    kernel = [c for vec in nullspace(rows, len(RELATION_COLUMNS), field) for c in vec]
+    rows = [
+        {j: r.terms[w] for j, w in enumerate(RELATION_COLUMNS) if w in r.terms}
+        for r in pres.relations
+    ]
+    kernel = [c for vec in nullspace(rows, len(RELATION_COLUMNS), field) for c in vec.values()]
     if field == FIELD:
         assert all(type(c) in (int, Fraction) for c in returned + kernel)
         # Completion builds its coefficients with field.of, never an
