@@ -5,6 +5,10 @@ elements of degree d follow from those of lower degree alone, and a
 degree bound D yields every reduced-basis element of degree at most D.
 An S-pair whose overlap word exceeds D is never silently dropped: it
 downgrades the completeness certificate instead.
+
+Rewriting is fraction-free: a ``Reducer`` holds each basis element as an
+integer row and reduces integer (over Fp, residue) coefficients, and only
+``normal_form`` divides back into the field; ``complete`` never does.
 """
 
 from __future__ import annotations
@@ -12,10 +16,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd
+from typing import Iterable
 
 from . import linalg
 from .errors import AlgebraError, TruncationError
-from .fields import Field, is_one
+from .fields import Field, ModP, PrimeField, Rationals, is_one
 from .poly import Polynomial
 from .words import EMPTY, Alphabet, Word, deglex_desc, overlaps
 
@@ -92,87 +98,118 @@ class GroebnerBasis:
         return self.valid_degree is None or degree <= self.valid_degree
 
 
+class Reducer:
+    """Monic basis elements as integer rows (over Q the primitive multiple
+    with a positive lead, over Fp the residues with lead 1), and the one
+    rewriting loop.  ``memo`` maps each word looked up to its reducer;
+    ``extend`` clears it, since a new leading word may divide a seen word.
+    """
+
+    def __init__(self, field: Field, basis: Iterable[Polynomial] = ()):
+        self.field, self.p = field, field.p if isinstance(field, PrimeField) else 0
+        self.rows: list[tuple[Word, int, dict[Word, int]]] = []  # (lead, lc, tail)
+        self.first: dict[Word, int] = {}
+        self.memo: dict[Word, tuple[int, int] | None] = {}
+        self.extend(basis)
+
+    def extend(self, basis: Iterable[Polynomial]) -> None:
+        for g in basis:
+            if g.is_zero or not is_one(g.lead_coeff()):
+                raise AlgebraError("normal_form requires monic basis elements")
+            lead, row = g.lead_word(), linalg._int_row(g.terms.items(), self.p)[0]
+            if not self.p:
+                content = gcd(*row.values())
+                row = {w: c // content for w, c in row.items()}
+            self.first.setdefault(lead, len(self.rows))
+            self.rows.append((lead, row.pop(lead), row))
+        self.lengths = sorted({len(lead) for lead in self.first})
+        self.memo.clear()
+
+    def find(self, w: Word) -> tuple[int, int] | None:
+        """The leftmost position of w holding a leading word, and the
+        smallest basis index among the leading words there."""
+        for pos in range(len(w)):
+            hits = [gi for n in self.lengths if (gi := self.first.get(w[pos:pos + n])) is not None]
+            if hits:
+                return pos, min(hits)
+        return None
+
+    def reduce(self, poly: Polynomial, trace: list | None = None) -> tuple[dict, int]:
+        """The integer remainder of poly and the multiplier M with ``M *
+        poly == remainder + sum(f * left * G * right)``.
+
+        Each step rewrites the deglex-greatest reducible word, of
+        coefficient c, by a row G of lead lc as ``linalg._cancel`` does:
+        ``pending <- m*pending - f*left*G*right``, ``(f, m) = (c, lc) /
+        gcd(c, lc)``; over Fp m = 1, and coefficients are reduced mod p
+        when popped.  ``trace`` gets the steps as ``normal_form`` does.
+        Words wait in a dict beside a lazy-deletion heap keyed by
+        ``deglex_desc``; a step adds only words below the one it rewrites,
+        so a popped word missing from the dict has cancelled.
+        """
+        p, rows, memo = self.p, self.rows, self.memo
+        pending, scale = linalg._int_row(poly.terms.items(), p)
+        heap = [deglex_desc(w) for w in pending]
+        heapq.heapify(heap)
+        done: dict[Word, int] = {}
+        while heap:
+            w = heapq.heappop(heap)[1]
+            c = pending.pop(w, 0)
+            if p:
+                c %= p
+            if not c:
+                continue
+            hit = memo.get(w, False)
+            if hit is False:
+                hit = memo[w] = self.find(w)
+            if hit is None:
+                done[w] = c
+                continue
+            pos, gi = hit
+            lead, lc, tail = rows[gi]
+            left, right = w[:pos], w[pos + len(lead):]
+            if trace is not None:
+                trace.append((gi, self.field.of(c, scale), left, right))
+            if lc != 1:
+                m = lc // gcd(c, lc)
+                c, scale = c * m // lc, scale * m
+                if m != 1:
+                    for terms in (pending, done):
+                        for u in terms:
+                            terms[u] *= m
+            for u, a in tail.items():
+                x = left + u + right
+                prev = pending.get(x)
+                if prev is None:
+                    pending[x] = -c * a
+                    heapq.heappush(heap, deglex_desc(x))
+                elif total := prev - c * a:
+                    pending[x] = total
+                else:
+                    del pending[x]
+        return done, scale
+
+
 def normal_form(
     p: Polynomial,
-    basis: list[Polynomial],
+    basis: list[Polynomial] | Reducer,
     trace: list[tuple[int, object, Word, Word]] | None = None,
 ) -> Polynomial:
-    """Reduce p against a list of monic polynomials.
+    """Reduce p against a list of monic polynomials, or a ``Reducer``.
 
     The order-maximal reducible term is rewritten first; within that term
     the leftmost obstruction occurrence is used, by the first basis element
     whose leading word sits there, which makes normal forms deterministic.
     When ``trace`` is given, each step appends
     ``(basis index, coefficient, left cofactor, right cofactor)`` with the
-    convention ``p == result + sum(c * left * g * right)``.
-
-    Pending terms live in a dict beside a lazy-deletion heap keyed by
-    ``deglex_desc``, so the heap minimum is the deglex maximum.  A
-    rewriting step subtracts ``c * left * g * right`` from the dict in
-    place: g's leading word cancels exactly (g is monic) and is skipped,
-    and only words new to the dict are pushed.
-    Every word a step adds is below the word it rewrites, so a popped word
-    never comes back; a popped word missing from the dict has cancelled.
+    convention ``p == result + sum(c * left * g * right)``.  It rewrites
+    integers (``Reducer.reduce``) and divides back by their multiplier.
     """
-    first: dict[Word, int] = {}
-    for gi, g in enumerate(basis):
-        if g.is_zero or not is_one(g.lead_coeff()):
-            raise AlgebraError("normal_form requires monic basis elements")
-        first.setdefault(g.lead_word(), gi)
-    lengths = sorted({len(lead) for lead in first})
-    pending = dict(p.terms)
-    heap = [deglex_desc(w) for w in pending]
-    heapq.heapify(heap)
-    done: dict[Word, object] = {}
-    while heap:
-        w = heapq.heappop(heap)[1]
-        c = pending.pop(w, None)
-        if c is None:
-            continue
-        hit = _find_reducer(w, first, lengths)
-        if hit is None:
-            done[w] = c
-            continue
-        pos, gi = hit
-        g = basis[gi]
-        lead = g.lead_word()
-        left, right = w[:pos], w[pos + len(lead):]
-        neg = -c
-        for u, a in g.terms.items():
-            if u == lead:
-                continue
-            x = left + u + right
-            prev = pending.get(x)
-            if prev is None:
-                pending[x] = neg * a
-                heapq.heappush(heap, deglex_desc(x))
-            elif total := prev + neg * a:
-                pending[x] = total
-            else:
-                del pending[x]
-        if trace is not None:
-            trace.append((gi, c, left, right))
-    return Polynomial(done)
-
-
-def _find_reducer(
-    w: Word, first: dict[Word, int], lengths: list[int]
-) -> tuple[int, int] | None:
-    """The leftmost position of w holding a leading word, and the smallest
-    basis index among the leading words there; ``first`` maps each leading
-    word to its first index and ``lengths`` lists their lengths ascending."""
-    n = len(w)
-    for pos in range(n):
-        best = None
-        for length in lengths:
-            if pos + length > n:
-                break
-            gi = first.get(w[pos:pos + length])
-            if gi is not None and (best is None or gi < best):
-                best = gi
-        if best is not None:
-            return pos, best
-    return None
+    if not isinstance(basis, Reducer):
+        c = next(chain.from_iterable(g.terms.values() for g in [*basis, p]), 0)
+        basis = Reducer(PrimeField(c.p) if isinstance(c, ModP) else Rationals(), basis)
+    done, scale = basis.reduce(p, trace)
+    return Polynomial({w: basis.field.of(c, scale) for w, c in done.items()})
 
 
 def s_polynomial(g: Polynomial, h: Polynomial, overlap_len: int) -> Polynomial:
@@ -217,6 +254,7 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
     # overlap word is longer than both leading words.
     pairs: dict[int, list[tuple[int, int, int]]] = {}
     basis: list[Polynomial] = []
+    reducer = Reducer(presentation.field)
     # Degrees with nothing to reduce are skipped, so a bound far above a
     # finite basis costs nothing.
     while relations or pairs:
@@ -227,11 +265,13 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
         # The words of one degree are the columns: as tuples they ascend
         # in descending deglex order, so a row's smallest column is its
         # leading word.  The basis grows only after echelon has drawn
-        # every remainder.
-        remainders = (normal_form(p, basis).terms for p in chain(relations.pop(d, ()), s_polys))
+        # every remainder; a remainder's integer multiple has the same
+        # monic pivot rows, so it goes in undivided.
+        remainders = (reducer.reduce(p)[0] for p in chain(relations.pop(d, ()), s_polys))
         for row in reversed(linalg.echelon(remainders, presentation.field)):
             new = len(basis)
             basis.append(Polynomial(row))
+            reducer.extend(basis[new:])
             u = basis[new].lead_word()
             for j, h in enumerate(basis):
                 w = h.lead_word()

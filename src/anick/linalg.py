@@ -21,15 +21,15 @@ from typing import Iterable
 from .fields import Field, PrimeField
 
 
-def _int_row(row: Iterable[tuple], p: int) -> dict:
+def _int_row(row: Iterable[tuple], p: int) -> tuple[dict, int]:
     """The nonzero entries of ``(column, scalar)`` pairs as residues mod p
-    or, over Q (p = 0), as integers after scaling the row by the lcm of
-    its denominators (an ``int`` entry has denominator 1)."""
+    (scale 1) or, over Q (p = 0), as integers after scaling the row by the
+    lcm of its denominators (an ``int`` entry has denominator 1); and the scale."""
     if p:
-        return {j: r for j, x in row if (r := getattr(x, "value", x) % p)}
+        return {j: r for j, x in row if (r := getattr(x, "value", x) % p)}, 1
     entries = {j: x for j, x in row if x}
     scale = lcm(*(x.denominator for x in entries.values()))
-    return {j: x.numerator * (scale // x.denominator) for j, x in entries.items()}
+    return {j: x.numerator * (scale // x.denominator) for j, x in entries.items()}, scale
 
 
 def _cancel(vec: dict, pivot: dict, col, p: int) -> dict:
@@ -68,7 +68,7 @@ def _pivots(rows: Iterable, field: Field) -> tuple[dict, int]:
     p = field.p if isinstance(field, PrimeField) else 0
     pivots: dict = {}
     for row in rows:
-        vec = _int_row(row, p)
+        vec = _int_row(row, p)[0]
         while vec:
             lead = min(vec)
             pivot = pivots.get(lead)

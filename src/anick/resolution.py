@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .automaton import NormalWordAutomaton, normal_word_automaton
 from .chains import Chain, ChainSet, enumerate_chains
 from .errors import SplittingError, TruncationError
-from .groebner import GroebnerBasis, Presentation, complete, normal_form
+from .groebner import GroebnerBasis, Presentation, Reducer, complete, normal_form
 from .poly import LinComb, Polynomial
 from .words import EMPTY, Word, deglex_desc
 
@@ -92,7 +92,7 @@ class ResolutionContext:
         self.automaton: NormalWordAutomaton = normal_word_automaton(
             self.alphabet, relevant, aut_valid
         )
-        self._basis_list = list(gb.elements)
+        self._reducer = Reducer(self.field, gb.elements)
         self._nf_cache: dict[Word, Polynomial] = {}
         self._diff_cache: dict[Chain, FreeElement] = {}
         self._letter_chain = {c.word[0]: c for c in self.chains.level(0)}
@@ -100,7 +100,7 @@ class ResolutionContext:
     def nf_word(self, w: Word) -> Polynomial:
         cached = self._nf_cache.get(w)
         if cached is None:
-            cached = normal_form(Polynomial.monomial(w, self.field.one), self._basis_list)
+            cached = normal_form(Polynomial.monomial(w, self.field.one), self._reducer)
             self._nf_cache[w] = cached
         return cached
 

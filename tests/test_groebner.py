@@ -11,7 +11,7 @@ from helpers import (
     interreduce,
     normal_form_reference,
 )
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anick import (
     Alphabet,
@@ -27,6 +27,7 @@ from anick import (
 )
 from anick.errors import AlgebraError, TruncationError
 from anick.fields import PrimeField, Rationals
+from anick.groebner import Reducer
 from anick.reports import gb_payload
 from anick.words import DegLex, contains_factor, overlaps
 
@@ -35,9 +36,9 @@ G4_RELATIONS = (
 )
 
 
-def g4(letters="abcd"):
+def g4(letters="abcd", field="Q"):
     """Generic four-generator quadratic algebra, letters greatest first."""
-    return parse_presentation(f"vars: {' > '.join(letters)}\n" + G4_RELATIONS)
+    return parse_presentation(f"vars: {' > '.join(letters)}\nfield: {field}\n" + G4_RELATIONS)
 
 
 def words(presentation, *texts):
@@ -88,7 +89,10 @@ def test_normal_form_trace_witnesses_ideal_membership(xyz, xyz_gb8):
 NF_FIELDS = [Rationals(), PrimeField(5)]
 NF_ORDER = DegLex(3)
 NF_WORDS = st.lists(st.integers(0, 2), max_size=4).map(tuple)
-NF_COEFFS = st.sampled_from([1, -1, 2, -2, 3])
+# (numerator, denominator): the fractional tails give a Q basis element an
+# integer row with a leading coefficient other than 1, so reduction takes
+# the scaling step m != 1.
+NF_COEFFS = st.sampled_from([(1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (1, 2), (-2, 3)])
 
 
 @st.composite
@@ -97,7 +101,7 @@ def monic_with_lead(draw, field, lead):
         w for w in draw(st.lists(NF_WORDS, max_size=3))
         if NF_ORDER.key(w) < NF_ORDER.key(lead)
     ]
-    terms = {w: field.of(draw(NF_COEFFS)) for w in below}
+    terms = {w: field.of(*draw(NF_COEFFS)) for w in below}
     terms[lead] = field.one
     return Polynomial(terms)
 
@@ -115,13 +119,22 @@ def reduction_cases(draw):
         lead = draw(st.one_of(NF_WORDS, factor, st.just(base), st.just(())))
         basis.insert(draw(st.integers(0, len(basis))), draw(monic_with_lead(field, lead)))
     p = Polynomial(
-        {w: field.of(draw(NF_COEFFS)) for w in draw(st.lists(NF_WORDS, max_size=6))}
+        {w: field.of(*draw(NF_COEFFS)) for w in draw(st.lists(NF_WORDS, max_size=6))}
     )
     return p, basis
 
 
+# xy + yx/2 has the integer row 2xy + yx, so rewriting xyy scales the
+# remainder so far (xxx) and the pending yyy by m = 2.
+SCALING_CASE = (
+    Polynomial({(0, 0, 0): 1, (0, 1, 1): 1, (1, 1, 1): 1}),
+    [Polynomial({(0, 1): 1, (1, 0): Fraction(1, 2)})],
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(reduction_cases())
+@example(SCALING_CASE)
 def test_normal_form_matches_plain_rewriting_loop(case):
     p, basis = case
     trace, want_trace = [], []
@@ -207,6 +220,22 @@ def test_complete_matches_buchberger_oracle(pres):
 def test_complete_matches_oracle_under_every_g4_precedence():
     for letters in permutations("abcd"):
         assert_matches_oracle(g4(letters), 5)
+
+
+def test_complete_matches_oracle_on_g4_over_a_prime_field():
+    # The residue branch on a realistic basis: 43 elements at D=6.
+    assert_matches_oracle(g4(field="Fp 32003"), 6)
+
+
+def test_reducer_memo_is_cleared_when_elements_are_added():
+    alpha = Alphabet(("x", "y"))
+    field = Rationals()
+    xy = Polynomial.monomial(alpha.word("xy"), field.one)
+    reducer = Reducer(field)
+    assert normal_form(xy, reducer) == xy
+    yx = Polynomial.monomial(alpha.word("yx"), field.one)
+    reducer.extend([xy - yx])
+    assert normal_form(xy, reducer) == normal_form(xy, [xy - yx]) == yx
 
 
 def test_complete_with_a_bound_far_above_a_finite_basis_returns_at_once(yxsq_low):
