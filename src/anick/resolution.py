@@ -2,7 +2,10 @@
 
 The free modules are spanned by pairs (chain, normal word); the product
 word of a pair well-orders the basis through deglex, ties broken by chain
-length.  The differential of a level-n chain ``c = c' + t`` is
+length.  Following Anick, chains start at the (-1)-chain ``1``, the empty
+word, whose module is the algebra itself, so a letter's differential is
+``d(x (x) 1) = 1 (x) x``.  The differential of a level-n chain
+``c = c' + t``, n >= 1, is
 
     d(c (x) 1) = c' (x) t  -  split(d(c' (x) t))
 
@@ -95,7 +98,8 @@ class ResolutionContext:
         self._reducer = Reducer(self.field, gb.elements)
         self._nf_cache: dict[Word, Polynomial] = {}
         self._diff_cache: dict[Chain, FreeElement] = {}
-        self._letter_chain = {c.word[0]: c for c in self.chains.level(0)}
+        # Anick's (-1)-chain; it stays out of the chain set.
+        self.unit = Chain(EMPTY, -1, 0, 0, None)
 
     def nf_word(self, w: Word) -> Polynomial:
         cached = self._nf_cache.get(w)
@@ -114,20 +118,13 @@ class ResolutionContext:
             for word, scalar in self.nf_word(u + w).terms.items()
         )
 
-    def _split0(self, p: Polynomial) -> FreeElement:
-        """Split a positive-degree algebra element over the letter module."""
-        if EMPTY in p.terms:
-            raise SplittingError("cannot split a degree-0 term")
-        return FreeElement.from_pairs(
-            ((self._letter_chain[w[0]], w[1:]), coeff) for w, coeff in p.terms.items()
-        )
-
     def split(self, level: int, xi: FreeElement) -> FreeElement:
         """Find eta at the given level whose differential is xi.
 
         xi must lie in the kernel of the previous differential and be
         supported below the given level's chains, which holds for every
-        element this engine feeds in.
+        element this engine feeds in.  At level 0, xi is an algebra element
+        keyed by ``self.unit`` and must have no degree-0 term.
         """
         emitted: list[tuple[tuple[Chain, Word], object]] = []
         work = xi
@@ -153,20 +150,16 @@ class ResolutionContext:
         return FreeElement.from_pairs(emitted)
 
     def differential(self, c: Chain) -> FreeElement:
-        """d(c (x) 1) as an element one level down.  Levels >= 1 only."""
-        if c.level == 0:
-            raise SplittingError("level-0 differentials map into the algebra")
+        """d(c (x) 1) as an element one level down; a letter x maps to
+        1 (x) x over the (-1)-chain."""
         cached = self._diff_cache.get(c)
         if cached is not None:
             return cached
-        # A level-1 chain's prefix is its first letter, so its correction
-        # splits the word's normal form over the letter module.
-        if c.level == 1:
-            correction = self._split0(self.nf_word(c.word))
+        if c.level == 0:
+            out = FreeElement({(self.unit, c.word): self.field.one})
         else:
             xi = self.act_right(self.differential(c.prefix), c.tail)
-            correction = self.split(c.level - 1, xi)
-        out = FreeElement({(c.prefix, c.tail): self.field.one}) - correction
+            out = FreeElement({(c.prefix, c.tail): self.field.one}) - self.split(c.level - 1, xi)
         self._diff_cache[c] = out
         return out
 
@@ -176,6 +169,8 @@ class ResolutionContext:
 
     def pair_basis(self, level: int, degree: int) -> list[tuple[Chain, Word]]:
         """Basis of the level module in one internal degree, ascending."""
+        if level == -1:
+            return [(self.unit, w) for w in self.automaton.accepted_words(degree)]
         out: list[tuple[Chain, Word]] = []
         for d in range(0, degree + 1):
             for c in self.chains.at(level, d):
@@ -187,20 +182,14 @@ class ResolutionContext:
     def slice(self, level: int, degree: int) -> ResolutionSlice:
         """Matrix of the differential at one level and internal degree."""
         cols = self.pair_basis(level, degree)
-        if level == 0:
-            rows = self.automaton.accepted_words(degree)
-            row_index = {w: i for i, w in enumerate(rows)}
-            columns = []
-            for c, w in cols:
-                image = self.nf_word(c.word + w)
-                columns.append({row_index[u]: a for u, a in image.terms.items()})
-            return ResolutionSlice(level, degree, cols, rows, columns)
         rows = self.pair_basis(level - 1, degree)
         row_index = {k: i for i, k in enumerate(rows)}
         columns = []
         for c, w in cols:
             image = self.act_right(self.differential(c), w)
             columns.append({row_index[k]: a for k, a in image.terms.items()})
+        if level == 0:
+            rows = [w for _, w in rows]
         return ResolutionSlice(level, degree, cols, rows, columns)
 
     def slices(self) -> list[ResolutionSlice]:

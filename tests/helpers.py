@@ -6,9 +6,11 @@ counts come from exhaustive enumeration, ideal slice dimensions from
 sparse echelon over spanning products, and differentials from the
 closed-form shape formulas for the three-generator fixture.  Normal forms
 come from the plain rewriting loop that rescans the pending polynomial on
-every step.  Truncated Groebner bases come from incremental Buchberger
-completion over a pair heap, the engine's algorithm before it completed
-degree by degree; it orders words by ``DegLex``, the reference order.
+every step, and level-1 differentials from splitting such a normal form
+over the letters, without the (-1)-chain.  Truncated Groebner bases come
+from incremental Buchberger completion over a pair heap, the engine's
+algorithm before it completed degree by degree; it orders words by
+``DegLex``, the reference order.
 The last section holds what only tests use, so the package leaves it out.
 """
 
@@ -18,7 +20,7 @@ import heapq
 from fractions import Fraction
 from itertools import product
 
-from anick import Polynomial
+from anick import FreeElement, Polynomial
 from anick.errors import AlgebraError, TruncationError
 from anick.groebner import Certificate, GroebnerBasis, Presentation, normal_form, s_polynomial
 from anick.linalg import echelon
@@ -320,6 +322,18 @@ def normal_form_reference(
         if trace is not None:
             trace.append((gi, c, left, right))
     return Polynomial(done)
+
+
+def letter_split_differential(ctx, chain) -> FreeElement:
+    """d of a level-1 chain o as the pair (o[0], o[1:]) minus the normal form
+    of o, each of its words w split as (w[0], w[1:]) over the letter chains.
+    The engine instead splits through the (-1)-chain ``ctx.unit``."""
+    letters = {c.word: c for c in ctx.chains.level(0)}
+    o = chain.word
+    nf = normal_form_reference(Polynomial.monomial(o, ctx.field.one), list(ctx.gb.elements))
+    return FreeElement({(letters[o[:1]], o[1:]): ctx.field.one}) - FreeElement.from_pairs(
+        ((letters[w[:1]], w[1:]), c) for w, c in nf.terms.items()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from anick import (
 from anick.fields import ModP, PrimeField, Rationals
 from anick.linalg import nullspace
 from anick.words import DegLex, contains_factor
-from helpers import bf_chains, bf_normal_count, interreduce
+from helpers import bf_chains, bf_normal_count, interreduce, letter_split_differential
 
 FIELD = Rationals()
 ALPHA = Alphabet(("a", "b"))
@@ -29,7 +29,7 @@ def all_words(degree):
 
 
 @st.composite
-def homogeneous_polynomials(draw, degree_range=(2, 3)):
+def homogeneous_polynomials(draw, degree_range=(2, 3), field=FIELD):
     degree = draw(st.integers(*degree_range))
     pool = all_words(degree)
     support = draw(
@@ -42,14 +42,14 @@ def homogeneous_polynomials(draw, degree_range=(2, 3)):
             max_size=len(support),
         )
     )
-    return Polynomial({w: FIELD.of(c) for w, c in zip(support, coeffs)})
+    return Polynomial({w: field.of(c) for w, c in zip(support, coeffs)})
 
 
 @st.composite
-def presentations(draw):
+def presentations(draw, field=FIELD):
     count = draw(st.integers(1, 2))
-    rels = tuple(draw(homogeneous_polynomials()) for _ in range(count))
-    return Presentation(ALPHA, FIELD, rels)
+    rels = tuple(draw(homogeneous_polynomials(field=field)) for _ in range(count))
+    return Presentation(ALPHA, field, rels)
 
 
 @st.composite
@@ -144,6 +144,19 @@ def test_reports_are_stable_across_runs(pres):
     for _ in range(2):
         payloads.append(json.dumps(gb_payload(complete(pres, 5)), indent=2))
     assert payloads[0] == payloads[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([FIELD, PrimeField(5)]).flatmap(presentations))
+def test_low_differentials_split_through_the_unit_chain(pres):
+    # A letter maps to 1 (x) letter, and splitting through the (-1)-chain
+    # gives every level-1 differential the old letter-split rule gives.
+    ctx = ResolutionContext(complete(pres, 5), 1, 5)
+    one = pres.field.one
+    for letter in ctx.chains.level(0):
+        assert ctx.differential(letter).terms == {(ctx.unit, letter.word): one}
+    for chain in ctx.chains.level(1):
+        assert ctx.differential(chain).terms == letter_split_differential(ctx, chain).terms
 
 
 @st.composite

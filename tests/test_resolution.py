@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from helpers import dense, formula_differential
 from hypothesis import given, settings, strategies as st
@@ -10,10 +13,12 @@ from anick import (
     ResolutionContext,
     complete,
     parse_presentation,
+    quadratic_dual,
     resolution_slices,
 )
 from anick.chains import Chain
 from anick.errors import SplittingError, TruncationError
+from anick.reports import slices_payload
 from anick.resolution import verify_composition
 
 
@@ -190,6 +195,12 @@ def test_splitting_failure_signals_incomplete_basis(xyz):
         ctx.differential(chain)
 
 
+def test_split_of_a_degree_zero_term_raises_splitting_error(xyz_ctx):
+    # No level-0 chain is a prefix of the empty product word.
+    with pytest.raises(SplittingError):
+        xyz_ctx.split(0, FreeElement({(xyz_ctx.unit, ()): xyz_ctx.field.one}))
+
+
 def test_context_rejects_uncovered_degree(xyz):
     gb = complete(xyz, 4)
     with pytest.raises(TruncationError):
@@ -272,3 +283,25 @@ def test_max_term_is_deglex_maximal_product_then_longest_chain(raw):
     for chain, _ in elem.terms:
         twin = Chain(chain.word, chain.level, 2, 1, chain)
         assert twin == chain and hash(twin) == hash(chain)
+
+
+# sha256 of json.dumps(slices_payload(...), indent=2) with level and degree
+# bounds both D, beside the pinned example.alg payload in test_cli.py.
+XYZ_FP5 = "vars: x > y > z\nfield: Fp 5\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n"
+SLICE_PAYLOADS = {
+    "yxsq-high-6": "d868ace9528a076d3dc7e210359bb7174b1fd981dafa38338b4d410e4cecb788",
+    "xyz-dual-6": "ac6a3594fb821e4ba2415ab2accd7fe1a610688e478db5aba975cac9a60537be",
+    "xyz-fp5-7": "175dc524ad9d57b94ccc2e8b1541d819baeb6a113459eac5f8330550b5d86474",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLICE_PAYLOADS))
+def test_slice_payload_matches_pinned_digest(name, xyz, yxsq_high):
+    presentation, d = {
+        "yxsq-high-6": (yxsq_high, 6),
+        "xyz-dual-6": (quadratic_dual(xyz), 6),
+        "xyz-fp5-7": (parse_presentation(XYZ_FP5), 7),
+    }[name]
+    slices = ResolutionContext(complete(presentation, d), d, d).slices()
+    text = json.dumps(slices_payload(presentation.alphabet, slices), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == SLICE_PAYLOADS[name]
