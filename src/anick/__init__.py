@@ -31,6 +31,7 @@ from .groebner import (
     Certificate,
     GroebnerBasis,
     Presentation,
+    Reducer,
     complete,
     normal_form,
     s_polynomial,
@@ -76,6 +77,7 @@ __all__ = [
     "Presentation",
     "PrimeField",
     "Rationals",
+    "Reducer",
     "ResolutionContext",
     "ResolutionSlice",
     "SplittingError",

@@ -38,19 +38,22 @@ class NormalWordAutomaton:
     def hilbert_coefficients(self, max_degree: int) -> list[int]:
         """Counts of accepted words for each degree 0..max_degree."""
         self._check_degree(max_degree)
-        counts = [0] * self.size
-        counts[self.start] = 1
+        return self._path_counts(max_degree)
+
+    def _path_counts(self, n: int) -> list[int]:
+        """Counts of paths from the start of each length 0..n, with no
+        validity check.  Only states some path reaches are visited, so a
+        finite language costs steps in proportion to its live states."""
+        counts = {self.start: 1}
         out = [1]
-        for _ in range(max_degree):
-            nxt = [0] * self.size
-            for state, c in enumerate(counts):
-                if not c:
-                    continue
+        for _ in range(n):
+            nxt: dict[int, int] = {}
+            for state, c in counts.items():
                 for target in self.transitions[state]:
                     if target is not None:
-                        nxt[target] += c
+                        nxt[target] = nxt.get(target, 0) + c
             counts = nxt
-            out.append(sum(counts))
+            out.append(sum(counts.values()))
         return out
 
     def accepted_words(self, degree: int) -> list[Word]:
@@ -76,15 +79,13 @@ def normal_word_automaton(
     alphabet: Alphabet, obstructions: list[Word], valid_degree: int | None
 ) -> NormalWordAutomaton:
     """Build the factor-avoidance automaton for an obstruction antichain."""
-    check_antichain(list(obstructions))
-    obs = sorted(set(obstructions), key=lambda w: (len(w), w))
+    obs = check_antichain(obstructions)
     prefixes = {(): None}
     for o in obs:
         for i in range(1, len(o)):
             prefixes[o[:i]] = None
     state_words = sorted(prefixes, key=lambda w: (len(w), w))
     index = {w: i for i, w in enumerate(state_words)}
-    obs_set = set(obs)
 
     transitions: list[list[int | None]] = []
     for s in state_words:
@@ -93,7 +94,7 @@ def normal_word_automaton(
             w = s + (letter,)
             # States are obstruction-free, so a new obstruction occurrence
             # can only appear as a suffix of the extended word.
-            if any(w[len(w) - len(o):] == o for o in obs_set if len(o) <= len(w)):
+            if any(w[len(w) - len(o):] == o for o in obs if len(o) <= len(w)):
                 row.append(None)
                 continue
             # The longest suffix that is a state; () always is one.
@@ -120,32 +121,17 @@ class FiniteDimVerdict:
 
 
 def is_finite_dimensional(aut: NormalWordAutomaton) -> FiniteDimVerdict:
-    """Finite iff no cycle is reachable among live states.
+    """Finite iff no word as long as the number of states is accepted.
 
-    The verdict is marked conditional when the automaton was built from a
-    truncated obstruction set, since later obstructions could change it.
+    Such a word's path repeats a state, so the language holds a cycle;
+    and accepted words are closed under prefixes, so an infinite language
+    has words of every length (Ufnarovskij's criterion).  The verdict is
+    marked conditional when the automaton was built from a truncated
+    obstruction set, since later obstructions could change it.
     """
     conditional = aut.valid_degree is not None
-
-    # Iterative depth-first search for the longest path from the start; a
-    # state met again while still on the search path closes a cycle.
-    longest: dict[int, int] = {}
-    on_path = {aut.start}
-    stack = [(aut.start, iter(aut.transitions[aut.start]))]
-    while stack:
-        s, edges = stack[-1]
-        for t in edges:
-            if t is None or t in longest:
-                continue
-            if t in on_path:
-                return FiniteDimVerdict(False, None, conditional)
-            on_path.add(t)
-            stack.append((t, iter(aut.transitions[t])))
-            break
-        else:
-            stack.pop()
-            on_path.discard(s)
-            longest[s] = max(
-                (1 + longest[t] for t in aut.transitions[s] if t is not None), default=0
-            )
-    return FiniteDimVerdict(True, longest[aut.start], conditional)
+    counts = aut._path_counts(aut.size)
+    if counts[-1]:
+        return FiniteDimVerdict(False, None, conditional)
+    top = max(d for d, c in enumerate(counts) if c)
+    return FiniteDimVerdict(True, top, conditional)

@@ -74,7 +74,7 @@ class Chain:
         return f"Chain(level={self.level}, word={self.word})"
 
 
-def _window_is_clean(window: Word, start: int, end: int, obstructions: list[Word]) -> bool:
+def _window_is_clean(window: Word, start: int, end: int, obstructions: tuple[Word, ...]) -> bool:
     """True when the only obstruction factor of window is [start, end)."""
     for o in obstructions:
         for pos in occurrences(window, o):
@@ -83,7 +83,7 @@ def _window_is_clean(window: Word, start: int, end: int, obstructions: list[Word
     return True
 
 
-def _extensions(tail: Word, obstructions: list[Word]) -> list[tuple[Word, int]]:
+def _extensions(tail: Word, obstructions: tuple[Word, ...]) -> list[tuple[Word, int]]:
     """All (obstruction, overlap length) continuations of a given tail.
 
     The overlap part must be a nonempty suffix of the tail, the leftover
@@ -136,15 +136,14 @@ def enumerate_chains(
     deg_max for the result to be complete there.  Level 0 is the letters
     and level 1 is exactly the obstructions.
     """
-    check_antichain(list(obstructions))
-    obs = sorted(set(obstructions), key=lambda w: (len(w), w))
+    obs = check_antichain(obstructions)
     for o in obs:
         if len(o) < 2:
             raise ChainError(
                 "single-letter obstructions are not supported by the "
                 "resolution machinery; eliminate the dead generator first"
             )
-    chain_set = ChainSet(alphabet, tuple(obs), level_max, deg_max)
+    chain_set = ChainSet(alphabet, obs, level_max, deg_max)
 
     def store(c: Chain) -> None:
         key = (c.level, c.word)
@@ -217,8 +216,7 @@ class ChainGraph:
 
 def chain_graph(alphabet: Alphabet, obstructions: list[Word]) -> ChainGraph:
     """Build the chain-generation graph over an obstruction antichain."""
-    check_antichain(list(obstructions))
-    obs = sorted(set(obstructions), key=lambda w: (len(w), w))
+    obs = check_antichain(obstructions)
     nodes: list[GraphNode] = [
         GraphNode("letter", (i,), 0) for i in range(alphabet.size)
     ]
@@ -250,7 +248,7 @@ def chain_graph(alphabet: Alphabet, obstructions: list[Word]) -> ChainGraph:
                 frontier.append(j)
 
     edges = sorted(set(edges))
-    return ChainGraph(alphabet, tuple(obs), nodes, edges)
+    return ChainGraph(alphabet, obs, nodes, edges)
 
 
 def chain_graph_dot(graph: ChainGraph) -> str:

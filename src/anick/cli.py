@@ -104,9 +104,8 @@ def _hilbert(run: Pipeline) -> dict:
 
 def _gldim(run: Pipeline) -> dict:
     report = gldim_report(run.presentation, run.max_deg)
-    if run.require_certified and (
-        not report.dual_certificate.complete or report.dual_verdict.conditional
-    ):
+    # The dual verdict is conditional exactly when its basis is truncated.
+    if run.require_certified and not report.dual_certificate.complete:
         raise CertificationFailure(
             "dual basis is not certified complete; the top degree is "
             "not exact at this bound"

@@ -63,9 +63,7 @@ class GldimReport:
     def gldim(self) -> int | None:
         """Concluded global dimension, conditional on Koszulness beyond
         the checked degree.  None when no conclusion is possible."""
-        if not self.koszul.is_koszul or not self.dual_verdict.finite:
-            return None
-        return self.dual_verdict.top_degree
+        return self.dual_top_degree if self.koszul.is_koszul else None
 
     @property
     def conjecture_counterexample(self) -> bool:
@@ -92,8 +90,8 @@ def gldim_report(presentation: Presentation, max_degree: int) -> GldimReport:
         dual.alphabet, dual_gb.obstructions, dual_gb.valid_degree
     )
     verdict = is_finite_dimensional(automaton)
-    hilbert_top = max_degree if automaton.valid_degree is None else automaton.valid_degree
-    dual_hilbert = automaton.hilbert_coefficients(min(max_degree, hilbert_top))
+    # The dual basis is valid through max_degree, so the counts are too.
+    dual_hilbert = automaton.hilbert_coefficients(max_degree)
 
     return GldimReport(
         koszul=koszul,

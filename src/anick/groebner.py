@@ -21,7 +21,7 @@ from typing import Iterable
 
 from . import linalg
 from .errors import AlgebraError, TruncationError
-from .fields import Field, ModP, PrimeField, Rationals, is_one
+from .fields import Field, PrimeField, is_one
 from .poly import Polynomial
 from .words import EMPTY, Alphabet, Word, deglex_desc, overlaps
 
@@ -192,10 +192,10 @@ class Reducer:
 
 def normal_form(
     p: Polynomial,
-    basis: list[Polynomial] | Reducer,
+    reducer: Reducer,
     trace: list[tuple[int, object, Word, Word]] | None = None,
 ) -> Polynomial:
-    """Reduce p against a list of monic polynomials, or a ``Reducer``.
+    """Reduce p against the monic basis held by a ``Reducer``.
 
     The order-maximal reducible term is rewritten first; within that term
     the leftmost obstruction occurrence is used, by the first basis element
@@ -203,13 +203,11 @@ def normal_form(
     When ``trace`` is given, each step appends
     ``(basis index, coefficient, left cofactor, right cofactor)`` with the
     convention ``p == result + sum(c * left * g * right)``.  It rewrites
-    integers (``Reducer.reduce``) and divides back by their multiplier.
+    integers (``Reducer.reduce``) and divides back into the reducer's
+    field by their multiplier.
     """
-    if not isinstance(basis, Reducer):
-        c = next(chain.from_iterable(g.terms.values() for g in [*basis, p]), 0)
-        basis = Reducer(PrimeField(c.p) if isinstance(c, ModP) else Rationals(), basis)
-    done, scale = basis.reduce(p, trace)
-    return Polynomial({w: basis.field.of(c, scale) for w, c in done.items()})
+    done, scale = reducer.reduce(p, trace)
+    return Polynomial({w: reducer.field.of(c, scale) for w, c in done.items()})
 
 
 def s_polynomial(g: Polynomial, h: Polynomial, overlap_len: int) -> Polynomial:
@@ -268,12 +266,14 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
         # every remainder; a remainder's integer multiple has the same
         # monic pivot rows, so it goes in undivided.
         remainders = (reducer.reduce(p)[0] for p in chain(relations.pop(d, ()), s_polys))
-        for row in reversed(linalg.echelon(remainders, presentation.field)):
-            new = len(basis)
-            basis.append(Polynomial(row))
-            reducer.extend(basis[new:])
+        start = len(basis)
+        basis += map(Polynomial, reversed(linalg.echelon(remainders, presentation.field)))
+        reducer.extend(basis[start:])
+        # Pairing each new element with those before it only lists every
+        # pair once.
+        for new in range(start, len(basis)):
             u = basis[new].lead_word()
-            for j, h in enumerate(basis):
+            for j, h in enumerate(basis[:new + 1]):
                 w = h.lead_word()
                 for l in overlaps(u, w):
                     pairs.setdefault(len(u) + len(w) - l, []).append((new, j, l))

@@ -42,12 +42,6 @@ class BettiTable:
     i_max: int
     j_max: int
 
-    def entry(self, i: int, j: int) -> int:
-        return self.values[i][j]
-
-    def is_reliable(self, i: int, j: int) -> bool:
-        return self.reliable[i][j]
-
     def diagonal(self) -> list[int]:
         top = min(self.i_max, self.j_max)
         return [self.values[i][i] for i in range(top + 1)]
@@ -75,7 +69,6 @@ def betti_table(
     reliable = [[True] * (j_max + 1) for _ in range(i_max + 1)]
     values[0][0] = 1
 
-    covered_degree = ctx.gb.valid_degree
     rank_cache: dict[tuple[int, int], int] = {}
 
     def rank_at(level: int, degree: int) -> int:
@@ -88,11 +81,8 @@ def betti_table(
     for i in range(1, i_max + 1):
         level = i - 1
         for j in range(0, j_max + 1):
-            in_range = (
-                (covered_degree is None or j <= covered_degree)
-                and j <= ctx.deg_max
-                and i <= ctx.level_max
-            )
+            # The context's basis covers deg_max, so these are its bounds.
+            in_range = j <= ctx.deg_max and i <= ctx.level_max
             if j < i:
                 # Level-(i-1) chains have degree at least i, so these
                 # entries vanish for structural reasons.

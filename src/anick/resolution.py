@@ -35,12 +35,6 @@ class FreeElement(LinComb):
 
     __slots__ = ()
 
-    def max_term(self) -> tuple[tuple[Chain, Word], object]:
-        """The term whose product word is deglex-maximal, ties broken by the
-        longer chain."""
-        key = min(self.terms, key=_max_term_key)
-        return key, self.terms[key]
-
 
 def _max_term_key(k: tuple[Chain, Word]) -> tuple[tuple[int, Word], int]:
     """Sorts pairs descending: by product word under ``deglex_desc``, then
@@ -60,10 +54,6 @@ class ResolutionSlice:
     columns: list[dict[int, object]]
     composes_to_zero: bool | None = None
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row_labels), len(self.col_labels))
-
 
 class ResolutionContext:
     """Shared state for differential computation over one Groebner basis.
@@ -80,7 +70,6 @@ class ResolutionContext:
                 f"resolution data up to degree {deg_max}"
             )
         self.gb = gb
-        self.presentation = gb.presentation
         self.alphabet = gb.presentation.alphabet
         self.field = gb.presentation.field
         self.level_max = level_max
@@ -88,10 +77,9 @@ class ResolutionContext:
         relevant = [o for o in gb.obstructions if len(o) <= deg_max]
         self.chains: ChainSet = enumerate_chains(self.alphabet, relevant, level_max, deg_max)
         # Dropping obstructions above deg_max cannot affect smaller degrees,
-        # but it does cap how far the word automaton stays truthful.
-        aut_valid = gb.valid_degree
-        if len(relevant) < len(gb.obstructions):
-            aut_valid = deg_max if aut_valid is None else min(aut_valid, deg_max)
+        # but it does cap how far the word automaton stays truthful; the
+        # basis itself is valid through deg_max at least.
+        aut_valid = deg_max if len(relevant) < len(gb.obstructions) else gb.valid_degree
         self.automaton: NormalWordAutomaton = normal_word_automaton(
             self.alphabet, relevant, aut_valid
         )
@@ -129,7 +117,8 @@ class ResolutionContext:
         emitted: list[tuple[tuple[Chain, Word], object]] = []
         work = xi
         while not work.is_zero:
-            (c0, w0), coeff = work.max_term()
+            c0, w0 = min(work.terms, key=_max_term_key)
+            coeff = work.terms[c0, w0]
             found: list[tuple[Chain, Word]] = []
             for cut in range(1, len(w0) + 1):
                 cand = self.chains.find(level, c0.word + w0[:cut])

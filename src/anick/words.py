@@ -139,11 +139,13 @@ def contains_factor(w: Word, factor: Word) -> bool:
     return any(w[i:i + m] == factor for i in range(n - m + 1))
 
 
-def check_antichain(words: list[Word]) -> None:
-    """Raise unless no word in the list is a factor of another."""
+def check_antichain(words: list[Word]) -> tuple[Word, ...]:
+    """Raise unless no word in the list is a factor of another; return the
+    words without repeats, shortest first, equal lengths ascending."""
     for i, u in enumerate(words):
         for j, w in enumerate(words):
             if i != j and contains_factor(w, u):
                 raise AntichainError(
                     f"obstruction {u} divides obstruction {w}; not an antichain"
                 )
+    return tuple(sorted(set(words), key=lambda w: (len(w), w)))

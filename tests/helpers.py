@@ -10,7 +10,8 @@ every step, and level-1 differentials from splitting such a normal form
 over the letters, without the (-1)-chain.  Truncated Groebner bases come
 from incremental Buchberger completion over a pair heap, the engine's
 algorithm before it completed degree by degree; it orders words by
-``DegLex``, the reference order.
+``DegLex``, the reference order.  Finiteness verdicts come from a
+depth-first search for a cycle in the normal-word automaton.
 The last section holds what only tests use, so the package leaves it out.
 """
 
@@ -20,7 +21,7 @@ import heapq
 from fractions import Fraction
 from itertools import product
 
-from anick import FreeElement, Polynomial
+from anick import FreeElement, Polynomial, Reducer
 from anick.errors import AlgebraError, TruncationError
 from anick.groebner import Certificate, GroebnerBasis, Presentation, normal_form, s_polynomial
 from anick.linalg import echelon
@@ -352,7 +353,7 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
             f"truncation degree {max_deg} is below the maximal relation degree "
             f"{presentation.max_relation_degree()}"
         )
-    order = DegLex(presentation.alphabet.size)
+    order, field = DegLex(presentation.alphabet.size), presentation.field
     alive: dict[int, Polynomial] = {}
     next_id = 0
     heap: list[tuple[int, tuple, int, int, int, int]] = []
@@ -378,7 +379,7 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
     def reduce_tail(g: Polynomial, others: list[Polynomial]) -> Polynomial:
         lead = g.lead_word()
         tail = Polynomial({w: c for w, c in g.terms.items() if w != lead})
-        reduced = normal_form(tail, others)
+        reduced = normal_form(tail, Reducer(field, others))
         return Polynomial({lead: g.terms[lead], **reduced.terms})
 
     def add_element(candidate: Polynomial) -> None:
@@ -386,7 +387,7 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
         queue = [candidate]
         while queue:
             cand = queue.pop(0)
-            cand = normal_form(cand, list(alive.values()))
+            cand = normal_form(cand, Reducer(field, alive.values()))
             if cand.is_zero:
                 continue
             cand = cand.monic()
@@ -410,7 +411,7 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
                     alive[eid] = g2
             queue.extend(stash)
 
-    for rel in interreduce(list(presentation.relations)):
+    for rel in interreduce(list(presentation.relations), field):
         add_element(rel)
 
     while heap:
@@ -421,7 +422,7 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
             overflow = True
             continue
         s = s_polynomial(alive[i], alive[j], l)
-        reduced = normal_form(s, list(alive.values()))
+        reduced = normal_form(s, Reducer(field, alive.values()))
         if not reduced.is_zero:
             add_element(reduced.monic())
 
@@ -433,7 +434,7 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
 # ---------------------------------------------------------------------------
 # what the package no longer exports: only tests used these
 
-def interreduce(polys: list[Polynomial]) -> list[Polynomial]:
+def interreduce(polys: list[Polynomial], field) -> list[Polynomial]:
     """Monic inter-reduced generating set with the same two-sided ideal,
     ascending by leading word.
 
@@ -446,7 +447,7 @@ def interreduce(polys: list[Polynomial]) -> list[Polynomial]:
         changed = False
         for i in range(len(work)):
             rest = work[:i] + work[i + 1:]
-            reduced = normal_form(work[i], rest)
+            reduced = normal_form(work[i], Reducer(field, rest))
             if reduced.is_zero:
                 work.pop(i)
                 changed = True
@@ -474,8 +475,7 @@ def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
 def dense(s) -> list[list]:
     """The matrix of a resolution slice as dense rows, padded with the int
     0 (the package renders and ranks slices from their sparse columns)."""
-    rows, cols = s.shape
-    out = [[0] * cols for _ in range(rows)]
+    out = [[0] * len(s.col_labels) for _ in s.row_labels]
     for j, col in enumerate(s.columns):
         for i, c in col.items():
             out[i][j] = c
@@ -535,3 +535,29 @@ def accepts(automaton, w: Word) -> bool:
         if state is None:
             return False
     return True
+
+
+def finite_dimensional_reference(aut) -> tuple[bool, int | None]:
+    """Whether the automaton's language is finite, and its longest word's
+    length, by an iterative depth-first search for a cycle among the
+    states reachable from the start."""
+    longest: dict[int, int] = {}
+    on_path = {aut.start}
+    stack = [(aut.start, iter(aut.transitions[aut.start]))]
+    while stack:
+        s, edges = stack[-1]
+        for t in edges:
+            if t is None or t in longest:
+                continue
+            if t in on_path:
+                return False, None
+            on_path.add(t)
+            stack.append((t, iter(aut.transitions[t])))
+            break
+        else:
+            stack.pop()
+            on_path.discard(s)
+            longest[s] = max(
+                (1 + longest[t] for t in aut.transitions[s] if t is not None), default=0
+            )
+    return True, longest[aut.start]

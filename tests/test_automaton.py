@@ -1,5 +1,13 @@
+from dataclasses import replace
+
 import pytest
-from helpers import accepts, bf_normal_count, series_inverse_coefficients
+from helpers import (
+    accepts,
+    bf_normal_count,
+    finite_dimensional_reference,
+    series_inverse_coefficients,
+)
+from hypothesis import given, settings, strategies as st
 
 from anick import (
     Alphabet,
@@ -8,6 +16,7 @@ from anick import (
     normal_word_automaton,
 )
 from anick.errors import AntichainError, CoverageError
+from anick.words import contains_factor
 
 
 @pytest.fixture
@@ -110,8 +119,6 @@ def test_rejects_non_antichain(xyz_alpha):
 def test_accepts_only_factor_avoiding_words(xyz, xyz_gb8):
     from itertools import product
 
-    from anick.words import contains_factor
-
     aut = normal_word_automaton(
         xyz.alphabet, xyz_gb8.obstructions, xyz_gb8.valid_degree
     )
@@ -130,3 +137,29 @@ def test_deep_finite_automaton_needs_no_recursion():
     verdict = is_finite_dimensional(aut)
     assert verdict.finite and verdict.top_degree == 1500
     assert not verdict.conditional
+
+
+@st.composite
+def antichain_automata(draw):
+    """A normal-word automaton over one to three letters for a random
+    antichain of words of length 1-4, valid at every degree or only
+    below its number of states."""
+    alpha = Alphabet(("x", "y", "z")[:draw(st.integers(1, 3))])
+    word = st.lists(st.integers(0, alpha.size - 1), min_size=1, max_size=4).map(tuple)
+    obs: list = []
+    for w in draw(st.lists(word, max_size=6)):
+        if not any(contains_factor(w, o) or contains_factor(o, w) for o in obs):
+            obs.append(w)
+    aut = normal_word_automaton(alpha, obs, None)
+    return replace(aut, valid_degree=draw(st.one_of(st.none(), st.integers(0, aut.size - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(antichain_automata())
+def test_finiteness_from_path_counts_matches_cycle_search(aut):
+    verdict = is_finite_dimensional(aut)
+    assert (verdict.finite, verdict.top_degree) == finite_dimensional_reference(aut)
+    assert verdict.conditional == (aut.valid_degree is not None)
+    if aut.valid_degree is not None:
+        with pytest.raises(CoverageError):
+            aut.hilbert_coefficients(aut.size)

@@ -64,9 +64,9 @@ def test_betti_table_of_main_fixture(xyz, xyz_ctx):
     assert table.diagonal() == [1, 3, 3, 2, 1, 0]
     for i in range(6):
         for j in range(9):
-            assert table.is_reliable(i, j)
+            assert table.reliable[i][j]
             if i != j:
-                assert table.entry(i, j) == 0
+                assert table.values[i][j] == 0
 
 
 @pytest.mark.parametrize("i_max, j_max", [(-1, 4), (2, -1)])
@@ -97,7 +97,7 @@ def test_monomial_relation_betti(xyz):
     table = betti_table(pres, 4, 6)
     assert table.diagonal() == [1, 2, 1, 0, 0]
     assert all(
-        table.entry(3, j) == 0 for j in range(7)
+        table.values[3][j] == 0 for j in range(7)
     )
 
 
@@ -287,10 +287,10 @@ def test_reliability_mask_marks_out_of_range_entries(xyz):
     gb = complete(xyz, 5)
     ctx = ResolutionContext(gb, level_max=3, deg_max=5)
     table = betti_table(xyz, 5, 5, ctx=ctx)
-    assert not table.is_reliable(4, 4)
-    assert not table.is_reliable(4, 5)
-    assert table.is_reliable(3, 3)
-    assert table.entry(4, 3) == 0  # structural zero below the diagonal
+    assert not table.reliable[4][4]
+    assert not table.reliable[4][5]
+    assert table.reliable[3][3]
+    assert table.values[4][3] == 0  # structural zero below the diagonal
     # the unreliable off-diagonal entry (4, 5) blocks a verdict at 5
     with pytest.raises(CoverageError):
         koszul_verdict(table, 5)

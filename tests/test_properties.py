@@ -9,6 +9,7 @@ from anick import (
     Alphabet,
     Polynomial,
     Presentation,
+    Reducer,
     ResolutionContext,
     complete,
     enumerate_chains,
@@ -72,15 +73,15 @@ def polynomials(draw):
 @settings(max_examples=40, deadline=None)
 @given(presentations(), polynomials())
 def test_normal_form_is_idempotent(pres, p):
-    basis = list(complete(pres, 6).elements)
-    once = normal_form(p, basis)
-    assert normal_form(once, basis) == once
+    reducer = Reducer(pres.field, complete(pres, 6).elements)
+    once = normal_form(p, reducer)
+    assert normal_form(once, reducer) == once
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(homogeneous_polynomials(), min_size=1, max_size=3))
 def test_interreduce_leaves_a_leading_antichain(polys):
-    reduced = interreduce(polys)
+    reduced = interreduce(polys, FIELD)
     leads = [g.lead_word() for g in reduced]
     for i, u in enumerate(leads):
         for j, w in enumerate(leads):
@@ -88,7 +89,7 @@ def test_interreduce_leaves_a_leading_antichain(polys):
                 assert not contains_factor(w, u)
     for g in reduced:
         others = [h for h in reduced if h is not g]
-        assert normal_form(g, others) == g
+        assert normal_form(g, Reducer(FIELD, others)) == g
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,12 +126,13 @@ def test_completion_is_confluent_within_bound(pres):
     gb = complete(pres, 6)
     assert all(len(w) <= 6 for w in gb.obstructions)
     basis = list(gb.elements)
+    reducer = Reducer(pres.field, basis)
     for g in basis:
         for h in basis:
             for l in overlaps(g.lead_word(), h.lead_word()):
                 if len(g.lead_word()) + len(h.lead_word()) - l > 6:
                     continue
-                assert normal_form(s_polynomial(g, h, l), basis).is_zero
+                assert normal_form(s_polynomial(g, h, l), reducer).is_zero
 
 
 @settings(max_examples=25, deadline=None)
@@ -196,7 +198,7 @@ def test_scalars_stay_int_fraction_or_modp(case):
     gb = complete(pres, 5)
     basis = list(gb.elements)
     returned = [c for g in basis for c in g.terms.values()]
-    returned += normal_form(p, basis).terms.values()
+    returned += normal_form(p, Reducer(field, basis)).terms.values()
     ctx = ResolutionContext(gb, 3, 5)
     for level in (2, 3):
         for chain in ctx.chains.level(level):

@@ -8,7 +8,7 @@ PUBLIC = """
     ChainSet CoverageError DegLex Field FieldError FiniteDimVerdict FreeElement
     GldimReport GroebnerBasis KoszulVerdict ModP NormalWordAutomaton
     NotQuadraticError ParseError Polynomial Presentation PrimeField Rationals
-    ResolutionContext ResolutionSlice SplittingError TruncationError Word
+    Reducer ResolutionContext ResolutionSlice SplittingError TruncationError Word
     betti_table chain_graph chain_graph_dot complete enumerate_chains euler_check
     field_from_name format_presentation gldim_report is_finite_dimensional
     koszul_verdict koszul_verdict_for normal_form normal_word_automaton overlaps
