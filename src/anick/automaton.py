@@ -127,11 +127,19 @@ def is_finite_dimensional(aut: NormalWordAutomaton) -> FiniteDimVerdict:
     and accepted words are closed under prefixes, so an infinite language
     has words of every length (Ufnarovskij's criterion).  The verdict is
     marked conditional when the automaton was built from a truncated
-    obstruction set, since later obstructions could change it.
+    obstruction set, since later obstructions could change it.  Only the
+    set of states each length reaches is stepped, not the path counts; a
+    set that steps to itself stays nonempty forever, so the walk stops.
     """
     conditional = aut.valid_degree is not None
-    counts = aut._path_counts(aut.size)
-    if counts[-1]:
+    reached = {aut.start}
+    top = 0
+    while reached and top < aut.size:
+        nxt = {t for s in reached for t in aut.transitions[s] if t is not None}
+        if nxt == reached:
+            break
+        reached = nxt
+        top += 1
+    if reached:
         return FiniteDimVerdict(False, None, conditional)
-    top = max(d for d, c in enumerate(counts) if c)
-    return FiniteDimVerdict(True, top, conditional)
+    return FiniteDimVerdict(True, top - 1, conditional)

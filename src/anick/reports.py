@@ -8,6 +8,7 @@ separate top-level field that golden comparisons are expected to drop.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .chains import ChainGraph, ChainSet
@@ -32,7 +33,48 @@ def build_report(
 
 
 def render_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The report as ``json.dumps(report, indent=2) + "\\n"``, byte for byte.
+
+    ``json.dumps`` drops to its pure-Python encoder whenever ``indent`` is
+    set, which yields one chunk per matrix entry; this walk emits a list of
+    strings (a matrix row, a label list) with a single join instead.  Dict
+    keys must be strings, as every report's are.
+    """
+    parts: list[str] = []
+    _render(report, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _render(value: Any, newline: str, parts: list[str]) -> None:
+    inner = newline + "  "
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        sep = "{" + inner
+        for key, item in value.items():
+            parts += (sep, encode_basestring_ascii(key), ": ")
+            _render(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        try:
+            parts += ("[", inner, ("," + inner).join(map(encode_basestring_ascii, value)))
+        except TypeError:  # an item is not a str: walk the items one by one
+            sep = "[" + inner
+            for item in value:
+                parts.append(sep)
+                _render(item, inner, parts)
+                sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(value))
 
 
 def gb_payload(gb: GroebnerBasis) -> dict[str, Any]:

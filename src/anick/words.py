@@ -134,18 +134,26 @@ def occurrences(w: Word, factor: Word) -> list[int]:
     return [i for i in range(n - m + 1) if w[i:i + m] == factor]
 
 
-def contains_factor(w: Word, factor: Word) -> bool:
-    n, m = len(w), len(factor)
-    return any(w[i:i + m] == factor for i in range(n - m + 1))
-
-
 def check_antichain(words: list[Word]) -> tuple[Word, ...]:
     """Raise unless no word in the list is a factor of another; return the
-    words without repeats, shortest first, equal lengths ascending."""
-    for i, u in enumerate(words):
-        for j, w in enumerate(words):
-            if i != j and contains_factor(w, u):
-                raise AntichainError(
-                    f"obstruction {u} divides obstruction {w}; not an antichain"
-                )
-    return tuple(sorted(set(words), key=lambda w: (len(w), w)))
+    words shortest first, equal lengths ascending.
+
+    A word listed twice divides its other copy, so repeats raise too.  The
+    check looks up in a set of the words every proper factor of every word
+    whose length is that of some word.
+    """
+    found = set(words)
+    if len(found) < len(words):
+        u = next(u for u in found if words.count(u) > 1)
+        raise AntichainError(f"obstruction {u} is listed twice; not an antichain")
+    lengths = sorted({len(u) for u in found})
+    for w in words:
+        for m in lengths:
+            if m >= len(w):
+                break
+            for i in range(len(w) - m + 1):
+                if w[i:i + m] in found:
+                    raise AntichainError(
+                        f"obstruction {w[i:i + m]} divides obstruction {w}; not an antichain"
+                    )
+    return tuple(sorted(found, key=lambda w: (len(w), w)))

@@ -11,7 +11,8 @@ over the letters, without the (-1)-chain.  Truncated Groebner bases come
 from incremental Buchberger completion over a pair heap, the engine's
 algorithm before it completed degree by degree; it orders words by
 ``DegLex``, the reference order.  Finiteness verdicts come from a
-depth-first search for a cycle in the normal-word automaton.
+depth-first search for a cycle in the normal-word automaton, and
+antichain checks from a factor scan of every ordered pair of words.
 The last section holds what only tests use, so the package leaves it out.
 """
 
@@ -22,10 +23,10 @@ from fractions import Fraction
 from itertools import product
 
 from anick import FreeElement, Polynomial, Reducer
-from anick.errors import AlgebraError, TruncationError
+from anick.errors import AlgebraError, AntichainError, TruncationError
 from anick.groebner import Certificate, GroebnerBasis, Presentation, normal_form, s_polynomial
 from anick.linalg import echelon
-from anick.words import EMPTY, DegLex, Word, contains_factor, deglex_desc, overlaps
+from anick.words import EMPTY, DegLex, Word, deglex_desc, overlaps
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +43,17 @@ def bf_occurrences(word, factor):
 
 def bf_has_factor(word, factor):
     return bool(bf_occurrences(word, factor))
+
+
+def check_antichain_reference(words) -> tuple[Word, ...]:
+    """``anick.words.check_antichain`` by a scan of every ordered pair."""
+    for i, u in enumerate(words):
+        for j, w in enumerate(words):
+            if i != j and bf_has_factor(w, u):
+                raise AntichainError(
+                    f"obstruction {u} divides obstruction {w}; not an antichain"
+                )
+    return tuple(sorted(set(words), key=lambda w: (len(w), w)))
 
 
 def bf_normal_count(size: int, degree: int, obstructions) -> int:
@@ -396,7 +408,7 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
             # superseded; they go back through full reduction.
             stash = []
             for eid, g in list(alive.items()):
-                if contains_factor(g.lead_word(), lead):
+                if bf_has_factor(g.lead_word(), lead):
                     stash.append(g)
                     del alive[eid]
             alive[next_id] = cand

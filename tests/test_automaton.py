@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 from helpers import (
     accepts,
+    bf_has_factor,
     bf_normal_count,
     finite_dimensional_reference,
     series_inverse_coefficients,
@@ -16,7 +17,6 @@ from anick import (
     normal_word_automaton,
 )
 from anick.errors import AntichainError, CoverageError
-from anick.words import contains_factor
 
 
 @pytest.fixture
@@ -125,7 +125,7 @@ def test_accepts_only_factor_avoiding_words(xyz, xyz_gb8):
     for degree in range(5):
         for w in product(range(3), repeat=degree):
             expected = not any(
-                contains_factor(tuple(w), o) for o in xyz_gb8.obstructions
+                bf_has_factor(tuple(w), o) for o in xyz_gb8.obstructions
             )
             assert accepts(aut, tuple(w)) == expected
 
@@ -148,7 +148,7 @@ def antichain_automata(draw):
     word = st.lists(st.integers(0, alpha.size - 1), min_size=1, max_size=4).map(tuple)
     obs: list = []
     for w in draw(st.lists(word, max_size=6)):
-        if not any(contains_factor(w, o) or contains_factor(o, w) for o in obs):
+        if not any(bf_has_factor(w, o) or bf_has_factor(o, w) for o in obs):
             obs.append(w)
     aut = normal_word_automaton(alpha, obs, None)
     return replace(aut, valid_degree=draw(st.one_of(st.none(), st.integers(0, aut.size - 1))))
@@ -156,10 +156,34 @@ def antichain_automata(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(antichain_automata())
-def test_finiteness_from_path_counts_matches_cycle_search(aut):
+def test_finiteness_from_reached_states_matches_cycle_search(aut):
     verdict = is_finite_dimensional(aut)
     assert (verdict.finite, verdict.top_degree) == finite_dimensional_reference(aut)
     assert verdict.conditional == (aut.valid_degree is not None)
     if aut.valid_degree is not None:
         with pytest.raises(CoverageError):
             aut.hilbert_coefficients(aut.size)
+
+
+def test_finiteness_matches_cycle_search_on_fixtures(xyz, g4_d8_obstructions):
+    from anick import quadratic_dual
+
+    alpha, obs = g4_d8_obstructions
+    g4 = normal_word_automaton(alpha, obs, 8)
+    # The pinned words are those of the g4 basis: its Hilbert series holds.
+    assert g4.hilbert_coefficients(8) == [(n + 1) * 2**n for n in range(9)]
+    dual_gb = complete(quadratic_dual(xyz), 6)
+    dual = normal_word_automaton(
+        dual_gb.presentation.alphabet, dual_gb.obstructions, dual_gb.valid_degree
+    )
+    two = Alphabet(("x", "y"))
+    blocked = normal_word_automaton(two, [two.word(t) for t in ("xx", "xy", "yx", "yy")], None)
+    cases = [
+        (g4, (False, None)),
+        (dual, (True, 4)),
+        (blocked, (True, 1)),
+        (normal_word_automaton(Alphabet(("a",)), [(0,) * 1501], None), (True, 1500)),
+    ]
+    for aut, expected in cases:
+        verdict = is_finite_dimensional(aut)
+        assert (verdict.finite, verdict.top_degree) == finite_dimensional_reference(aut) == expected

@@ -1,10 +1,11 @@
 from itertools import product
 
 import pytest
+from helpers import bf_has_factor, check_antichain_reference
 from hypothesis import given, settings, strategies as st
 
 from anick import AlgebraError, Alphabet, DegLex, overlaps
-from anick.words import check_antichain, contains_factor, deglex_desc, occurrences
+from anick.words import check_antichain, deglex_desc, occurrences
 from anick.errors import AntichainError
 
 
@@ -120,7 +121,7 @@ def test_alphabet_validation():
 def test_occurrences_and_factors(xyz_alpha):
     w = xyz_alpha.word("xyxyx")
     assert occurrences(w, xyz_alpha.word("xyx")) == [0, 2]
-    assert contains_factor(w, xyz_alpha.word("yy")) is False
+    assert occurrences(w, xyz_alpha.word("yy")) == []
 
 
 def test_antichain_check(xyz_alpha):
@@ -128,6 +129,41 @@ def test_antichain_check(xyz_alpha):
     check_antichain(good)
     with pytest.raises(AntichainError):
         check_antichain([xyz_alpha.word("xz"), xyz_alpha.word("xzy")])
+
+
+def test_antichain_check_of_g4_obstructions_matches_pairwise_scan(g4_d8_obstructions):
+    _, obs = g4_d8_obstructions
+    assert check_antichain(obs) == check_antichain_reference(obs)
+    with pytest.raises(AntichainError):
+        check_antichain(obs + [obs[-1][1:]])
+
+
+@st.composite
+def word_lists(draw):
+    """Lists of words of length 0-4 over one to three letters, repeats
+    allowed; half of them are first thinned out to an antichain."""
+    size = draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, size - 1), max_size=4).map(tuple)
+    words = draw(st.lists(word, max_size=8))
+    if draw(st.booleans()):
+        kept: list = []
+        for w in words:
+            if not any(bf_has_factor(w, u) or bf_has_factor(u, w) for u in kept):
+                kept.append(w)
+        words = kept
+    return words
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_lists())
+def test_antichain_check_matches_pairwise_scan(words):
+    try:
+        expected = check_antichain_reference(words)
+    except AntichainError:
+        with pytest.raises(AntichainError):
+            check_antichain(words)
+    else:
+        assert check_antichain(words) == expected
 
 
 def test_word_split_prefers_longer_names_and_backtracks():
