@@ -11,6 +11,8 @@ Whether one obstruction occurrence can follow another depends only on the
 current tail, so chain generation is driven by a finite graph whose
 vertices are the letters and the (obstruction, overlap length) classes;
 level-n chains correspond to length-n paths out of the letter vertices.
+``ChainSet.extensions`` keeps the continuations per tail, so the level-n
+chain prefix of a word is found from its level-(n-1) prefix.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ChainError
-from .words import Alphabet, Word, check_antichain, deglex_desc, occurrences
+from .words import EMPTY, Alphabet, Word, check_antichain, deglex_desc, occurrences
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +115,9 @@ class ChainSet:
     deg_max: int
     by_level_degree: dict[tuple[int, int], list[Chain]] = field(default_factory=dict)
     index: dict[tuple[int, Word], Chain] = field(default_factory=dict)
+    # Chain tail -> the new tails that extend it, shortest first; the empty
+    # tail of the (-1)-chain maps to the letters.
+    extensions: dict[Word, tuple[Word, ...]] = field(default_factory=dict)
 
     def at(self, level: int, degree: int) -> list[Chain]:
         return self.by_level_degree.get((level, degree), [])
@@ -162,22 +167,28 @@ def enumerate_chains(
             store(c)
             current.append(c)
 
+    # (new tail, overlap length) per tail, shortest first, so that the scan
+    # stops at the first extension that no longer fits in deg_max.
     ext_cache: dict[Word, list[tuple[Word, int]]] = {}
     for level in range(1, level_max + 1):
         nxt: list[Chain] = []
         for c in current:
             tail = c.tail
-            if tail not in ext_cache:
-                ext_cache[tail] = _extensions(tail, obs)
-            for o, ov in ext_cache[tail]:
-                new_tail = o[ov:]
-                word = c.word + new_tail
-                if len(word) > deg_max:
-                    continue
-                nxt.append(Chain(word, level, len(new_tail), ov, c))
+            ext = ext_cache.get(tail)
+            if ext is None:
+                ext = ext_cache[tail] = sorted(
+                    ((o[ov:], ov) for o, ov in _extensions(tail, obs)), key=lambda e: len(e[0])
+                )
+            room = deg_max - len(c.word)
+            for new_tail, ov in ext:
+                if len(new_tail) > room:
+                    break
+                nxt.append(Chain(c.word + new_tail, level, len(new_tail), ov, c))
         for c in nxt:
             store(c)
         current = nxt
+    chain_set.extensions = {tail: tuple(t for t, _ in ext) for tail, ext in ext_cache.items()}
+    chain_set.extensions[EMPTY] = tuple((letter,) for letter in range(alphabet.size))
     for bucket in chain_set.by_level_degree.values():
         bucket.sort(key=lambda c: deglex_desc(c.word), reverse=True)
     return chain_set

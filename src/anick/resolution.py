@@ -10,15 +10,22 @@ word, whose module is the algebra itself, so a letter's differential is
     d(c (x) 1) = c' (x) t  -  split(d(c' (x) t))
 
 where ``split`` inverts the previous differential term by term: take the
-order-maximal pair, locate the unique level chain prefix of its product
+order-maximal pair (c0, w0), find the level chain prefix of its product
 word, emit that chain with the left-over cofactor, subtract its
-differential, and repeat.  The maximal term strictly decreases at every
-step, so the recursion terminates; a missing chain prefix means the
-Groebner data is invalid for the requested degree and raises.
+differential, and repeat.  That prefix is unique and extends c0 (Anick's
+greedy decomposition), so it is ``c0 + t`` for the first new tail ``t`` in
+``ChainSet.extensions[c0.tail]`` that begins w0 and makes a chain; no
+other cut of w0 is tried.  As in ``Reducer.reduce``, the terms wait in
+one dict, updated in place, beside a lazy-deletion heap; a step adds
+only pairs below the one it rewrites, so a popped pair missing from the
+dict has cancelled.  The maximal term strictly decreases at every step,
+so the recursion terminates; a missing chain prefix means the Groebner
+data is invalid for the requested degree and raises.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .automaton import NormalWordAutomaton, normal_word_automaton
@@ -112,31 +119,56 @@ class ResolutionContext:
         xi must lie in the kernel of the previous differential and be
         supported below the given level's chains, which holds for every
         element this engine feeds in.  At level 0, xi is an algebra element
-        keyed by ``self.unit`` and must have no degree-0 term.
+        keyed by ``self.unit`` and must have no degree-0 term.  A term at
+        another level, or one that does not cancel, raises
+        ``SplittingError``.
         """
-        emitted: list[tuple[tuple[Chain, Word], object]] = []
-        work = xi
-        while not work.is_zero:
-            c0, w0 = min(work.terms, key=_max_term_key)
-            coeff = work.terms[c0, w0]
-            found: list[tuple[Chain, Word]] = []
-            for cut in range(1, len(w0) + 1):
-                cand = self.chains.find(level, c0.word + w0[:cut])
-                if cand is not None:
-                    found.append((cand, w0[cut:]))
-            if not found:
+        find, extensions = self.chains.find, self.chains.extensions
+        work = dict(xi.terms)
+        # Products in one split share a length, so the word itself orders
+        # them as ``_max_term_key`` does; chain length breaks ties.
+        heap = []
+        for c, w in work:
+            if c.level != level - 1:
+                raise SplittingError(
+                    f"a level-{level} split got a level-{c.level} term {c.word} (x) {w}"
+                )
+            heap.append((c.word + w, -len(c.word), (c, w)))
+        heapq.heapify(heap)
+        emitted: dict[tuple[Chain, Word], object] = {}
+        while heap:
+            c0, w0 = key = heapq.heappop(heap)[2]
+            coeff = work.get(key)
+            if coeff is None:
+                continue
+            for t in extensions.get(c0.tail, ()):
+                if w0[:len(t)] == t and (hat := find(level, c0.word + t)) is not None:
+                    break
+            else:
                 raise SplittingError(
                     f"no level-{level} chain prefix for product word "
                     f"{c0.word + w0}; the basis data is incomplete or invalid"
                 )
-            if len(found) > 1:
-                raise SplittingError(
-                    f"ambiguous chain prefix for product word {c0.word + w0}"
-                )
-            hat, leftover = found[0]
-            emitted.append(((hat, leftover), coeff))
-            work = work.add_scaled(self.act_right(self.differential(hat), leftover), -coeff)
-        return FreeElement.from_pairs(emitted)
+            leftover = w0[hat.tail_len:]
+            emitted[hat, leftover] = coeff
+            image = self.differential(hat)
+            if leftover:
+                image = self.act_right(image, leftover)
+            # The image leads with key at coefficient 1, so key cancels.
+            for k, a in image.terms.items():
+                prev = work.get(k)
+                if prev is None:
+                    work[k] = -coeff * a
+                    heapq.heappush(heap, (k[0].word + k[1], -len(k[0].word), k))
+                elif s := prev - coeff * a:
+                    work[k] = s
+                else:
+                    del work[k]
+        if work:
+            # A pair that did not cancel has a cofactor that is not a
+            # normal word, so xi is not in the image of the differential.
+            raise SplittingError(f"level-{level} split left {len(work)} terms uncancelled")
+        return FreeElement(emitted)
 
     def differential(self, c: Chain) -> FreeElement:
         """d(c (x) 1) as an element one level down; a letter x maps to

@@ -9,6 +9,10 @@ XYZ_TEXT = "vars: x > y > z\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n"
 XYZ_ALT_TEXT = "vars: y > x > z\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n"
 YXSQ_LOW_TEXT = "vars: x < y\nrelations:\n  x^2 - y*x\n"
 YXSQ_HIGH_TEXT = "vars: x > y\nrelations:\n  x^2 - y*x\n"
+G4_TEXT = (
+    "vars: a > b > c > d\nrelations:\n  a*b - b*a + c*d\n  a*c - 2*d*b\n"
+    "  b*d + a^2 - c^2\n  d*a - b*c\n"
+)
 
 # The 111 leading words of complete(g4, 8) for the generic four-generator
 # algebra of test_groebner.py under a > b > c > d, which take seconds to
@@ -60,6 +64,12 @@ def yxsq_low():
 def yxsq_high():
     """Same algebra with the opposite ordering; the basis is infinite."""
     return parse_presentation(YXSQ_HIGH_TEXT)
+
+
+@pytest.fixture(scope="session")
+def g4():
+    """The generic four-generator quadratic algebra of test_groebner.py."""
+    return parse_presentation(G4_TEXT)
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,10 @@ sparse echelon over spanning products, and differentials from the
 closed-form shape formulas for the three-generator fixture.  Normal forms
 come from the plain rewriting loop that rescans the pending polynomial on
 every step, and level-1 differentials from splitting such a normal form
-over the letters, without the (-1)-chain.  Truncated Groebner bases come
-from incremental Buchberger completion over a pair heap, the engine's
+over the letters, without the (-1)-chain; all differentials from a split
+that takes the ``DegLex`` maximum of the whole work element and tries
+every cut of its cofactor.  Truncated Groebner bases come from
+incremental Buchberger completion over a pair heap, the engine's
 algorithm before it completed degree by degree; it orders words by
 ``DegLex``, the reference order.  Finiteness verdicts come from a
 depth-first search for a cycle in the normal-word automaton, and
@@ -23,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 
 from anick import FreeElement, Polynomial, Reducer
-from anick.errors import AlgebraError, AntichainError, TruncationError
+from anick.errors import AlgebraError, AntichainError, SplittingError, TruncationError
 from anick.groebner import Certificate, GroebnerBasis, Presentation, normal_form, s_polynomial
 from anick.linalg import echelon
 from anick.words import EMPTY, DegLex, Word, deglex_desc, overlaps
@@ -347,6 +349,54 @@ def letter_split_differential(ctx, chain) -> FreeElement:
     return FreeElement({(letters[o[:1]], o[1:]): ctx.field.one}) - FreeElement.from_pairs(
         ((letters[w[:1]], w[1:]), c) for w, c in nf.terms.items()
     )
+
+
+# ---------------------------------------------------------------------------
+# cut-scanning split, the reference for ``ResolutionContext.split``
+
+def split_reference(ctx, level: int, xi: FreeElement, differential=None) -> FreeElement:
+    """eta at the given level with d(eta) = xi, as the engine split before it
+    kept a heap: every step takes the maximum of the whole work element
+    (by product word under ``DegLex``, then chain length), tries every cut
+    of its cofactor against the chain index, and rebuilds the work element.
+    ``differential`` defaults to the engine's."""
+    differential = differential or ctx.differential
+    order = DegLex(ctx.alphabet.size)
+    emitted = []
+    work = xi
+    while not work.is_zero:
+        c0, w0 = max(work.terms, key=lambda k: (order.key(k[0].word + k[1]), len(k[0].word)))
+        coeff = work.terms[c0, w0]
+        found = []
+        for cut in range(1, len(w0) + 1):
+            cand = ctx.chains.find(level, c0.word + w0[:cut])
+            if cand is not None:
+                found.append((cand, w0[cut:]))
+        if len(found) != 1:
+            raise SplittingError(f"{len(found)} level-{level} chain prefixes of {c0.word + w0}")
+        hat, leftover = found[0]
+        emitted.append(((hat, leftover), coeff))
+        work = work.add_scaled(ctx.act_right(differential(hat), leftover), -coeff)
+    return FreeElement.from_pairs(emitted)
+
+
+def differentials_reference(ctx) -> dict:
+    """Every chain's differential by the recursion over ``split_reference``,
+    memoized apart from the engine's cache."""
+    memo = {}
+
+    def d(c):
+        if c not in memo:
+            if c.level == 0:
+                memo[c] = FreeElement({(ctx.unit, c.word): ctx.field.one})
+            else:
+                xi = ctx.act_right(d(c.prefix), c.tail)
+                memo[c] = FreeElement({(c.prefix, c.tail): ctx.field.one}) - split_reference(
+                    ctx, c.level - 1, xi, d
+                )
+        return memo[c]
+
+    return {c: d(c) for c in ctx.chains.index.values()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 from helpers import bf_chains, path_counts, shape_chains
 
-from anick import Alphabet, chain_graph, chain_graph_dot, enumerate_chains
+from anick import Alphabet, chain_graph, chain_graph_dot, complete, enumerate_chains
 from anick.errors import AntichainError, ChainError
 
 
@@ -88,6 +88,26 @@ def test_decomposition_spans(xyz, xyz_ctx):
     assert c.decomposition == ((0, 2), (1, 3))
     w = xyz_ctx.chains.find(2, xyz.alphabet.word("xzy"))
     assert w.decomposition == ((0, 2), (1, 3))
+
+
+@pytest.mark.parametrize("name, d", [("xyz", 8), ("g4", 5)])
+def test_extension_table_links_every_chain_to_its_prefix(name, d, request):
+    presentation = request.getfixturevalue(name)
+    gb = complete(presentation, d)
+    chains = enumerate_chains(presentation.alphabet, list(gb.obstructions), d, d)
+    ext = chains.extensions
+    assert ext[()] == tuple((i,) for i in range(presentation.alphabet.size))
+    for tails in ext.values():
+        assert [len(t) for t in tails] == sorted(len(t) for t in tails)
+    for c in chains.index.values():
+        if c.level >= 1:
+            assert c.tail in ext[c.prefix.tail]
+        if c.level < d:
+            # Every extension that fits is a chain over c, so split's
+            # lookup from the prefix finds each chain and nothing else.
+            for t in ext[c.tail]:
+                if len(c.word) + len(t) <= d:
+                    assert chains.find(c.level + 1, c.word + t).prefix is c
 
 
 def test_rejects_non_antichain_obstructions():

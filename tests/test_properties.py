@@ -23,6 +23,7 @@ from helpers import (
     bf_chains,
     bf_normal_count,
     check_antichain_reference,
+    differentials_reference,
     interreduce,
     letter_split_differential,
 )
@@ -162,6 +163,16 @@ def test_low_differentials_split_through_the_unit_chain(pres):
         assert ctx.differential(letter).terms == {(ctx.unit, letter.word): one}
     for chain in ctx.chains.level(1):
         assert ctx.differential(chain).terms == letter_split_differential(ctx, chain).terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([FIELD, PrimeField(5)]).flatmap(presentations))
+def test_differentials_match_the_cut_scanning_split(pres):
+    # Every differential through degree 6, term by term, against the
+    # recursion over the split that scans every cut of the cofactor.
+    ctx = ResolutionContext(complete(pres, 6), 6, 6)
+    for c, elem in differentials_reference(ctx).items():
+        assert ctx.differential(c).terms == elem.terms
 
 
 @st.composite

@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from helpers import dense, formula_differential
+from helpers import dense, differentials_reference, formula_differential
 from hypothesis import given, settings, strategies as st
 
 from anick import (
@@ -199,6 +199,52 @@ def test_split_of_a_degree_zero_term_raises_splitting_error(xyz_ctx):
     # No level-0 chain is a prefix of the empty product word.
     with pytest.raises(SplittingError):
         xyz_ctx.split(0, FreeElement({(xyz_ctx.unit, ()): xyz_ctx.field.one}))
+
+
+def test_split_rejects_a_term_of_another_level(xyz, xyz_ctx):
+    # A level-2 twin of the chain xx ties with it on product word and chain
+    # length, so an unchecked heap would compare the two chains.
+    a, one = xyz.alphabet, xyz_ctx.field.one
+    xx = xyz_ctx.chains.find(1, a.word("xx"))
+    twin = Chain(xx.word, 2, 1, 1, None)
+    for level, xi in (
+        (2, FreeElement({(xx, a.word("z")): one, (twin, a.word("z")): one})),
+        (1, FreeElement({(xyz_ctx.unit, a.word("xz")): one})),
+        (0, FreeElement({(xx, ()): one})),
+    ):
+        with pytest.raises(SplittingError):
+            xyz_ctx.split(level, xi)
+
+
+def test_split_of_a_reducible_cofactor_raises_splitting_error(xyz, xyz_ctx):
+    # x (x) xz: the chain xx takes it to xx (x) z, whose differential times
+    # z vanishes since xz = 0, so the term never cancels.
+    a = xyz.alphabet
+    x = xyz_ctx.chains.find(0, a.word("x"))
+    with pytest.raises(SplittingError):
+        xyz_ctx.split(1, FreeElement({(x, a.word("xz")): xyz_ctx.field.one}))
+
+
+def test_split_beyond_the_degree_bound_raises_splitting_error(xyz_ctx):
+    # The extension t matches the cofactor, but the chain c + t is longer
+    # than the context's bound, so the chain index has no such chain.
+    chains = xyz_ctx.chains
+    top = [c for c in chains.at(1, chains.deg_max) if chains.extensions.get(c.tail)]
+    assert top
+    for c in top:
+        t = chains.extensions[c.tail][0]
+        with pytest.raises(SplittingError):
+            xyz_ctx.split(2, FreeElement({(c, t): xyz_ctx.field.one}))
+
+
+@pytest.mark.parametrize("name, d", [("xyz", 9), ("g4", 5)])
+def test_differentials_match_the_cut_scanning_split(name, d, request):
+    presentation = request.getfixturevalue(name)
+    ctx = ResolutionContext(complete(presentation, d), d, d)
+    expected = differentials_reference(ctx)
+    assert len(expected) == len(ctx.chains.index)
+    for c, elem in expected.items():
+        assert ctx.differential(c).terms == elem.terms, c
 
 
 def test_context_rejects_uncovered_degree(xyz):
