@@ -26,7 +26,7 @@ def induced_matrix_from_context(
     cols = ctx.chains.at(level, degree)
     rows = ctx.chains.at(level - 1, degree)
     row_index = {c: i for i, c in enumerate(rows)}
-    dense = [[ctx.field.zero] * len(cols) for _ in rows]
+    dense = [[0] * len(cols) for _ in rows]
     for j, c in enumerate(cols):
         for c2, coeff in ctx.induced_differential(c).items():
             dense[row_index[c2]][j] = coeff

@@ -23,10 +23,12 @@ from .fields import Field, PrimeField
 
 def _int_row(row: Iterable[tuple], p: int) -> tuple[dict, int]:
     """The nonzero entries of ``(column, scalar)`` pairs as residues mod p
-    (scale 1) or, over Q (p = 0), as integers after scaling the row by the
-    lcm of its denominators (an ``int`` entry has denominator 1); and the scale."""
+    (scale 1; an entry may be a ``ModP`` or any ``int``, and a zero is
+    skipped before it is reduced) or, over Q (p = 0), as integers after
+    scaling the row by the lcm of its denominators (an ``int`` entry has
+    denominator 1); and the scale."""
     if p:
-        return {j: r for j, x in row if (r := getattr(x, "value", x) % p)}, 1
+        return {j: r for j, x in row if x and (r := getattr(x, "value", x) % p)}, 1
     entries = {j: x for j, x in row if x}
     scale = lcm(*(x.denominator for x in entries.values()))
     return {j: x.numerator * (scale // x.denominator) for j, x in entries.items()}, scale

@@ -21,6 +21,12 @@ only pairs below the one it rewrites, so a popped pair missing from the
 dict has cancelled.  The maximal term strictly decreases at every step,
 so the recursion terminates; a missing chain prefix means the Groebner
 data is invalid for the requested degree and raises.
+
+Over Fp the context computes on plain ``int`` residues in 1..p-1 and
+stores no zero: normal forms are converted once per cache miss, and
+``act_right``, ``split`` and ``differential`` reduce mod p where they
+sum.  Over Q (``p == 0``) coefficients are ``int`` or ``Fraction``.
+Field scalars (``ModP`` over Fp) are built only in ``slice``.
 """
 
 from __future__ import annotations
@@ -67,7 +73,8 @@ class ResolutionContext:
 
     Chain enumeration, normal forms and differentials are all memoized
     here; the context is valid for levels and internal degrees within the
-    bounds it was built with.
+    bounds it was built with.  ``p`` is the prime over Fp, where every
+    coefficient the context holds is an ``int`` residue, and 0 over Q.
     """
 
     def __init__(self, gb: GroebnerBasis, level_max: int, deg_max: int):
@@ -91,15 +98,25 @@ class ResolutionContext:
             self.alphabet, relevant, aut_valid
         )
         self._reducer = Reducer(self.field, gb.elements)
-        self._nf_cache: dict[Word, Polynomial] = {}
+        self.p = self._reducer.p
+        self._nf_cache: dict[Word, dict[Word, object]] = {}
         self._diff_cache: dict[Chain, FreeElement] = {}
         # Anick's (-1)-chain; it stays out of the chain set.
         self.unit = Chain(EMPTY, -1, 0, 0, None)
 
-    def nf_word(self, w: Word) -> Polynomial:
+    def _reduced(self, terms: dict) -> FreeElement:
+        """The element over terms, reduced mod p over Fp; zeros are pruned."""
+        p = self.p
+        return FreeElement({k: a % p for k, a in terms.items()} if p else terms)
+
+    def nf_word(self, w: Word) -> dict[Word, object]:
+        """The normal form of a word as ``{word: scalar}`` terms, residues
+        over Fp."""
         cached = self._nf_cache.get(w)
         if cached is None:
-            cached = normal_form(Polynomial.monomial(w, self.field.one), self._reducer)
+            cached = normal_form(Polynomial.monomial(w, self.field.one), self._reducer).terms
+            if self.p:
+                cached = {u: c.value for u, c in cached.items()}
             self._nf_cache[w] = cached
         return cached
 
@@ -107,11 +124,12 @@ class ResolutionContext:
         """Right action of a word on a free-module element, in normal form."""
         if not w:
             return elem
-        return FreeElement.from_pairs(
-            ((c, word), coeff * scalar)
-            for (c, u), coeff in elem.terms.items()
-            for word, scalar in self.nf_word(u + w).terms.items()
-        )
+        out: dict = {}
+        for (c, u), coeff in elem.terms.items():
+            for word, scalar in self.nf_word(u + w).items():
+                k = c, word
+                out[k] = out.get(k, 0) + coeff * scalar
+        return self._reduced(out)
 
     def split(self, level: int, xi: FreeElement) -> FreeElement:
         """Find eta at the given level whose differential is xi.
@@ -123,7 +141,7 @@ class ResolutionContext:
         another level, or one that does not cancel, raises
         ``SplittingError``.
         """
-        find, extensions = self.chains.find, self.chains.extensions
+        find, extensions, p = self.chains.find, self.chains.extensions, self.p
         work = dict(xi.terms)
         # Products in one split share a length, so the word itself orders
         # them as ``_max_term_key`` does; chain length breaks ties.
@@ -158,9 +176,10 @@ class ResolutionContext:
             for k, a in image.terms.items():
                 prev = work.get(k)
                 if prev is None:
-                    work[k] = -coeff * a
+                    # A product of nonzero residues is nonzero mod prime p.
+                    work[k] = -coeff * a % p if p else -coeff * a
                     heapq.heappush(heap, (k[0].word + k[1], -len(k[0].word), k))
-                elif s := prev - coeff * a:
+                elif s := (prev - coeff * a) % p if p else prev - coeff * a:
                     work[k] = s
                 else:
                     del work[k]
@@ -177,10 +196,11 @@ class ResolutionContext:
         if cached is not None:
             return cached
         if c.level == 0:
-            out = FreeElement({(self.unit, c.word): self.field.one})
+            out = FreeElement({(self.unit, c.word): 1})
         else:
             xi = self.act_right(self.differential(c.prefix), c.tail)
-            out = FreeElement({(c.prefix, c.tail): self.field.one}) - self.split(c.level - 1, xi)
+            eta = self.split(c.level - 1, xi)
+            out = self._reduced((FreeElement({(c.prefix, c.tail): 1}) - eta).terms)
         self._diff_cache[c] = out
         return out
 
@@ -205,10 +225,11 @@ class ResolutionContext:
         cols = self.pair_basis(level, degree)
         rows = self.pair_basis(level - 1, degree)
         row_index = {k: i for i, k in enumerate(rows)}
+        of = self.field.of
         columns = []
         for c, w in cols:
             image = self.act_right(self.differential(c), w)
-            columns.append({row_index[k]: a for k, a in image.terms.items()})
+            columns.append({row_index[k]: of(a) for k, a in image.terms.items()})
         if level == 0:
             rows = [w for _, w in rows]
         return ResolutionSlice(level, degree, cols, rows, columns)

@@ -9,7 +9,8 @@ come from the plain rewriting loop that rescans the pending polynomial on
 every step, and level-1 differentials from splitting such a normal form
 over the letters, without the (-1)-chain; all differentials from a split
 that takes the ``DegLex`` maximum of the whole work element and tries
-every cut of its cofactor.  Truncated Groebner bases come from
+every cut of its cofactor, with a right action built on that rewriting
+loop and computed in field scalars.  Truncated Groebner bases come from
 incremental Buchberger completion over a pair heap, the engine's
 algorithm before it completed degree by degree; it orders words by
 ``DegLex``, the reference order.  Finiteness verdicts come from a
@@ -354,13 +355,12 @@ def letter_split_differential(ctx, chain) -> FreeElement:
 # ---------------------------------------------------------------------------
 # cut-scanning split, the reference for ``ResolutionContext.split``
 
-def split_reference(ctx, level: int, xi: FreeElement, differential=None) -> FreeElement:
+def split_reference(ctx, level: int, xi: FreeElement, differential, act_right) -> FreeElement:
     """eta at the given level with d(eta) = xi, as the engine split before it
     kept a heap: every step takes the maximum of the whole work element
     (by product word under ``DegLex``, then chain length), tries every cut
-    of its cofactor against the chain index, and rebuilds the work element.
-    ``differential`` defaults to the engine's."""
-    differential = differential or ctx.differential
+    of its cofactor against the chain index, and rebuilds the work element
+    with the given differential and right action."""
     order = DegLex(ctx.alphabet.size)
     emitted = []
     work = xi
@@ -376,27 +376,56 @@ def split_reference(ctx, level: int, xi: FreeElement, differential=None) -> Free
             raise SplittingError(f"{len(found)} level-{level} chain prefixes of {c0.word + w0}")
         hat, leftover = found[0]
         emitted.append(((hat, leftover), coeff))
-        work = work.add_scaled(ctx.act_right(differential(hat), leftover), -coeff)
+        work = work.add_scaled(act_right(differential(hat), leftover), -coeff)
     return FreeElement.from_pairs(emitted)
 
 
 def differentials_reference(ctx) -> dict:
-    """Every chain's differential by the recursion over ``split_reference``,
-    memoized apart from the engine's cache."""
-    memo = {}
+    """Every chain's differential in field scalars (``ModP`` over Fp), by
+    the recursion over ``split_reference`` and a right action that reduces
+    each product word with ``normal_form_reference``; memoized apart from
+    the engine's caches."""
+    basis, one = list(ctx.gb.elements), ctx.field.one
+    memo, nfs = {}, {}
+
+    def act_right(elem, w):
+        if not w:
+            return elem
+        pairs = []
+        for (c, u), coeff in elem.terms.items():
+            if u + w not in nfs:
+                nfs[u + w] = normal_form_reference(Polynomial.monomial(u + w, one), basis)
+            pairs += (((c, v), coeff * a) for v, a in nfs[u + w].terms.items())
+        return FreeElement.from_pairs(pairs)
 
     def d(c):
         if c not in memo:
             if c.level == 0:
-                memo[c] = FreeElement({(ctx.unit, c.word): ctx.field.one})
+                memo[c] = FreeElement({(ctx.unit, c.word): one})
             else:
-                xi = ctx.act_right(d(c.prefix), c.tail)
-                memo[c] = FreeElement({(c.prefix, c.tail): ctx.field.one}) - split_reference(
-                    ctx, c.level - 1, xi, d
+                xi = act_right(d(c.prefix), c.tail)
+                memo[c] = FreeElement({(c.prefix, c.tail): one}) - split_reference(
+                    ctx, c.level - 1, xi, d, act_right
                 )
         return memo[c]
 
     return {c: d(c) for c in ctx.chains.index.values()}
+
+
+def field_terms(field, elem) -> dict:
+    """The terms of an engine element as field scalars: over Fp the
+    context's residues become ``ModP``, over Q nothing changes."""
+    return {k: field.of(a) for k, a in elem.terms.items()}
+
+
+def assert_context_scalars(ctx, coeffs) -> None:
+    """Inside a context a coefficient is an ``int`` or a ``Fraction`` over
+    Q, and over Fp a plain ``int`` residue in 1..p-1."""
+    coeffs = list(coeffs)
+    if ctx.p:
+        assert all(type(c) is int and 0 < c < ctx.p for c in coeffs), coeffs
+    else:
+        assert all(type(c) in (int, Fraction) and c for c in coeffs), coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,29 @@ def test_rank_accepts_int_zeros_beside_field_elements(field, data):
 
 
 @settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_f5_rank_reads_unreduced_int_residues(data):
+    # Resolution contexts hand over int residues beside int zero padding; an
+    # int stands for its class mod 5 however large or negative, and a
+    # nonzero multiple of 5 is a zero entry.
+    rows, _ = data.draw(matrices(ENTRIES[F5]))
+    shifts = st.sampled_from([-1, 0, 1, 2])
+    ints = [[x.value + 5 * data.draw(shifts) for x in row] for row in rows]
+    mixed = [
+        [a if data.draw(st.booleans()) else x for a, x in zip(r, row)]
+        for r, row in zip(ints, rows)
+    ]
+    assert rank(ints, F5) == rank(mixed, F5) == rank(rows, F5)
+
+
+def test_f5_rank_of_fixed_unreduced_ints():
+    # 6 = 1, -4 = 1 and 5 = 0 mod 5, so both rows are (1, 1, 0).
+    rows = [[ModP(1, 5), ModP(1, 5), ModP(0, 5)], [6, -4, 5]]
+    assert rank(rows, F5) == rank([[6, -4, 5], [1, 1, 0]], F5) == 1
+    assert rank([[5, 10, -5]], F5) == 0
+
+
+@settings(max_examples=100, deadline=None)
 @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
 @given(data=st.data())
 def test_echelon_returns_monic_reduced_rows_spanning_the_input(field, data):

@@ -20,10 +20,12 @@ from anick.fields import ModP, PrimeField, Rationals
 from anick.linalg import nullspace
 from anick.words import DegLex
 from helpers import (
+    assert_context_scalars,
     bf_chains,
     bf_normal_count,
     check_antichain_reference,
     differentials_reference,
+    field_terms,
     interreduce,
     letter_split_differential,
 )
@@ -158,11 +160,14 @@ def test_low_differentials_split_through_the_unit_chain(pres):
     # A letter maps to 1 (x) letter, and splitting through the (-1)-chain
     # gives every level-1 differential the old letter-split rule gives.
     ctx = ResolutionContext(complete(pres, 5), 1, 5)
-    one = pres.field.one
     for letter in ctx.chains.level(0):
-        assert ctx.differential(letter).terms == {(ctx.unit, letter.word): one}
+        terms = ctx.differential(letter).terms
+        assert terms == {(ctx.unit, letter.word): 1}
+        assert_context_scalars(ctx, terms.values())
     for chain in ctx.chains.level(1):
-        assert ctx.differential(chain).terms == letter_split_differential(ctx, chain).terms
+        got = ctx.differential(chain)
+        assert field_terms(ctx.field, got) == letter_split_differential(ctx, chain).terms
+        assert_context_scalars(ctx, got.terms.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -172,7 +177,9 @@ def test_differentials_match_the_cut_scanning_split(pres):
     # recursion over the split that scans every cut of the cofactor.
     ctx = ResolutionContext(complete(pres, 6), 6, 6)
     for c, elem in differentials_reference(ctx).items():
-        assert ctx.differential(c).terms == elem.terms
+        got = ctx.differential(c)
+        assert field_terms(ctx.field, got) == elem.terms
+        assert_context_scalars(ctx, got.terms.values())
 
 
 @st.composite
@@ -213,11 +220,20 @@ def test_scalars_stay_int_fraction_or_modp(case):
     basis = list(gb.elements)
     returned = [c for g in basis for c in g.terms.values()]
     returned += normal_form(p, Reducer(field, basis)).terms.values()
+    # What a context computes stays inside it: act_right, split,
+    # differential and induced_differential.
     ctx = ResolutionContext(gb, 3, 5)
+    inside = []
     for level in (2, 3):
         for chain in ctx.chains.level(level):
             xi = ctx.act_right(ctx.differential(chain.prefix), chain.tail)
-            returned += ctx.split(level - 1, xi).terms.values()
+            inside += xi.terms.values()
+            inside += ctx.split(level - 1, xi).terms.values()
+    for chain in ctx.chains.index.values():
+        inside += ctx.differential(chain).terms.values()
+        inside += ctx.induced_differential(chain).values()
+    assert_context_scalars(ctx, inside)
+    returned += [a for s in ctx.slices() for col in s.columns for a in col.values()]
     rows = [
         {j: r.terms[w] for j, w in enumerate(RELATION_COLUMNS) if w in r.terms}
         for r in pres.relations
@@ -232,7 +248,7 @@ def test_scalars_stay_int_fraction_or_modp(case):
         )
         assert all(type(c) is int for c in kernel if c.denominator == 1)
         if unit:
-            assert all(type(c) is int for c in returned)
+            assert all(type(c) is int for c in returned + inside)
     else:
         assert all(type(c) is ModP and c.p == 5 for c in returned + kernel)
 

@@ -2,7 +2,13 @@ import hashlib
 import json
 
 import pytest
-from helpers import dense, differentials_reference, formula_differential
+from helpers import (
+    assert_context_scalars,
+    dense,
+    differentials_reference,
+    field_terms,
+    formula_differential,
+)
 from hypothesis import given, settings, strategies as st
 
 from anick import (
@@ -237,14 +243,20 @@ def test_split_beyond_the_degree_bound_raises_splitting_error(xyz_ctx):
             xyz_ctx.split(2, FreeElement({(c, t): xyz_ctx.field.one}))
 
 
-@pytest.mark.parametrize("name, d", [("xyz", 9), ("g4", 5)])
+@pytest.mark.parametrize("name, d", [("xyz", 9), ("g4", 5), ("xyz-f2", 8), ("xyz-f3", 8)])
 def test_differentials_match_the_cut_scanning_split(name, d, request):
-    presentation = request.getfixturevalue(name)
+    # F_2 and F_3 are the smallest fields, where -1 is the residue 1 or 2.
+    if name.startswith("xyz-f"):
+        presentation = parse_presentation(XYZ_FP5.replace("Fp 5", f"Fp {name[5:]}"))
+    else:
+        presentation = request.getfixturevalue(name)
     ctx = ResolutionContext(complete(presentation, d), d, d)
     expected = differentials_reference(ctx)
     assert len(expected) == len(ctx.chains.index)
     for c, elem in expected.items():
-        assert ctx.differential(c).terms == elem.terms, c
+        got = ctx.differential(c)
+        assert field_terms(ctx.field, got) == elem.terms, c
+        assert_context_scalars(ctx, got.terms.values())
 
 
 def test_context_rejects_uncovered_degree(xyz):
