@@ -15,6 +15,7 @@ otherwise, over Fp a ``ModP``.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import gcd, lcm
 from typing import Iterable
 
@@ -104,15 +105,25 @@ def echelon(rows: Iterable[dict], field: Field) -> list[dict]:
     return [{k: field.of(v, pivots[c][c]) for k, v in pivots[c].items()} for c in cols]
 
 
+def _last_first(row: list) -> Iterable[tuple]:
+    """The nonzero entries of a dense row keyed by their negated column."""
+    return ((-j, row[j]) for j in compress(count(), row))
+
+
 def rank(rows: list[list], field: Field) -> int:
     """The number of pivot rows of the forward pass; a rank needs no
     back-substitution.
+
+    Columns are keyed by their negated index, so each row pivots on its
+    last nonzero column.  An induced matrix of the resolution is nearly
+    triangular that way round in the Anick order of its chains, and far
+    fewer entries are updated than when pivoting on the first column.
 
     The rows are dense because the benchmark's traced run reads matrix
     size and fill from them; they become sparse once it counts those from
     the chains instead.
     """
-    return len(_pivots(map(enumerate, rows), field)[0])
+    return len(_pivots(map(_last_first, rows), field)[0])
 
 
 def nullspace(rows: list[dict], ncols: int, field: Field) -> list[dict]:

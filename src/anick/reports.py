@@ -37,8 +37,11 @@ def render_json(report: dict[str, Any]) -> str:
 
     ``json.dumps`` drops to its pure-Python encoder whenever ``indent`` is
     set, which yields one chunk per matrix entry; this walk emits a list of
-    strings (a matrix row, a label list) with a single join instead.  Dict
-    keys must be strings, as every report's are.
+    strings (a matrix row, a label list) with a single join instead.  When
+    the joined text is printable ASCII without a quote or a backslash, as
+    a matrix row is, nothing in it needs escaping and the items are joined
+    between quotes as they are; otherwise each item is escaped.  Dict keys
+    must be strings, as every report's are.
     """
     parts: list[str] = []
     _render(report, "\n", parts)
@@ -65,13 +68,19 @@ def _render(value: Any, newline: str, parts: list[str]) -> None:
             parts.append("[]")
             return
         try:
-            parts += ("[", inner, ("," + inner).join(map(encode_basestring_ascii, value)))
+            text = "".join(value)
         except TypeError:  # an item is not a str: walk the items one by one
             sep = "[" + inner
             for item in value:
                 parts.append(sep)
                 _render(item, inner, parts)
                 sep = "," + inner
+        else:
+            if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+                # Nothing to escape: each item is its own text in quotes.
+                parts += ("[", inner, '"', ('",' + inner + '"').join(value), '"')
+            else:
+                parts += ("[", inner, ("," + inner).join(map(encode_basestring_ascii, value)))
         parts.append(newline + "]")
     else:
         parts.append(json.dumps(value))
@@ -114,12 +123,20 @@ def graph_payload(graph: ChainGraph) -> dict[str, Any]:
     return {"graph": {"nodes": nodes, "edges": [[names[a], names[b]] for a, b in graph.edges]}}
 
 
-def _pair_label(alphabet: Alphabet, pair) -> dict[str, str]:
-    chain, word = pair
-    return {"chain": alphabet.str_word(chain.word), "cofactor": alphabet.str_word(word)}
-
-
 def slices_payload(alphabet: Alphabet, slices: list[ResolutionSlice]) -> dict[str, Any]:
+    # A pair is a source one level up from where it is a target: its label
+    # is built once and shared.
+    labels: dict = {}
+
+    def label(pair) -> dict[str, str]:
+        made = labels.get(pair)
+        if made is None:
+            chain, word = pair
+            made = labels[pair] = {
+                "chain": alphabet.str_word(chain.word), "cofactor": alphabet.str_word(word)
+            }
+        return made
+
     out = []
     for s in slices:
         if not s.col_labels:
@@ -127,7 +144,7 @@ def slices_payload(alphabet: Alphabet, slices: list[ResolutionSlice]) -> dict[st
         if s.level == 0:
             rows: list[Any] = [alphabet.str_word(w) for w in s.row_labels]
         else:
-            rows = [_pair_label(alphabet, p) for p in s.row_labels]
+            rows = [label(p) for p in s.row_labels]
         # One shared "0" for every zero entry: str() runs on nonzeros only.
         matrix = [["0"] * len(s.col_labels) for _ in s.row_labels]
         for j, col in enumerate(s.columns):
@@ -137,7 +154,7 @@ def slices_payload(alphabet: Alphabet, slices: list[ResolutionSlice]) -> dict[st
             {
                 "level": s.level,
                 "degree": s.degree,
-                "source": [_pair_label(alphabet, p) for p in s.col_labels],
+                "source": [label(p) for p in s.col_labels],
                 "target": rows,
                 "matrix": matrix,
                 "composes_to_zero": s.composes_to_zero,

@@ -101,6 +101,7 @@ class ResolutionContext:
         self.p = self._reducer.p
         self._nf_cache: dict[Word, dict[Word, object]] = {}
         self._diff_cache: dict[Chain, FreeElement] = {}
+        self._basis_cache: dict[tuple[int, int], tuple[tuple[Chain, Word], ...]] = {}
         # Anick's (-1)-chain; it stays out of the chain set.
         self.unit = Chain(EMPTY, -1, 0, 0, None)
 
@@ -137,12 +138,16 @@ class ResolutionContext:
         xi must lie in the kernel of the previous differential and be
         supported below the given level's chains, which holds for every
         element this engine feeds in.  At level 0, xi is an algebra element
-        keyed by ``self.unit`` and must have no degree-0 term.  A term at
-        another level, or one that does not cancel, raises
+        keyed by ``self.unit`` and must have no degree-0 term.  Over Fp its
+        coefficients may be residues or ``ModP``; the result holds residues.
+        A term at another level, or one that does not cancel, raises
         ``SplittingError``.
         """
         find, extensions, p = self.chains.find, self.chains.extensions, self.p
-        work = dict(xi.terms)
+        if p:  # a coefficient may be a ModP or an unreduced int: read residues
+            work = {k: r for k, a in xi.terms.items() if (r := getattr(a, "value", a) % p)}
+        else:
+            work = dict(xi.terms)
         # Products in one split share a length, so the word itself orders
         # them as ``_max_term_key`` does; chain length breaks ties.
         heap = []
@@ -209,16 +214,23 @@ class ResolutionContext:
         return {c2: a for (c2, w), a in self.differential(c).terms.items() if w == EMPTY}
 
     def pair_basis(self, level: int, degree: int) -> list[tuple[Chain, Word]]:
-        """Basis of the level module in one internal degree, ascending."""
-        if level == -1:
-            return [(self.unit, w) for w in self.automaton.accepted_words(degree)]
-        out: list[tuple[Chain, Word]] = []
-        for d in range(0, degree + 1):
-            for c in self.chains.at(level, d):
-                for w in self.automaton.accepted_words(degree - d):
-                    out.append((c, w))
-        out.sort(key=_max_term_key, reverse=True)
-        return out
+        """Basis of the level module in one internal degree, ascending.
+
+        Each basis is built once per context; every call returns a new list.
+        """
+        cached = self._basis_cache.get((level, degree))
+        if cached is None:
+            if level == -1:
+                out = [(self.unit, w) for w in self.automaton.accepted_words(degree)]
+            else:
+                out = []
+                for d in range(0, degree + 1):
+                    for c in self.chains.at(level, d):
+                        for w in self.automaton.accepted_words(degree - d):
+                            out.append((c, w))
+                out.sort(key=_max_term_key, reverse=True)
+            cached = self._basis_cache[level, degree] = tuple(out)
+        return list(cached)
 
     def slice(self, level: int, degree: int) -> ResolutionSlice:
         """Matrix of the differential at one level and internal degree."""
@@ -228,8 +240,13 @@ class ResolutionContext:
         of = self.field.of
         columns = []
         for c, w in cols:
-            image = self.act_right(self.differential(c), w)
-            columns.append({row_index[k]: of(a) for k, a in image.terms.items()})
+            terms = self.act_right(self.differential(c), w).terms
+            if self.p:
+                columns.append({row_index[k]: of(a) for k, a in terms.items()})
+            else:  # an int is already a scalar of Q; a Fraction may be integral
+                columns.append(
+                    {row_index[k]: a if type(a) is int else of(a) for k, a in terms.items()}
+                )
         if level == 0:
             rows = [w for _, w in rows]
         return ResolutionSlice(level, degree, cols, rows, columns)
@@ -260,13 +277,14 @@ class ResolutionContext:
 def verify_composition(lower: ResolutionSlice, upper: ResolutionSlice) -> bool:
     """Check that applying the lower matrix after the upper gives zero."""
     col_index = {k: i for i, k in enumerate(lower.col_labels)}
+    # The lower column under each row of the upper slice.
+    below = [lower.columns[col_index[k]] for k in upper.row_labels]
     for col in upper.columns:
-        image = LinComb.from_pairs(
-            (row, a * b)
-            for mid, a in col.items()
-            for row, b in lower.columns[col_index[upper.row_labels[mid]]].items()
-        )
-        if not image.is_zero:
+        acc: dict[int, object] = {}
+        for mid, a in col.items():
+            for row, b in below[mid].items():
+                acc[row] = acc.get(row, 0) + a * b
+        if any(acc.values()):
             return False
     return True
 

@@ -118,6 +118,19 @@ def test_f5_rank_of_fixed_unreduced_ints():
 @settings(max_examples=100, deadline=None)
 @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
 @given(data=st.data())
+def test_rank_ignores_column_order_and_transposition(field, data):
+    # rank pivots on each row's last nonzero column, rref on its first.
+    rows, ncols = data.draw(matrices(ENTRIES[field], max_rows=6, max_cols=7))
+    order = data.draw(st.permutations(range(ncols)))
+    permuted = [[row[j] for j in order] for row in rows]
+    transposed = [list(col) for col in zip(*rows)]
+    want = len(rref(rows, field)[1])
+    assert rank(rows, field) == rank(permuted, field) == rank(transposed, field) == want
+
+
+@settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+@given(data=st.data())
 def test_echelon_returns_monic_reduced_rows_spanning_the_input(field, data):
     rows, ncols = data.draw(matrices(ENTRIES[field]))
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]

@@ -233,7 +233,8 @@ def test_scalars_stay_int_fraction_or_modp(case):
         inside += ctx.differential(chain).terms.values()
         inside += ctx.induced_differential(chain).values()
     assert_context_scalars(ctx, inside)
-    returned += [a for s in ctx.slices() for col in s.columns for a in col.values()]
+    entries = [a for s in ctx.slices() for col in s.columns for a in col.values()]
+    returned += entries
     rows = [
         {j: r.terms[w] for j, w in enumerate(RELATION_COLUMNS) if w in r.terms}
         for r in pres.relations
@@ -247,6 +248,9 @@ def test_scalars_stay_int_fraction_or_modp(case):
             type(c) is Fraction and c.denominator == 1 for g in basis for c in g.terms.values()
         )
         assert all(type(c) is int for c in kernel if c.denominator == 1)
+        # An integral Fraction of the context's arithmetic leaves a slice
+        # as an int.
+        assert all(type(c) is int for c in entries if c.denominator == 1)
         if unit:
             assert all(type(c) is int for c in returned + inside)
     else:

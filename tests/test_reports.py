@@ -1,7 +1,7 @@
 import json
 import pathlib
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anick import cli, reports
 
@@ -20,6 +20,28 @@ SCALARS = st.one_of(
     TEXT,
 )
 
+# Printable ASCII without a quote or a backslash needs no escaping, so a
+# list of such strings is rendered by one join; one odd item sends the
+# whole list through the escaper.
+PLAIN = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'),
+    max_size=6,
+)
+ODD = st.builds(
+    lambda head, odd, tail: head + odd + tail,
+    PLAIN,
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\x80", "é", "\u2028", "😀"]),
+    PLAIN,
+)
+
+
+@st.composite
+def plain_but_one(draw):
+    items = draw(st.lists(PLAIN, max_size=4))
+    items.insert(draw(st.integers(0, len(items))), draw(ODD))
+    return items
+
+
 JSON_TREES = st.recursive(
     SCALARS,
     lambda children: st.one_of(
@@ -28,6 +50,8 @@ JSON_TREES = st.recursive(
         st.dictionaries(TEXT, children, max_size=4),
         st.lists(TEXT, max_size=4),
         st.lists(TEXT | st.integers(), max_size=4),
+        st.lists(PLAIN, max_size=6),
+        plain_but_one(),
     ),
     max_leaves=30,
 )
@@ -35,6 +59,8 @@ JSON_TREES = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(JSON_TREES)
+@example({"rows": [["", "0", "-3/4", "a b~", ""], [""], ("1", "2")]})
+@example([["0", 'say "x"'], ["0", "a\\b"], ["0", "\t"], ["0", "\x7f"], ["0", "\u03b1"]])
 def test_render_json_matches_indented_json_dumps(tree):
     assert reports.render_json(tree) == json.dumps(tree, indent=2) + "\n"
 

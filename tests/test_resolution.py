@@ -243,6 +243,24 @@ def test_split_beyond_the_degree_bound_raises_splitting_error(xyz_ctx):
             xyz_ctx.split(2, FreeElement({(c, t): xyz_ctx.field.one}))
 
 
+def test_split_reads_modp_and_unreduced_coefficients_as_residues():
+    # Over F_5 a caller may hand split field scalars or unreduced ints; it
+    # computes on residues either way and returns residues.
+    presentation = parse_presentation(XYZ_FP5)
+    ctx = ResolutionContext(complete(presentation, 6), 6, 6)
+    checked = 0
+    for level in (2, 3):
+        for chain in ctx.chains.level(level):
+            xi = ctx.act_right(ctx.differential(chain.prefix), chain.tail)
+            want = ctx.split(level - 1, xi).terms
+            for coeff in (ctx.field.of, lambda v: v + 5, lambda v: v - 10):
+                got = ctx.split(level - 1, FreeElement({k: coeff(v) for k, v in xi.terms.items()}))
+                assert got.terms == want, chain
+                assert_context_scalars(ctx, got.terms.values())
+            checked += 1
+    assert ctx.chains.find(2, presentation.alphabet.word("xxx")) is not None and checked > 3
+
+
 @pytest.mark.parametrize("name, d", [("xyz", 9), ("g4", 5), ("xyz-f2", 8), ("xyz-f3", 8)])
 def test_differentials_match_the_cut_scanning_split(name, d, request):
     # F_2 and F_3 are the smallest fields, where -1 is the residue 1 or 2.
@@ -293,6 +311,25 @@ def test_resolution_is_exact_in_positive_degrees(xyz, xyz_ctx):
         for level in range(0, 3):
             kernel = dims[level] - ranks[level]
             assert kernel == ranks[level + 1], (degree, level)
+
+
+def test_slice_rows_are_the_columns_one_level_down(xyz_ctx):
+    for degree in range(0, 7):
+        for level in range(1, 5):
+            upper, lower = xyz_ctx.slice(level, degree), xyz_ctx.slice(level - 1, degree)
+            assert upper.row_labels == lower.col_labels
+            assert upper.row_labels is not lower.col_labels
+
+
+def test_pair_basis_is_a_new_list_on_every_call(xyz_ctx):
+    basis = xyz_ctx.pair_basis(2, 5)
+    assert basis and basis == xyz_ctx.pair_basis(2, 5)
+    basis.reverse()
+    basis.append(basis[0])
+    xyz_ctx.slice(2, 5).col_labels.clear()
+    again = xyz_ctx.pair_basis(2, 5)
+    assert again == sorted(again, key=_max_term_key, reverse=True)
+    assert len(again) == len(set(again)) == len(basis) - 1
 
 
 def apply_differential(ctx, elem):
