@@ -17,7 +17,7 @@ from . import linalg
 from .automaton import FiniteDimVerdict, is_finite_dimensional, normal_word_automaton
 from .errors import NotQuadraticError
 from .groebner import Certificate, Presentation, complete
-from .homology import KoszulVerdict, betti_table, koszul_verdict
+from .homology import BettiTable, KoszulVerdict, betti_table, koszul_verdict
 from .poly import Polynomial
 from .words import Alphabet, deglex_desc
 
@@ -71,17 +71,23 @@ class GldimReport:
         return self.gldim is not None and self.dim_degree_one < self.gldim
 
 
-def gldim_report(presentation: Presentation, max_degree: int) -> GldimReport:
+def gldim_report(
+    presentation: Presentation, max_degree: int, table: BettiTable | None = None
+) -> GldimReport:
     """Koszulness up to a bound plus the dual's top degree, combined.
 
     The conclusion follows the duality principle: a Koszul algebra whose
     dual is concentrated in degrees <= d and nonzero in degree d has
     global dimension d.  The Koszulness side is only verified up to the
     bound, so the conclusion is conditional and reported as such.
+    ``table`` is the algebra's Betti table through ``max_degree`` if the
+    caller has it, perhaps computed under another letter precedence; the
+    dual is always taken under the given one.
     """
     if not presentation.is_quadratic:
         raise NotQuadraticError("global-dimension report needs a quadratic presentation")
-    table = betti_table(presentation, max_degree, max_degree)
+    if table is None:
+        table = betti_table(presentation, max_degree, max_degree)
     koszul = koszul_verdict(table, max_degree)
 
     dual = quadratic_dual(presentation)

@@ -164,6 +164,8 @@ class PrimeField:
         return ModP(1, self.p)
 
     def of(self, numerator: int, denominator: int = 1) -> ModP:
+        if denominator == 1:
+            return ModP(numerator % self.p, self.p)
         if denominator % self.p == 0:
             raise ZeroDivisionError("denominator vanishes in the prime field")
         return ModP(numerator % self.p, self.p) / ModP(denominator % self.p, self.p)

@@ -40,16 +40,24 @@ def render_json(report: dict[str, Any]) -> str:
     strings (a matrix row, a label list) with a single join instead.  When
     the joined text is printable ASCII without a quote or a backslash, as
     a matrix row is, nothing in it needs escaping and the items are joined
-    between quotes as they are; otherwise each item is escaped.  Dict keys
-    must be strings, as every report's are.
+    between quotes as they are; otherwise each item is escaped.  A dict of
+    strings, such as a resolution label shared by many slices, is rendered
+    once per indent and its text reused.  Dict keys must be strings, as
+    every report's are.
     """
     parts: list[str] = []
-    _render(report, "\n", parts)
+    _render(report, "\n", parts, {})
     parts.append("\n")
     return "".join(parts)
 
 
-def _render(value: Any, newline: str, parts: list[str]) -> None:
+def _render(value: Any, newline: str, parts: list[str], flat: dict) -> None:
+    """Append the text of ``value`` at indent ``newline`` to ``parts``.
+
+    ``flat`` maps (id, newline) of each dict of strings rendered so far to
+    its text; the report holds every such dict for the whole walk, so no id
+    is reused within it.
+    """
     inner = newline + "  "
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
@@ -57,12 +65,27 @@ def _render(value: Any, newline: str, parts: list[str]) -> None:
         if not value:
             parts.append("{}")
             return
-        sep = "{" + inner
-        for key, item in value.items():
-            parts += (sep, encode_basestring_ascii(key), ": ")
-            _render(item, inner, parts)
-            sep = "," + inner
-        parts.append(newline + "}")
+        key = (id(value), newline)
+        text = flat.get(key)
+        if text is None:
+            try:
+                text = flat[key] = (
+                    "{" + inner
+                    + ("," + inner).join(
+                        encode_basestring_ascii(k) + ": " + encode_basestring_ascii(v)
+                        for k, v in value.items()
+                    )
+                    + newline + "}"
+                )
+            except TypeError:  # a value is not a str: walk the items one by one
+                sep = "{" + inner
+                for name, item in value.items():
+                    parts += (sep, encode_basestring_ascii(name), ": ")
+                    _render(item, inner, parts, flat)
+                    sep = "," + inner
+                parts.append(newline + "}")
+                return
+        parts.append(text)
     elif isinstance(value, (list, tuple)):
         if not value:
             parts.append("[]")
@@ -73,7 +96,7 @@ def _render(value: Any, newline: str, parts: list[str]) -> None:
             sep = "[" + inner
             for item in value:
                 parts.append(sep)
-                _render(item, inner, parts)
+                _render(item, inner, parts, flat)
                 sep = "," + inner
         else:
             if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:

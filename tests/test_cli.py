@@ -1,16 +1,34 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from anick import ResolutionContext, complete, parse_presentation
-from anick.cli import COMMANDS, main
-from anick.reports import slices_payload
+from anick import (
+    Alphabet,
+    Polynomial,
+    Presentation,
+    ResolutionContext,
+    betti_table,
+    complete,
+    format_presentation,
+    gldim_report,
+    koszul_verdict,
+    parse_presentation,
+)
+from anick.cli import BETTI_COMMANDS, COMMANDS, main, probe_degree
+from anick.fields import PrimeField, Rationals
+from anick.reports import betti_payload, gldim_payload, koszul_payload, slices_payload
 
 XYZ = "vars: x > y > z\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n"
 YXSQ_LOW = "vars: x < y\nrelations:\n  x^2 - y*x\n"
@@ -143,8 +161,6 @@ def test_json_reports_are_byte_stable(capsys, xyz_file):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(XYZ))
     code, out, err = run(capsys, "hilbert", "--max-deg", "4")
     assert code == 0
@@ -312,6 +328,9 @@ def test_resolution_payload_allocates_little_beside_its_matrices():
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_each_command_completes_at_most_once(capsys, monkeypatch, xyz_file, command):
+    # One completion at D of the input (gldim: and of its dual).  The Betti
+    # commands may add probes of the letter orders, at most 3! of them and
+    # every one at the probe degree; the other commands add none.
     import anick.cli
     import anick.dual
     import anick.homology
@@ -326,10 +345,28 @@ def test_each_command_completes_at_most_once(capsys, monkeypatch, xyz_file, comm
 
     for module in (anick.cli, anick.resolution, anick.homology, anick.dual):
         monkeypatch.setattr(module, "complete", counting_complete)
-    code, out, err = run(capsys, command, "--input", xyz_file, "--max-deg", "5")
-    assert code == 0, err
-    expected = {"dual": 0, "gldim": 2}.get(command, 1)  # gldim: the input and its dual
-    assert len(calls) == expected
+    for degree in (5, 8):
+        calls.clear()
+        code, out, err = run(capsys, command, "--input", xyz_file, "--max-deg", str(degree))
+        assert code == 0, err
+        expected = {"dual": 0, "gldim": 2}.get(command, 1)  # gldim: the input and its dual
+        assert calls.count(degree) == expected
+        probes = [d for d in calls if d != degree]
+        assert all(d == probe_degree(degree) for d in probes), calls
+        assert len(probes) <= (math.factorial(3) if command in BETTI_COMMANDS else 0)
+
+
+@pytest.mark.parametrize("command, code", [("betti", 2), ("koszul", 2), ("gldim", 0)])
+def test_require_certified_checks_the_given_precedence(capsys, command, code):
+    # Under x > y > z the basis of example.alg is infinite; the Betti data is
+    # computed under y > x > z, where it is finite, but the flag still checks
+    # the given order's basis.  gldim checks its dual's basis, which is finite.
+    got, out, err = run(
+        capsys, command, "--input", str(EXAMPLE), "--max-deg", "8", "--require-certified"
+    )
+    assert got == code, err
+    if code == 2:
+        assert out == "" and "complete-up-to-degree(8)" in err
 
 
 @pytest.mark.parametrize("flag", ["--max-deg", "--max-level"])
@@ -371,3 +408,65 @@ def test_cli_run_loads_only_the_standard_library(xyz_file):
     code, foreign = json.loads(done.stdout.splitlines()[-1])
     assert code == 0
     assert set(foreign) <= {"__main__", "anick"}, foreign
+
+
+LIBRARY_PAYLOADS = {
+    "betti": lambda pres, d: betti_payload(betti_table(pres, d, d)),
+    "koszul": lambda pres, d: koszul_payload(koszul_verdict(betti_table(pres, d, d), d)),
+    "gldim": lambda pres, d: gldim_payload(gldim_report(pres, d)),
+}
+
+
+def cli_payload(command, text, degree):
+    """The payload text and config of one in-process run on stdin."""
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        assert main([command, "--max-deg", str(degree)]) == 0
+    report = out.getvalue()
+    payload = report.split('\n  "payload": ', 1)[1].rsplit(',\n  "timing": ', 1)[0]
+    return payload, json.loads(report)["config"]
+
+
+@st.composite
+def small_quadratic_presentations(draw):
+    field = draw(st.sampled_from([Rationals(), PrimeField(5)]))
+    alphabet = Alphabet(("x", "y", "z", "w")[: draw(st.integers(2, 4))])
+    pool = list(itertools.product(range(alphabet.size), repeat=2))
+    rels = []
+    for _ in range(draw(st.integers(1, 2))):
+        support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        coeffs = st.sampled_from([-2, -1, 1, 2]).map(field.of)
+        rels.append(Polynomial({w: draw(coeffs) for w in support}))
+    return Presentation(alphabet, field, tuple(rels))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_quadratic_presentations(), st.integers(3, 6))
+def test_chosen_precedence_gives_the_given_precedences_payloads(pres, degree):
+    # The search runs from probe degree 2 on here, so that these small
+    # degrees exercise it; the payloads must not depend on its choice.
+    text = format_presentation(pres)
+    with mock.patch("anick.cli.PROBE_MIN_DEGREE", 2):
+        for command, build in LIBRARY_PAYLOADS.items():
+            payload, config = cli_payload(command, text, degree)
+            assert json.loads(payload) == json.loads(json.dumps(build(pres, degree)))
+            assert sorted(config["betti_order"].split(" > ")) == sorted(pres.alphabet.letters)
+            assert config["order"] == " > ".join(pres.alphabet.letters)
+
+
+@pytest.mark.parametrize("command", BETTI_COMMANDS)
+def test_example_payloads_are_equal_under_every_letter_order(command):
+    body = EXAMPLE.read_text().split("\n", 2)[2]
+    assert body.startswith("field: Q\n")
+    shipped = parse_presentation(EXAMPLE.read_text())
+    want = json.dumps(LIBRARY_PAYLOADS[command](shipped, 10), indent=2).replace("\n", "\n  ")
+    # Three orders give a certified basis with 21 chains through degree 5;
+    # a tie keeps the given order, or else goes to the first permutation of
+    # the given letters.
+    cheapest = ("y > x > z", "y > z > x", "z > y > x")
+    for letters in itertools.permutations("xyz"):
+        order = " > ".join(letters)
+        payload, config = cli_payload(command, f"vars: {order}\n" + body, 10)
+        assert payload == want, order
+        first = next(o for o in map(" > ".join, itertools.permutations(letters)) if o in cheapest)
+        assert config["betti_order"] == first

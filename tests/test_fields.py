@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from anick.errors import FieldError
 from anick.fields import ModP, PrimeField, Rationals, inverse, is_one
@@ -79,3 +80,16 @@ def test_operators_and_prime_field_constructor():
         F5.of(1, 10)
     assert a.__add__(Fraction(1, 2)) is NotImplemented
     assert a.__mul__(0.5) is NotImplemented
+
+
+@given(
+    st.sampled_from([PrimeField(p) for p in (2, 3, 5, 32003, 2**31 - 1)]),
+    st.integers(-50, 50) | st.integers(-(10**40), 10**40),
+)
+def test_of_an_integer_is_its_residue(field, a):
+    p = field.p
+    got = field.of(a)
+    assert got == field.of(a, 1) == ModP(a % p, p) / ModP(1, p)
+    assert type(got) is ModP and got.value == a % p
+    with pytest.raises(ZeroDivisionError):
+        field.of(a, p)

@@ -57,8 +57,14 @@ JSON_TREES = st.recursive(
 )
 
 
+# One dict of strings shared at three indents, as a resolution label is
+# shared between the slices where its pair is a source and a target.
+LABEL = {"chain": "x*y", "cofactor": "\u03b1"}
+
+
 @settings(max_examples=200, deadline=None)
 @given(JSON_TREES)
+@example({"source": [LABEL, LABEL], "target": [[LABEL]], "label": LABEL, "empty": {}})
 @example({"rows": [["", "0", "-3/4", "a b~", ""], [""], ("1", "2")]})
 @example([["0", 'say "x"'], ["0", "a\\b"], ["0", "\t"], ["0", "\x7f"], ["0", "\u03b1"]])
 def test_render_json_matches_indented_json_dumps(tree):
