@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations
 
 from . import __version__
@@ -77,7 +77,11 @@ class Pipeline:
 
     def __init__(self, args):
         field = field_from_name(args.field) if args.field else None
-        self.presentation = parse_presentation(_read_input(args.input), field)
+        # Every command completes at D but dual, which needs quadratic
+        # relations, so a term above max(D, 2) can only fail later.
+        self.presentation = parse_presentation(
+            _read_input(args.input), field, max(args.max_deg, 2)
+        )
         self.alphabet = self.presentation.alphabet
         self.max_deg = args.max_deg
         # Koszul and gldim verdicts need every level up to D, so D is the
@@ -225,7 +229,10 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="anick",
         description="Exact Groebner, resolution and Koszulness computations "

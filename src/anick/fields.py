@@ -196,7 +196,11 @@ def field_from_name(text: str) -> Field:
     for sep in (":", " "):
         if low.startswith("fp" + sep):
             body = t[3:].strip()
-            if not body.isdigit():
+            try:  # isdigit() admits digits int() rejects, such as '²'
+                p = int(body) if body.isdigit() else None
+            except ValueError:  # or beyond the interpreter's digit limit
+                p = None
+            if p is None:
                 raise FieldError(f"bad prime in field descriptor {text!r}")
-            return PrimeField(int(body))
+            return PrimeField(p)
     raise FieldError(f"unknown field descriptor {text!r} (expected Q or Fp <prime>)")

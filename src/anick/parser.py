@@ -61,7 +61,7 @@ def _tokenize(text: str, line_no: int) -> list[tuple[str, str, int]]:
 
 
 def _parse_polynomial(
-    text: str, line_no: int, alphabet: Alphabet, field: Field
+    text: str, line_no: int, alphabet: Alphabet, field: Field, max_degree: int | None = None
 ) -> Polynomial:
     tokens = _tokenize(text, line_no)
     if not tokens:
@@ -73,6 +73,13 @@ def _parse_polynomial(
         col = tokens[tok_index][2] + 1 if tok_index < len(tokens) else len(text) + 1
         return ParseError(msg, line_no, col)
 
+    def number(tok_index: int) -> int:
+        digits = tokens[tok_index][1]
+        try:
+            return int(digits)
+        except ValueError:  # beyond the interpreter's digit limit
+            raise error(f"number too long ({len(digits)} digits)", tok_index) from None
+
     while i < len(tokens):
         sign = 1
         if tokens[i][0] in "+-":
@@ -83,13 +90,13 @@ def _parse_polynomial(
         numerator, denominator = 1, 1
         coeff_at = i
         if i < len(tokens) and tokens[i][0] == "num":
-            numerator = int(tokens[i][1])
+            numerator = number(i)
             i += 1
             if i < len(tokens) and tokens[i][0] == "/":
                 i += 1
                 if i >= len(tokens) or tokens[i][0] != "num":
                     raise error("expected denominator", i)
-                denominator = int(tokens[i][1])
+                denominator = number(i)
                 i += 1
             if i < len(tokens) and tokens[i][0] == "*":
                 i += 1
@@ -107,8 +114,13 @@ def _parse_polynomial(
                 i += 1
                 if i >= len(tokens) or tokens[i][0] != "num":
                     raise error("expected exponent", i)
-                power = int(tokens[i][1])
+                power = number(i)
                 i += 1
+            # The degree is checked before the power is expanded, so a huge
+            # exponent costs no memory.
+            degree = len(word) + len(letters) - 1 + power
+            if max_degree is not None and degree > max_degree:
+                raise error(f"term degree {degree} is above the bound {max_degree}", chunk_pos)
             word.extend(letters[:-1] + letters[-1:] * power)
             saw_factor = True
             if i < len(tokens) and tokens[i][0] == "*":
@@ -127,8 +139,14 @@ def _parse_polynomial(
     return poly
 
 
-def parse_presentation(text: str, field_override: Field | None = None) -> Presentation:
-    """Parse a presentation file into a validated Presentation."""
+def parse_presentation(
+    text: str, field_override: Field | None = None, max_degree: int | None = None
+) -> Presentation:
+    """Parse a presentation file into a validated Presentation.
+
+    With ``max_degree``, a term of higher degree is a ParseError, raised
+    before the term's word is built.
+    """
     lines = text.splitlines()
     alphabet: Alphabet | None = None
     field: Field = field_override or Rationals()
@@ -183,7 +201,7 @@ def parse_presentation(text: str, field_override: Field | None = None) -> Presen
     if alphabet is None:
         raise ParseError("missing vars line", len(lines) or 1, 1)
     relations = tuple(
-        _parse_polynomial(body, line_no, alphabet, field)
+        _parse_polynomial(body, line_no, alphabet, field, max_degree)
         for line_no, body in relation_lines
     )
     try:

@@ -37,7 +37,10 @@ def render_json(report: dict[str, Any]) -> str:
 
     ``json.dumps`` drops to its pure-Python encoder whenever ``indent`` is
     set, which yields one chunk per matrix entry; this walk emits a list of
-    strings (a matrix row, a label list) with a single join instead.  When
+    strings (a matrix row, a label list) or of ints (an occurrence span)
+    with a single join instead.  Only an exact ``int`` is written with
+    ``str``: a bool, an ``IntEnum`` member or another subclass goes through
+    ``json.dumps``, as its ``str`` need not be its JSON text.  When
     the joined text is printable ASCII without a quote or a backslash, as
     a matrix row is, nothing in it needs escaping and the items are joined
     between quotes as they are; otherwise each item is escaped.  A dict of
@@ -92,12 +95,15 @@ def _render(value: Any, newline: str, parts: list[str], flat: dict) -> None:
             return
         try:
             text = "".join(value)
-        except TypeError:  # an item is not a str: walk the items one by one
-            sep = "[" + inner
-            for item in value:
-                parts.append(sep)
-                _render(item, inner, parts, flat)
-                sep = "," + inner
+        except TypeError:  # an item is not a str
+            if all(type(item) is int for item in value):
+                parts += ("[", inner, ("," + inner).join(map(str, value)))
+            else:  # walk the items one by one
+                sep = "[" + inner
+                for item in value:
+                    parts.append(sep)
+                    _render(item, inner, parts, flat)
+                    sep = "," + inner
         else:
             if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
                 # Nothing to escape: each item is its own text in quotes.
@@ -105,6 +111,8 @@ def _render(value: Any, newline: str, parts: list[str], flat: dict) -> None:
             else:
                 parts += ("[", inner, ("," + inner).join(map(encode_basestring_ascii, value)))
         parts.append(newline + "]")
+    elif type(value) is int:
+        parts.append(str(value))
     else:
         parts.append(json.dumps(value))
 
@@ -148,16 +156,22 @@ def graph_payload(graph: ChainGraph) -> dict[str, Any]:
 
 def slices_payload(alphabet: Alphabet, slices: list[ResolutionSlice]) -> dict[str, Any]:
     # A pair is a source one level up from where it is a target: its label
-    # is built once and shared.
+    # is built once and shared.  Far fewer words than pairs occur, and each
+    # is rendered once.
     labels: dict = {}
+    texts: dict = {}
+
+    def text(word) -> str:
+        made = texts.get(word)
+        if made is None:
+            made = texts[word] = alphabet.str_word(word)
+        return made
 
     def label(pair) -> dict[str, str]:
         made = labels.get(pair)
         if made is None:
             chain, word = pair
-            made = labels[pair] = {
-                "chain": alphabet.str_word(chain.word), "cofactor": alphabet.str_word(word)
-            }
+            made = labels[pair] = {"chain": text(chain.word), "cofactor": text(word)}
         return made
 
     out = []
@@ -165,7 +179,7 @@ def slices_payload(alphabet: Alphabet, slices: list[ResolutionSlice]) -> dict[st
         if not s.col_labels:
             continue
         if s.level == 0:
-            rows: list[Any] = [alphabet.str_word(w) for w in s.row_labels]
+            rows: list[Any] = [text(w) for w in s.row_labels]
         else:
             rows = [label(p) for p in s.row_labels]
         # One shared "0" for every zero entry: str() runs on nonzeros only.

@@ -20,6 +20,7 @@ from anick import (
     Presentation,
     ResolutionContext,
     betti_table,
+    cli,
     complete,
     format_presentation,
     gldim_report,
@@ -241,6 +242,60 @@ def test_field_flag(capsys, xyz_file):
 
 def test_bad_usage_exits_one(capsys):
     assert main(["not-a-command"]) == 1
+
+
+@pytest.mark.parametrize(
+    "field", ["fp:²", "fp:" + "7" * 5000], ids=["superscript", "5000-digits"]
+)
+def test_bad_field_flag_exits_one(capsys, xyz_file, field):
+    # '²' passes str.isdigit but not int(); 5000 digits pass neither limit.
+    code, out, err = run(capsys, "gb", "--input", xyz_file, "--field", field)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad prime in field descriptor")
+
+
+@pytest.mark.parametrize(
+    ("exponent", "message"),
+    [("1000000", "term degree 1000000 is above the bound 3"), ("7" * 5000, "number too long")],
+    ids=["10**6", "5000-digits"],
+)
+def test_huge_exponent_exits_one_before_expanding(capsys, tmp_path, exponent, message):
+    path = tmp_path / "huge.alg"
+    path.write_text(f"vars: x\nrelations:\n  x^{exponent}\n")
+    code, out, err = run(capsys, "gb", "--input", str(path), "--max-deg", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 3, col ") and message in err
+
+
+def test_dual_below_degree_two_still_parses_quadratic_relations(capsys):
+    # The parser's bound is max(D, 2): dual never completes at D.
+    code, out, err = run(capsys, "dual", "--input", str(EXAMPLE), "--max-deg", "1")
+    assert code == 0, err
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, xyz_file):
+    assert cli._build_parser() is cli._build_parser()
+    # A refused argv leaves nothing behind for the next call.
+    assert main(["not-a-command"]) == 1
+    assert main(["gb", "--input", xyz_file, "--max-deg", "-1"]) == 1
+    assert main(["gb", "--input", xyz_file]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out.startswith("anick ")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_second_call_in_a_process_gives_the_same_output(capsys, xyz_file, command):
+    outputs = []
+    for _ in range(2):
+        code, out, err = run(capsys, command, "--input", xyz_file, "--max-deg", "5")
+        assert code == 0, err
+        if command != "graph":
+            report = json.loads(out)
+            out = (report["config"], report["payload"])
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_cubic_koszul_request_exits_one(capsys, tmp_path):

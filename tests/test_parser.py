@@ -149,3 +149,25 @@ def test_long_juxtaposed_word_is_split():
 def test_long_word_with_unknown_letter_is_an_error():
     with pytest.raises(ParseError, match="unknown letter"):
         parse_presentation("vars: x > y\nrelations:\n  " + "xy" * 600 + "q\n")
+
+
+@pytest.mark.parametrize(
+    "relation, degree, col",
+    [("x^1000000", 1000000, 3), ("y*x^3", 4, 5), ("x^2*y^2", 4, 7), ("xy^1000000", 1000001, 3)],
+)
+def test_term_above_the_degree_bound_is_an_error_at_its_factor(relation, degree, col):
+    with pytest.raises(ParseError, match=f"term degree {degree} is above the bound 3") as info:
+        parse_presentation(f"vars: x > y\nrelations:\n  {relation}\n", max_degree=3)
+    assert (info.value.line, info.value.col) == (3, col)
+    # Terms up to the bound still parse.
+    assert parse_presentation("vars: x > y\nrelations:\n  x^2*y\n", max_degree=3).relations
+
+
+@pytest.mark.parametrize(
+    "relation",
+    ["x^" + "7" * 5000, "7" * 5000 + "*x^2", "1/" + "7" * 5000 + "*x^2"],
+    ids=["exponent", "numerator", "denominator"],
+)
+def test_number_beyond_the_digit_limit_is_a_parse_error(relation):
+    with pytest.raises(ParseError, match="number too long \\(5000 digits\\)"):
+        parse_presentation(f"vars: x\nrelations:\n  {relation}\n", max_degree=3)

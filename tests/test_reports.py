@@ -1,3 +1,4 @@
+import enum
 import json
 import pathlib
 
@@ -50,11 +51,16 @@ JSON_TREES = st.recursive(
         st.dictionaries(TEXT, children, max_size=4),
         st.lists(TEXT, max_size=4),
         st.lists(TEXT | st.integers(), max_size=4),
+        st.lists(st.integers() | st.booleans(), max_size=6),
         st.lists(PLAIN, max_size=6),
         plain_but_one(),
     ),
     max_leaves=30,
 )
+
+
+class Level(enum.IntEnum):
+    TOP = 3
 
 
 # One dict of strings shared at three indents, as a resolution label is
@@ -67,6 +73,13 @@ LABEL = {"chain": "x*y", "cofactor": "\u03b1"}
 @example({"source": [LABEL, LABEL], "target": [[LABEL]], "label": LABEL, "empty": {}})
 @example({"rows": [["", "0", "-3/4", "a b~", ""], [""], ("1", "2")]})
 @example([["0", 'say "x"'], ["0", "a\\b"], ["0", "\t"], ["0", "\x7f"], ["0", "\u03b1"]])
+# A list of exact ints is joined as str() writes them; a bool or an IntEnum
+# member among them, or on its own, still goes through json.dumps.
+@example([1, True, 0])
+@example([True])
+@example([0, -(10**40), 10**40])
+@example([[1, 2], [3]])
+@example([1, Level.TOP])
 def test_render_json_matches_indented_json_dumps(tree):
     assert reports.render_json(tree) == json.dumps(tree, indent=2) + "\n"
 
