@@ -32,18 +32,17 @@ class Chain:
     tail_len: int
     overlap_len: int
     prefix: "Chain | None"
+    tail: Word = field(init=False)
 
     def __post_init__(self):
-        # Chains key the resolution's dicts; hash the (level, word) pair once.
+        # Chains key the resolution's dicts; hash the (level, word) pair
+        # once, and slice the tail once for the splitting loop.
         object.__setattr__(self, "_hash", hash((self.level, self.word)))
+        object.__setattr__(self, "tail", self.word[len(self.word) - self.tail_len:])
 
     @property
     def degree(self) -> int:
         return len(self.word)
-
-    @property
-    def tail(self) -> Word:
-        return self.word[len(self.word) - self.tail_len:]
 
     @property
     def last_occurrence(self) -> tuple[int, int] | None:

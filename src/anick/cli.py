@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from functools import cache, cached_property
 from itertools import permutations
 
@@ -114,7 +115,8 @@ class Pipeline:
         orders whose basis is certified complete, or among all if none
         is, the one with the fewest chains through the probe degree wins;
         ties go to the given order, then to the first in ``permutations``
-        order.
+        order.  A certified winner's probe basis is its basis at D, so it
+        is kept rather than completed again.
         """
         given = self.presentation
         letters = given.alphabet.letters
@@ -127,7 +129,12 @@ class Pipeline:
         orders = [given] + [_reordered(given, p) for p in permutations(letters) if p != letters]
         bases = [complete(pres, probe) for pres in orders]
         certified = [gb for gb in bases if gb.certificate.complete] or bases
-        return min(certified, key=_chain_count).presentation
+        best = min(certified, key=_chain_count)
+        if best.certificate.complete:
+            self._bases.setdefault(
+                best.presentation.alphabet.letters, replace(best, truncation_degree=self.max_deg)
+            )
+        return best.presentation
 
     def basis(self, presentation: Presentation) -> GroebnerBasis:
         """The completion at D of the input under one of its precedences,

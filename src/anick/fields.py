@@ -106,16 +106,35 @@ class ModP:
         return str(self.value)
 
 
+# Miller-Rabin over the prime bases up to 41 is exact below this bound,
+# the least strong pseudoprime to all of them (about 3.317e24).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; from ``_MR_BOUND`` on it raises
+    ``FieldError`` rather than guess."""
+    if n >= _MR_BOUND:
+        raise FieldError(f"cannot certify {n} prime: the limit is {_MR_BOUND - 1}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

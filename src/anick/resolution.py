@@ -18,9 +18,13 @@ greedy decomposition), so it is ``c0 + t`` for the first new tail ``t`` in
 other cut of w0 is tried.  As in ``Reducer.reduce``, the terms wait in
 one dict, updated in place, beside a lazy-deletion heap; a step adds
 only pairs below the one it rewrites, so a popped pair missing from the
-dict has cancelled.  The maximal term strictly decreases at every step,
-so the recursion terminates; a missing chain prefix means the Groebner
-data is invalid for the requested degree and raises.
+dict has cancelled.  Every new tail is nonempty, so a pair with an empty
+cofactor can only cancel: it waits in the dict but never enters the
+heap, and one left at the end raises.  The maximal term strictly
+decreases at every step, so the recursion terminates; a missing chain
+prefix means the Groebner data is invalid for the requested degree and
+raises.  ``differential`` sums ``d(c') t`` straight into the dict it
+hands to ``split`` and negates the split in one pass.
 
 Over Fp the context computes on plain ``int`` residues in 1..p-1 and
 stores no zero: normal forms are converted once per cache miss, and
@@ -121,16 +125,18 @@ class ResolutionContext:
             self._nf_cache[w] = cached
         return cached
 
-    def act_right(self, elem: FreeElement, w: Word) -> FreeElement:
-        """Right action of a word on a free-module element, in normal form."""
-        if not w:
-            return elem
-        out: dict = {}
+    def _times(self, elem: FreeElement, w: Word) -> dict:
+        """The terms of elem . w in normal form, summed but not reduced."""
+        nf_word, out = self.nf_word, {}
         for (c, u), coeff in elem.terms.items():
-            for word, scalar in self.nf_word(u + w).items():
+            for word, scalar in nf_word(u + w).items():
                 k = c, word
                 out[k] = out.get(k, 0) + coeff * scalar
-        return self._reduced(out)
+        return out
+
+    def act_right(self, elem: FreeElement, w: Word) -> FreeElement:
+        """Right action of a word on a free-module element, in normal form."""
+        return self._reduced(self._times(elem, w)) if w else elem
 
     def split(self, level: int, xi: FreeElement) -> FreeElement:
         """Find eta at the given level whose differential is xi.
@@ -140,8 +146,9 @@ class ResolutionContext:
         element this engine feeds in.  At level 0, xi is an algebra element
         keyed by ``self.unit`` and must have no degree-0 term.  Over Fp its
         coefficients may be residues or ``ModP``; the result holds residues.
-        A term at another level, or one that does not cancel, raises
-        ``SplittingError``.
+        A pair with an empty cofactor is never split, since no chain
+        extension fits it; it must cancel.  A term at another level, or one
+        that does not cancel, raises ``SplittingError``.
         """
         find, extensions, p = self.chains.find, self.chains.extensions, self.p
         if p:  # a coefficient may be a ModP or an unreduced int: read residues
@@ -156,7 +163,8 @@ class ResolutionContext:
                 raise SplittingError(
                     f"a level-{level} split got a level-{c.level} term {c.word} (x) {w}"
                 )
-            heap.append((c.word + w, -len(c.word), (c, w)))
+            if w:  # no tail fits an empty cofactor; such a pair can only cancel
+                heap.append((c.word + w, -len(c.word), (c, w)))
         heapq.heapify(heap)
         emitted: dict[tuple[Chain, Word], object] = {}
         while heap:
@@ -183,13 +191,14 @@ class ResolutionContext:
                 if prev is None:
                     # A product of nonzero residues is nonzero mod prime p.
                     work[k] = -coeff * a % p if p else -coeff * a
-                    heapq.heappush(heap, (k[0].word + k[1], -len(k[0].word), k))
+                    if k[1]:
+                        heapq.heappush(heap, (k[0].word + k[1], -len(k[0].word), k))
                 elif s := (prev - coeff * a) % p if p else prev - coeff * a:
                     work[k] = s
                 else:
                     del work[k]
         if work:
-            # A pair that did not cancel has a cofactor that is not a
+            # A pair left over has an empty cofactor or one that is not a
             # normal word, so xi is not in the image of the differential.
             raise SplittingError(f"level-{level} split left {len(work)} terms uncancelled")
         return FreeElement(emitted)
@@ -203,9 +212,12 @@ class ResolutionContext:
         if c.level == 0:
             out = FreeElement({(self.unit, c.word): 1})
         else:
-            xi = self.act_right(self.differential(c.prefix), c.tail)
-            eta = self.split(c.level - 1, xi)
-            out = self._reduced((FreeElement({(c.prefix, c.tail): 1}) - eta).terms)
+            # split reduces d(c') . t mod p itself; every term it returns
+            # lies below the product word of (c', t).
+            xi = FreeElement(self._times(self.differential(c.prefix), c.tail))
+            out, p = FreeElement({(c.prefix, c.tail): 1}), self.p
+            for k, a in self.split(c.level - 1, xi).terms.items():
+                out.terms[k] = -a % p if p else -a
         self._diff_cache[c] = out
         return out
 

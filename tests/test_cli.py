@@ -254,6 +254,12 @@ def test_bad_field_flag_exits_one(capsys, xyz_file, field):
     assert err.startswith("error: bad prime in field descriptor")
 
 
+def test_field_flag_above_the_primality_bound_exits_one(capsys, xyz_file):
+    code, out, err = run(capsys, "gb", "--input", xyz_file, "--field", "fp:" + "1" * 30)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot certify 1111")
+
+
 @pytest.mark.parametrize(
     ("exponent", "message"),
     [("1000000", "term degree 1000000 is above the bound 3"), ("7" * 5000, "number too long")],
@@ -385,7 +391,9 @@ def test_resolution_payload_allocates_little_beside_its_matrices():
 def test_each_command_completes_at_most_once(capsys, monkeypatch, xyz_file, command):
     # One completion at D of the input (gldim: and of its dual).  The Betti
     # commands may add probes of the letter orders, at most 3! of them and
-    # every one at the probe degree; the other commands add none.
+    # every one at the probe degree; the other commands add none.  At D=8
+    # the probe's winner y > x > z is certified complete, so its probe basis
+    # stands in for the Betti job's completion at D.
     import anick.cli
     import anick.dual
     import anick.homology
@@ -405,10 +413,36 @@ def test_each_command_completes_at_most_once(capsys, monkeypatch, xyz_file, comm
         code, out, err = run(capsys, command, "--input", xyz_file, "--max-deg", str(degree))
         assert code == 0, err
         expected = {"dual": 0, "gldim": 2}.get(command, 1)  # gldim: the input and its dual
-        assert calls.count(degree) == expected
+        reused = command in BETTI_COMMANDS and probe_degree(degree) >= cli.PROBE_MIN_DEGREE
+        assert calls.count(degree) == expected - reused
         probes = [d for d in calls if d != degree]
         assert all(d == probe_degree(degree) for d in probes), calls
         assert len(probes) <= (math.factorial(3) if command in BETTI_COMMANDS else 0)
+
+
+@pytest.mark.parametrize("command", BETTI_COMMANDS)
+def test_a_certified_probe_basis_is_not_completed_again(monkeypatch, command):
+    # On example.alg at D=10 the probe at degree 5 picks y > x > z, whose
+    # basis is certified complete: the six probes are the Betti job's only
+    # completions of the input, and the report equals the one that
+    # completes the winner again at D.
+    calls = []
+
+    def counting_complete(presentation, max_deg):
+        calls.append((presentation.alphabet.letters, max_deg))
+        return complete(presentation, max_deg)
+
+    monkeypatch.setattr(cli, "complete", counting_complete)
+    text = EXAMPLE.read_text()
+    payload, config = cli_payload(command, text, 10)
+    assert config["betti_order"] == "y > x > z"
+    assert sorted(calls) == sorted((p, 5) for p in itertools.permutations("xyz"))
+    calls.clear()
+    monkeypatch.setattr(cli, "replace", lambda gb, truncation_degree: counting_complete(
+        gb.presentation, truncation_degree
+    ))
+    assert cli_payload(command, text, 10) == (payload, config)
+    assert (("y", "x", "z"), 10) in calls
 
 
 @pytest.mark.parametrize("command, code", [("betti", 2), ("koszul", 2), ("gldim", 0)])

@@ -1,12 +1,13 @@
 """Scalars of both fields: integral rationals as int, residues as ModP."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from anick.errors import FieldError
-from anick.fields import ModP, PrimeField, Rationals, inverse, is_one
+from anick.fields import ModP, PrimeField, Rationals, _is_prime, inverse, is_one
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -93,3 +94,30 @@ def test_of_an_integer_is_its_residue(field, a):
     assert type(got) is ModP and got.value == a % p
     with pytest.raises(ZeroDivisionError):
         field.of(a, p)
+
+
+def test_large_primes_are_certified_quickly():
+    # Trial division would need about 7.6e8 steps for 2**61 - 1 alone.
+    for p in (2**61 - 1, 18446744073709551557):
+        start = time.perf_counter()
+        assert PrimeField(p).p == p
+        assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+def test_carmichael_and_strong_pseudoprimes_are_rejected(n):
+    # 561 is a Carmichael number; the other two are strong pseudoprimes to
+    # bases 2, 3, 5, 7 and to bases 2 through 23.
+    with pytest.raises(FieldError, match="is not prime"):
+        PrimeField(n)
+
+
+def test_primality_agrees_with_trial_division_below_twenty_thousand():
+    primes = [n for n in range(2, 20000) if all(n % d for d in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(-3, 20000) if _is_prime(n)] == primes
+
+
+def test_a_thirty_digit_modulus_is_a_field_error():
+    # Miller-Rabin over the bases up to 41 is exact only below about 3.3e24.
+    with pytest.raises(FieldError, match="cannot certify"):
+        PrimeField(10**29 + 7)

@@ -109,6 +109,20 @@ def test_betti_table_over_fp_matches_q_at_degree_ten(xyz):
     assert betti_table(fp, 10, 10).values == betti_table(xyz, 10, 10).values
 
 
+@pytest.mark.parametrize("p", [None, 2, 3, 32003])
+def test_betti_table_of_main_fixture_at_degree_eleven(p):
+    # The benchmark's Betti check: 1, 3, 3, 2, 1 on the diagonal and zero
+    # elsewhere, over Q and over F_2, F_3 and F_32003 (the smallest fields,
+    # where -1 is the residue 1 or 2, and the benchmark's).
+    xyz = parse_presentation(
+        "vars: x > y > z\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n",
+        field_override=PrimeField(p) if p else None,
+    )
+    diagonal = [1, 3, 3, 2, 1] + [0] * 7
+    expected = [[diagonal[i] if i == j else 0 for j in range(12)] for i in range(12)]
+    assert betti_table(xyz, 11, 11).values == expected
+
+
 G4_TEXT = (
     "vars: a > b > c > d\nrelations:\n  a*b - b*a + c*d\n  a*c - 2*d*b\n"
     "  b*d + a^2 - c^2\n  d*a - b*c\n"

@@ -202,9 +202,31 @@ def test_splitting_failure_signals_incomplete_basis(xyz):
 
 
 def test_split_of_a_degree_zero_term_raises_splitting_error(xyz_ctx):
-    # No level-0 chain is a prefix of the empty product word.
+    # No level-0 chain is a prefix of the empty product word, so the term
+    # can only be left uncancelled.
     with pytest.raises(SplittingError):
         xyz_ctx.split(0, FreeElement({(xyz_ctx.unit, ()): xyz_ctx.field.one}))
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp 5"])
+def test_split_raises_on_an_uncancelled_empty_cofactor_pair(field):
+    # split keeps a pair with an empty cofactor off its heap, as no chain
+    # extension fits it; it must still hold the pair and raise when the
+    # pair does not cancel.  xi = d(c') t splits at level L = 2, and the
+    # added pair (c2, 1) has a level-1 chain c2 of xi's degree.
+    presentation = parse_presentation(XYZ_FP5.replace("Fp 5", field))
+    ctx = ResolutionContext(complete(presentation, 6), 6, 6)
+    checked = 0
+    for chain in ctx.chains.level(3):
+        xi = ctx.act_right(ctx.differential(chain.prefix), chain.tail)
+        ctx.split(2, xi)
+        for c2 in ctx.chains.at(1, chain.degree):
+            terms = dict(xi.terms)
+            terms[c2, ()] = terms.get((c2, ()), 0) + 1
+            with pytest.raises(SplittingError, match="uncancelled"):
+                ctx.split(2, FreeElement(terms))
+            checked += 1
+    assert checked >= 4
 
 
 def test_split_rejects_a_term_of_another_level(xyz, xyz_ctx):
