@@ -10,27 +10,30 @@ word, whose module is the algebra itself, so a letter's differential is
     d(c (x) 1) = c' (x) t  -  split(d(c' (x) t))
 
 where ``split`` inverts the previous differential term by term: take the
-order-maximal pair (c0, w0), find the level chain prefix of its product
-word, emit that chain with the left-over cofactor, subtract its
-differential, and repeat.  That prefix is unique and extends c0 (Anick's
-greedy decomposition), so it is ``c0 + t`` for the first new tail ``t`` in
-``ChainSet.extensions[c0.tail]`` that begins w0 and makes a chain; no
-other cut of w0 is tried.  As in ``Reducer.reduce``, the terms wait in
-one dict, updated in place, beside a lazy-deletion heap; a step adds
-only pairs below the one it rewrites, so a popped pair missing from the
-dict has cancelled.  Every new tail is nonempty, so a pair with an empty
-cofactor can only cancel: it waits in the dict but never enters the
-heap, and one left at the end raises.  The maximal term strictly
-decreases at every step, so the recursion terminates; a missing chain
-prefix means the Groebner data is invalid for the requested degree and
-raises.  ``differential`` sums ``d(c') t`` straight into the dict it
-hands to ``split`` and negates the split in one pass.
+order-maximal pair (c0, w0), emit the level chain prefix of its product
+word with the left-over cofactor, subtract that pair's differential, and
+repeat.  The prefix is unique and extends c0 (Anick's greedy
+decomposition): it is ``c0 + t`` for the first new tail ``t`` in
+``ChainSet.extensions[c0.tail]`` that begins w0 and makes a chain.  As in
+``Reducer.reduce``, the terms wait in one dict beside a lazy-deletion
+heap; a pair with an empty cofactor fits no tail, so it stays off the heap
+and must cancel.  The maximal term strictly decreases, so the recursion
+terminates; a missing chain prefix means the Groebner data is invalid for
+the requested degree and raises.
+
+Inside a context a chain is an int id (0 is the unit, then the chain set's
+chains level by level): the split's terms, heap and result, the
+differential cache and the pair bases are keyed by ``(chain id, word)``,
+and per-id tables give each chain's word, level, tail, prefix id and
+extensions.  Only the public methods (``differential``, ``split``,
+``act_right``, ``induced_differential``, ``pair_basis``, ``slice``) take
+or return pairs keyed by ``Chain``; a chain is looked up by level and
+word, and one outside the context's bounds raises ``TruncationError``.
 
 Over Fp the context computes on plain ``int`` residues in 1..p-1 and
-stores no zero: normal forms are converted once per cache miss, and
-``act_right``, ``split`` and ``differential`` reduce mod p where they
-sum.  Over Q (``p == 0``) coefficients are ``int`` or ``Fraction``.
-Field scalars (``ModP`` over Fp) are built only in ``slice``.
+stores no zero, reducing mod p where it sums; over Q (``p == 0``)
+coefficients are ``int`` or ``Fraction``.  Field scalars (``ModP`` over
+Fp) are built only in ``slice``.
 """
 
 from __future__ import annotations
@@ -104,15 +107,31 @@ class ResolutionContext:
         self._reducer = Reducer(self.field, gb.elements)
         self.p = self._reducer.p
         self._nf_cache: dict[Word, dict[Word, object]] = {}
-        self._diff_cache: dict[Chain, FreeElement] = {}
-        self._basis_cache: dict[tuple[int, int], tuple[tuple[Chain, Word], ...]] = {}
-        # Anick's (-1)-chain; it stays out of the chain set.
+        self._basis_cache: dict[tuple[int, int], tuple[tuple[int, Word], ...]] = {}
+        # Anick's (-1)-chain; it stays out of the chain set but takes id 0.
         self.unit = Chain(EMPTY, -1, 0, 0, None)
+        # Ids follow the chain index, which holds the chains level by level.
+        self._chains = chains = [self.unit, *self.chains.index.values()]
+        self._id = dict(zip([(-1, EMPTY), *self.chains.index], range(len(chains))))
+        self._word, self._level, self._tail = zip(*((c.word, c.level, c.tail) for c in chains))
+        # A letter's prefix is the unit, and its tail is the letter.
+        self._prefix = [self._id.get((c.level - 1, c.word[: -c.tail_len]), 0) for c in chains]
+        # Per id, filled lazily: d, and (new tail, its length, new id) per extension.
+        self._diff: list[dict | None] = [None] * len(chains)
+        self._ext: list[list[tuple[Word, int, int]] | None] = [None] * len(chains)
 
-    def _reduced(self, terms: dict) -> FreeElement:
-        """The element over terms, reduced mod p over Fp; zeros are pruned."""
-        p = self.p
-        return FreeElement({k: a % p for k, a in terms.items()} if p else terms)
+    def _id_of(self, c: Chain) -> int:
+        """The id of the chain equal to c, found by level and word."""
+        if (i := self._id.get((c.level, c.word))) is None:
+            bounds = f"levels <= {self.level_max}, degrees <= {self.deg_max}"
+            raise TruncationError(f"{c!r} is not among this context's chains ({bounds})")
+        return i
+
+    def _element(self, terms: dict) -> FreeElement:
+        """The public element over id-keyed terms that hold no zero."""
+        chains, out = self._chains, object.__new__(FreeElement)
+        out.terms = {(chains[i], w): a for (i, w), a in terms.items()}
+        return out
 
     def nf_word(self, w: Word) -> dict[Word, object]:
         """The normal form of a word as ``{word: scalar}`` terms, residues
@@ -125,10 +144,10 @@ class ResolutionContext:
             self._nf_cache[w] = cached
         return cached
 
-    def _times(self, elem: FreeElement, w: Word) -> dict:
-        """The terms of elem . w in normal form, summed but not reduced."""
+    def _times(self, terms: dict, w: Word) -> dict:
+        """terms . w in normal form, summed but not reduced, keyed as terms is."""
         nf_word, out = self.nf_word, {}
-        for (c, u), coeff in elem.terms.items():
+        for (c, u), coeff in terms.items():
             for word, scalar in nf_word(u + w).items():
                 k = c, word
                 out[k] = out.get(k, 0) + coeff * scalar
@@ -136,9 +155,12 @@ class ResolutionContext:
 
     def act_right(self, elem: FreeElement, w: Word) -> FreeElement:
         """Right action of a word on a free-module element, in normal form."""
-        return self._reduced(self._times(elem, w)) if w else elem
+        if not w:
+            return elem
+        p, terms = self.p, self._times(elem.terms, w)
+        return elem._like({k: r for k, a in terms.items() if (r := a % p if p else a)})
 
-    def split(self, level: int, xi: FreeElement) -> FreeElement:
+    def split(self, level: int, xi: FreeElement | dict) -> FreeElement | dict:
         """Find eta at the given level whose differential is xi.
 
         xi must lie in the kernel of the previous differential and be
@@ -146,122 +168,140 @@ class ResolutionContext:
         element this engine feeds in.  At level 0, xi is an algebra element
         keyed by ``self.unit`` and must have no degree-0 term.  Over Fp its
         coefficients may be residues or ``ModP``; the result holds residues.
+        A ``FreeElement`` gives one; a dict keyed by (chain id, word) a dict.
         A pair with an empty cofactor is never split, since no chain
         extension fits it; it must cancel.  A term at another level, or one
-        that does not cancel, raises ``SplittingError``.
+        that does not cancel, raises ``SplittingError``; a chain outside the
+        context's bounds raises ``TruncationError``.
         """
-        find, extensions, p = self.chains.find, self.chains.extensions, self.p
-        if p:  # a coefficient may be a ModP or an unreduced int: read residues
-            work = {k: r for k, a in xi.terms.items() if (r := getattr(a, "value", a) % p)}
-        else:
-            work = dict(xi.terms)
+        p, words, exts, ids = self.p, self._word, self._ext, self._id
+        if public := isinstance(xi, FreeElement):
+            terms = {}
+            for (c, w), a in xi.terms.items():
+                if c.level != level - 1:
+                    raise SplittingError(
+                        f"a level-{level} split got a level-{c.level} term {c.word} (x) {w}"
+                    )
+                # A coefficient may be a ModP or an unreduced int: read residues.
+                terms[self._id_of(c), w] = getattr(a, "value", a) if p else a
+            xi = terms
+        work = {k: r for k, a in xi.items() if (r := a % p if p else a)}
         # Products in one split share a length, so the word itself orders
-        # them as ``_max_term_key`` does; chain length breaks ties.
-        heap = []
-        for c, w in work:
-            if c.level != level - 1:
-                raise SplittingError(
-                    f"a level-{level} split got a level-{c.level} term {c.word} (x) {w}"
-                )
-            if w:  # no tail fits an empty cofactor; such a pair can only cancel
-                heap.append((c.word + w, -len(c.word), (c, w)))
+        # them as ``_max_term_key`` does; chain length breaks ties.  No tail
+        # fits an empty cofactor, so such a pair stays off the heap.
+        heap = [(words[i] + w, -len(words[i]), (i, w)) for i, w in work if w]
         heapq.heapify(heap)
-        emitted: dict[tuple[Chain, Word], object] = {}
+        emitted: dict[tuple[int, Word], object] = {}
         while heap:
-            c0, w0 = key = heapq.heappop(heap)[2]
+            key = heapq.heappop(heap)[2]
             coeff = work.get(key)
             if coeff is None:
                 continue
-            for t in extensions.get(c0.tail, ()):
-                if w0[:len(t)] == t and (hat := find(level, c0.word + t)) is not None:
+            i, w0 = key
+            ext = exts[i]
+            if ext is None:  # the extensions that make a chain in range, in order
+                ext = exts[i] = [
+                    (t, len(t), hat)
+                    for t in self.chains.extensions.get(self._tail[i], ())
+                    if (hat := ids.get((level, words[i] + t))) is not None
+                ]
+            for t, n, hat in ext:
+                if w0[:n] == t:
                     break
             else:
                 raise SplittingError(
                     f"no level-{level} chain prefix for product word "
-                    f"{c0.word + w0}; the basis data is incomplete or invalid"
+                    f"{words[i] + w0}; the basis data is incomplete or invalid"
                 )
-            leftover = w0[hat.tail_len:]
+            leftover = w0[n:]
             emitted[hat, leftover] = coeff
             image = self.differential(hat)
             if leftover:
-                image = self.act_right(image, leftover)
+                image = self._times(image, leftover)
             # The image leads with key at coefficient 1, so key cancels.
-            for k, a in image.terms.items():
-                prev = work.get(k)
-                if prev is None:
-                    # A product of nonzero residues is nonzero mod prime p.
-                    work[k] = -coeff * a % p if p else -coeff * a
-                    if k[1]:
-                        heapq.heappush(heap, (k[0].word + k[1], -len(k[0].word), k))
-                elif s := (prev - coeff * a) % p if p else prev - coeff * a:
+            # work holds no zero, so prev is 0 exactly when k is new.
+            for k, a in image.items():
+                prev = work.get(k, 0)
+                if s := (prev - coeff * a) % p if p else prev - coeff * a:
                     work[k] = s
-                else:
+                    if not prev and k[1]:
+                        heapq.heappush(heap, (words[k[0]] + k[1], -len(words[k[0]]), k))
+                elif prev:
                     del work[k]
         if work:
             # A pair left over has an empty cofactor or one that is not a
             # normal word, so xi is not in the image of the differential.
             raise SplittingError(f"level-{level} split left {len(work)} terms uncancelled")
-        return FreeElement(emitted)
+        return self._element(emitted) if public else emitted
 
-    def differential(self, c: Chain) -> FreeElement:
+    def differential(self, c: Chain | int) -> FreeElement | dict:
         """d(c (x) 1) as an element one level down; a letter x maps to
-        1 (x) x over the (-1)-chain."""
-        cached = self._diff_cache.get(c)
-        if cached is not None:
-            return cached
-        if c.level == 0:
-            out = FreeElement({(self.unit, c.word): 1})
-        else:
-            # split reduces d(c') . t mod p itself; every term it returns
-            # lies below the product word of (c', t).
-            xi = FreeElement(self._times(self.differential(c.prefix), c.tail))
-            out, p = FreeElement({(c.prefix, c.tail): 1}), self.p
-            for k, a in self.split(c.level - 1, xi).terms.items():
-                out.terms[k] = -a % p if p else -a
-        self._diff_cache[c] = out
-        return out
+        1 (x) x over the (-1)-chain.  A ``Chain`` gives a ``FreeElement``;
+        inside the context, a chain id gives the cached dict keyed by
+        ``(chain id, word)``.  A chain out of range raises ``TruncationError``."""
+        i = c if type(c) is int else self._id_of(c)
+        out = self._diff[i]
+        if out is None:
+            if not i:
+                raise SplittingError("the (-1)-chain has no differential")
+            prefix, tail, p = self._prefix[i], self._tail[i], self.p
+            out = {(prefix, tail): 1}
+            if level := self._level[i]:
+                # split reduces d(c') . t mod p itself; every term it returns
+                # lies below the product word of (c', t).
+                xi = self._times(self.differential(prefix), tail)
+                for k, a in self.split(level - 1, xi).items():
+                    out[k] = -a % p if p else -a
+            self._diff[i] = out
+        return out if type(c) is int else self._element(out)
 
     def induced_differential(self, c: Chain) -> dict[Chain, object]:
         """Unit-cofactor part of the differential, over chains one level down."""
-        return {c2: a for (c2, w), a in self.differential(c).terms.items() if w == EMPTY}
+        chains = self._chains
+        return {chains[i]: a for (i, w), a in self.differential(self._id_of(c)).items() if not w}
+
+    def _pair_ids(self, level: int, degree: int) -> tuple[tuple[int, Word], ...]:
+        """``pair_basis`` as (chain id, word) pairs, built once per context."""
+        cached = self._basis_cache.get((level, degree))
+        if cached is None:
+            accepted, chains = self.automaton.accepted_words, self._chains
+            if level == -1:
+                out = [(0, w) for w in accepted(degree)]
+            else:
+                out, ids = [], self._id_of
+                for d in range(0, degree + 1):
+                    for i in map(ids, self.chains.at(level, d)):
+                        out += [(i, w) for w in accepted(degree - d)]
+                out.sort(key=lambda k: _max_term_key((chains[k[0]], k[1])), reverse=True)
+            cached = self._basis_cache[level, degree] = tuple(out)
+        return cached
 
     def pair_basis(self, level: int, degree: int) -> list[tuple[Chain, Word]]:
         """Basis of the level module in one internal degree, ascending.
 
         Each basis is built once per context; every call returns a new list.
         """
-        cached = self._basis_cache.get((level, degree))
-        if cached is None:
-            if level == -1:
-                out = [(self.unit, w) for w in self.automaton.accepted_words(degree)]
-            else:
-                out = []
-                for d in range(0, degree + 1):
-                    for c in self.chains.at(level, d):
-                        for w in self.automaton.accepted_words(degree - d):
-                            out.append((c, w))
-                out.sort(key=_max_term_key, reverse=True)
-            cached = self._basis_cache[level, degree] = tuple(out)
-        return list(cached)
+        chains = self._chains
+        return [(chains[i], w) for i, w in self._pair_ids(level, degree)]
 
     def slice(self, level: int, degree: int) -> ResolutionSlice:
         """Matrix of the differential at one level and internal degree."""
-        cols = self.pair_basis(level, degree)
-        rows = self.pair_basis(level - 1, degree)
+        rows = self._pair_ids(level - 1, degree)
         row_index = {k: i for i, k in enumerate(rows)}
-        of = self.field.of
+        of, p = self.field.of, self.p
         columns = []
-        for c, w in cols:
-            terms = self.act_right(self.differential(c), w).terms
-            if self.p:
-                columns.append({row_index[k]: of(a) for k, a in terms.items()})
+        for i, w in self._pair_ids(level, degree):
+            terms = self.differential(i)
+            if w:
+                terms = self._times(terms, w)
+            if p:
+                columns.append({row_index[k]: of(r) for k, a in terms.items() if (r := a % p)})
             else:  # an int is already a scalar of Q; a Fraction may be integral
                 columns.append(
-                    {row_index[k]: a if type(a) is int else of(a) for k, a in terms.items()}
+                    {row_index[k]: a if type(a) is int else of(a) for k, a in terms.items() if a}
                 )
-        if level == 0:
-            rows = [w for _, w in rows]
-        return ResolutionSlice(level, degree, cols, rows, columns)
+        rows = [w for _, w in rows] if level == 0 else self.pair_basis(level - 1, degree)
+        return ResolutionSlice(level, degree, self.pair_basis(level, degree), rows, columns)
 
     def slices(self) -> list[ResolutionSlice]:
         """Exact differential matrices for all levels and degrees in range.

@@ -244,6 +244,68 @@ def test_split_rejects_a_term_of_another_level(xyz, xyz_ctx):
             xyz_ctx.split(level, xi)
 
 
+@pytest.mark.parametrize("method", ["differential", "induced_differential", "split"])
+def test_a_chain_outside_the_context_raises_truncation_error(xyz, method):
+    # A level-2 chain of degree 8 from a D=9 context lies past a D=5
+    # context's bounds, where its basis certifies no answer.
+    small = ResolutionContext(complete(xyz, 5), 5, 5)
+    far = ResolutionContext(complete(xyz, 9), 9, 9).chains.at(2, 8)[0]
+    call = {
+        "differential": lambda: small.differential(far),
+        "induced_differential": lambda: small.induced_differential(far),
+        "split": lambda: small.split(3, FreeElement({(far, xyz.alphabet.word("x")): 1})),
+    }[method]
+    with pytest.raises(TruncationError, match=r"word=\(.*degrees <= 5"):
+        call()
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp 5"])
+def test_chains_are_looked_up_by_value(field):
+    # Context a, given context b's chains (equal, not the same objects),
+    # answers with its own chains, term for term as for its own.
+    presentation = parse_presentation(XYZ_FP5.replace("Fp 5", field))
+    gb = complete(presentation, 6)
+    a, b = ResolutionContext(gb, 6, 6), ResolutionContext(gb, 6, 6)
+
+    def own(terms):
+        """The terms in order, after checking that each chain is a's own."""
+        for k in terms:
+            c = k[0] if type(k) is tuple else k
+            assert c is a.unit or c is a.chains.find(c.level, c.word), c
+        return list(terms.items())
+
+    checked = 0
+    for level in range(1, 7):
+        for cb in b.chains.level(level):
+            ca = a.chains.find(level, cb.word)
+            assert ca == cb and ca is not cb
+            assert own(a.differential(cb).terms) == own(a.differential(ca).terms)
+            assert own(a.induced_differential(cb)) == own(a.induced_differential(ca))
+            xi_b = b.act_right(b.differential(cb.prefix), cb.tail)
+            xi_a = a.act_right(a.differential(ca.prefix), ca.tail)
+            assert own(a.split(level - 1, xi_b).terms) == own(a.split(level - 1, xi_a).terms)
+            checked += 1
+    assert checked > 10
+
+
+def test_differentials_hash_no_chain_inside_the_context(xyz_gb8, monkeypatch):
+    # Pairs are keyed by chain id inside a context, so building every
+    # differential of xyz at D=8 hashes a Chain at most twice per chain;
+    # keyed by (Chain, word), the recursion hashed one 37 times per chain.
+    ctx = ResolutionContext(xyz_gb8, 8, 8)
+    calls, real = [0], Chain.__hash__
+
+    def counted(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(Chain, "__hash__", counted)
+    n = len(ctx.chains.index)
+    for i in range(1, n + 1):  # id 0 is the unit; the chain set's chains follow
+        ctx.differential(i)
+    assert calls[0] <= 2 * n
+
+
 def test_split_of_a_reducible_cofactor_raises_splitting_error(xyz, xyz_ctx):
     # x (x) xz: the chain xx takes it to xx (x) z, whose differential times
     # z vanishes since xz = 0, so the term never cancels.
