@@ -11,8 +11,9 @@ Whether one obstruction occurrence can follow another depends only on the
 current tail, so chain generation is driven by a finite graph whose
 vertices are the letters and the (obstruction, overlap length) classes;
 level-n chains correspond to length-n paths out of the letter vertices.
-``ChainSet.extensions`` keeps the continuations per tail, so the level-n
-chain prefix of a word is found from its level-(n-1) prefix.
+One ``ExtensionTable`` maps each tail to those continuations, worked out
+the first time the tail is looked up; ``enumerate_chains`` and
+``chain_graph`` both read their steps from it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ChainError
-from .words import EMPTY, Alphabet, Word, check_antichain, deglex_desc, occurrences
+from .words import Alphabet, Word, check_antichain, deglex_desc, occurrences
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +104,19 @@ def _extensions(tail: Word, obstructions: tuple[Word, ...]) -> list[tuple[Word, 
     return out
 
 
+class ExtensionTable(dict):
+    """Chain tail -> its (obstruction, overlap length) continuations, in
+    ``_extensions`` order; a tail's entry is worked out on its first lookup."""
+
+    def __init__(self, obstructions: tuple[Word, ...]):
+        super().__init__()
+        self.obstructions = obstructions
+
+    def __missing__(self, tail: Word) -> list[tuple[Word, int]]:
+        ext = self[tail] = _extensions(tail, self.obstructions)
+        return ext
+
+
 @dataclass
 class ChainSet:
     """Chains grouped by (level, degree), each group ascending in deglex,
@@ -114,9 +128,10 @@ class ChainSet:
     deg_max: int
     by_level_degree: dict[tuple[int, int], list[Chain]] = field(default_factory=dict)
     index: dict[tuple[int, Word], Chain] = field(default_factory=dict)
-    # Chain tail -> the new tails that extend it, shortest first; the empty
-    # tail of the (-1)-chain maps to the letters.
-    extensions: dict[Word, tuple[Word, ...]] = field(default_factory=dict)
+    extensions: ExtensionTable = field(init=False)
+
+    def __post_init__(self):
+        self.extensions = ExtensionTable(self.obstructions)
 
     def at(self, level: int, degree: int) -> list[Chain]:
         return self.by_level_degree.get((level, degree), [])
@@ -148,46 +163,20 @@ def enumerate_chains(
                 "resolution machinery; eliminate the dead generator first"
             )
     chain_set = ChainSet(alphabet, obs, level_max, deg_max)
-
-    def store(c: Chain) -> None:
-        key = (c.level, c.word)
-        existing = chain_set.index.get(key)
-        if existing is not None:
-            raise ChainError(
-                f"word {c.word} has two distinct level-{c.level} decompositions"
-            )
-        chain_set.index[key] = c
-        chain_set.by_level_degree.setdefault((c.level, c.degree), []).append(c)
-
-    current: list[Chain] = []
-    if level_max >= 0 and deg_max >= 1:
-        for letter in range(alphabet.size):
-            c = Chain((letter,), 0, 1, 0, None)
-            store(c)
-            current.append(c)
-
-    # (new tail, overlap length) per tail, shortest first, so that the scan
-    # stops at the first extension that no longer fits in deg_max.
-    ext_cache: dict[Word, list[tuple[Word, int]]] = {}
-    for level in range(1, level_max + 1):
-        nxt: list[Chain] = []
+    index, table = chain_set.index, chain_set.extensions
+    current = [Chain((x,), 0, 1, 0, None) for x in range(alphabet.size)] if deg_max >= 1 else []
+    for level in range(level_max + 1):
+        if level:  # each chain's children are made together, in the table's order
+            current = [
+                Chain(c.word + o[ov:], level, len(o) - ov, ov, c)
+                for c in current
+                for o, ov in table[c.tail]
+                if len(o) - ov <= deg_max - len(c.word)
+            ]
         for c in current:
-            tail = c.tail
-            ext = ext_cache.get(tail)
-            if ext is None:
-                ext = ext_cache[tail] = sorted(
-                    ((o[ov:], ov) for o, ov in _extensions(tail, obs)), key=lambda e: len(e[0])
-                )
-            room = deg_max - len(c.word)
-            for new_tail, ov in ext:
-                if len(new_tail) > room:
-                    break
-                nxt.append(Chain(c.word + new_tail, level, len(new_tail), ov, c))
-        for c in nxt:
-            store(c)
-        current = nxt
-    chain_set.extensions = {tail: tuple(t for t, _ in ext) for tail, ext in ext_cache.items()}
-    chain_set.extensions[EMPTY] = tuple((letter,) for letter in range(alphabet.size))
+            if index.setdefault((level, c.word), c) is not c:
+                raise ChainError(f"word {c.word} has two distinct level-{level} decompositions")
+            chain_set.by_level_degree.setdefault((level, c.degree), []).append(c)
     for bucket in chain_set.by_level_degree.values():
         bucket.sort(key=lambda c: deglex_desc(c.word), reverse=True)
     return chain_set
@@ -225,40 +214,33 @@ class ChainGraph:
 
 
 def chain_graph(alphabet: Alphabet, obstructions: list[Word]) -> ChainGraph:
-    """Build the chain-generation graph over an obstruction antichain."""
+    """Build the chain-generation graph over an obstruction antichain.
+
+    Class nodes are numbered as the walk finds them: first from the
+    letters in order, then depth first from the last node found.
+    """
     obs = check_antichain(obstructions)
+    table = ExtensionTable(obs)
     nodes: list[GraphNode] = [
         GraphNode("letter", (i,), 0) for i in range(alphabet.size)
     ]
     node_index: dict[tuple[Word, int], int] = {}
     edges: list[tuple[int, int]] = []
-
-    def class_node(o: Word, ov: int) -> int:
-        key = (o, ov)
-        if key not in node_index:
-            node_index[key] = len(nodes)
-            nodes.append(GraphNode("class", o, ov))
-        return node_index[key]
-
     frontier: list[int] = []
-    for i in range(alphabet.size):
-        for o, ov in _extensions((i,), obs):
-            j = class_node(o, ov)
-            edges.append((i, j))
-            frontier.append(j)
 
-    seen = set(frontier)
-    while frontier:
-        i = frontier.pop()
-        for o, ov in _extensions(nodes[i].tail, obs):
-            j = class_node(o, ov)
-            edges.append((i, j))
-            if j not in seen:
-                seen.add(j)
+    def visit(i: int) -> None:
+        for o, ov in table[nodes[i].tail]:
+            j = node_index.setdefault((o, ov), len(nodes))
+            if j == len(nodes):
+                nodes.append(GraphNode("class", o, ov))
                 frontier.append(j)
+            edges.append((i, j))
 
-    edges = sorted(set(edges))
-    return ChainGraph(alphabet, obs, nodes, edges)
+    for i in range(alphabet.size):
+        visit(i)
+    while frontier:
+        visit(frontier.pop())
+    return ChainGraph(alphabet, obs, nodes, sorted(edges))
 
 
 def chain_graph_dot(graph: ChainGraph) -> str:

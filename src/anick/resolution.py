@@ -13,8 +13,9 @@ where ``split`` inverts the previous differential term by term: take the
 order-maximal pair (c0, w0), emit the level chain prefix of its product
 word with the left-over cofactor, subtract that pair's differential, and
 repeat.  The prefix is unique and extends c0 (Anick's greedy
-decomposition): it is ``c0 + t`` for the first new tail ``t`` in
-``ChainSet.extensions[c0.tail]`` that begins w0 and makes a chain.  As in
+decomposition): it is the child ``c0 + t`` of c0 whose tail ``t`` begins
+w0.  At most one child's tail does, since a longer one would hold the
+shorter one's obstruction in its window, which must be clean.  As in
 ``Reducer.reduce``, the terms wait in one dict beside a lazy-deletion
 heap; a pair with an empty cofactor fits no tail, so it stays off the heap
 and must cancel.  The maximal term strictly decreases, so the recursion
@@ -24,11 +25,14 @@ the requested degree and raises.
 Inside a context a chain is an int id (0 is the unit, then the chain set's
 chains level by level): the split's terms, heap and result, the
 differential cache and the pair bases are keyed by ``(chain id, word)``,
-and per-id tables give each chain's word, level, tail, prefix id and
-extensions.  Only the public methods (``differential``, ``split``,
-``act_right``, ``induced_differential``, ``pair_basis``, ``slice``) take
-or return pairs keyed by ``Chain``; a chain is looked up by level and
-word, and one outside the context's bounds raises ``TruncationError``.
+and per-id tables give each chain's word, level, tail and prefix id.
+Each id's children, as (tail, its length, id), are grouped once under
+their prefix ids; the unit's children are the letters.  Only the public
+methods (``differential``, ``split``, ``act_right``,
+``induced_differential``, ``pair_basis``, ``slice``) take or return pairs
+keyed by ``Chain``; a chain is looked up by level and word.  A chain, or
+a ``slice`` or ``pair_basis`` level or degree, outside the context's
+bounds raises ``TruncationError``.
 
 Over Fp the context computes on plain ``int`` residues in 1..p-1 and
 stores no zero, reducing mod p where it sums; over Q (``p == 0``)
@@ -116,15 +120,20 @@ class ResolutionContext:
         self._word, self._level, self._tail = zip(*((c.word, c.level, c.tail) for c in chains))
         # A letter's prefix is the unit, and its tail is the letter.
         self._prefix = [self._id.get((c.level - 1, c.word[: -c.tail_len]), 0) for c in chains]
-        # Per id, filled lazily: d, and (new tail, its length, new id) per extension.
-        self._diff: list[dict | None] = [None] * len(chains)
-        self._ext: list[list[tuple[Word, int, int]] | None] = [None] * len(chains)
+        # Id -> the chains one level up that extend it, as (tail, its length, id).
+        self._children: dict[int, list[tuple[Word, int, int]]] = {}
+        for i, c in enumerate(chains[1:], 1):
+            self._children.setdefault(self._prefix[i], []).append((c.tail, c.tail_len, i))
+        self._diff: list[dict | None] = [None] * len(chains)  # filled lazily
+
+    def _outside(self, what: str) -> TruncationError:
+        bounds = f"levels <= {self.level_max}, degrees <= {self.deg_max}"
+        return TruncationError(f"{what} is outside this context's bounds ({bounds})")
 
     def _id_of(self, c: Chain) -> int:
         """The id of the chain equal to c, found by level and word."""
         if (i := self._id.get((c.level, c.word))) is None:
-            bounds = f"levels <= {self.level_max}, degrees <= {self.deg_max}"
-            raise TruncationError(f"{c!r} is not among this context's chains ({bounds})")
+            raise self._outside(repr(c))
         return i
 
     def _element(self, terms: dict) -> FreeElement:
@@ -174,7 +183,7 @@ class ResolutionContext:
         that does not cancel, raises ``SplittingError``; a chain outside the
         context's bounds raises ``TruncationError``.
         """
-        p, words, exts, ids = self.p, self._word, self._ext, self._id
+        p, words, children = self.p, self._word, self._children
         if public := isinstance(xi, FreeElement):
             terms = {}
             for (c, w), a in xi.terms.items():
@@ -198,14 +207,7 @@ class ResolutionContext:
             if coeff is None:
                 continue
             i, w0 = key
-            ext = exts[i]
-            if ext is None:  # the extensions that make a chain in range, in order
-                ext = exts[i] = [
-                    (t, len(t), hat)
-                    for t in self.chains.extensions.get(self._tail[i], ())
-                    if (hat := ids.get((level, words[i] + t))) is not None
-                ]
-            for t, n, hat in ext:
+            for t, n, hat in children.get(i, ()):
                 if w0[:n] == t:
                     break
             else:
@@ -264,14 +266,17 @@ class ResolutionContext:
         """``pair_basis`` as (chain id, word) pairs, built once per context."""
         cached = self._basis_cache.get((level, degree))
         if cached is None:
+            if not (-1 <= level <= self.level_max and 0 <= degree <= self.deg_max):
+                raise self._outside(f"level {level}, degree {degree}")
             accepted, chains = self.automaton.accepted_words, self._chains
             if level == -1:
                 out = [(0, w) for w in accepted(degree)]
             else:
                 out, ids = [], self._id_of
                 for d in range(0, degree + 1):
-                    for i in map(ids, self.chains.at(level, d)):
-                        out += [(i, w) for w in accepted(degree - d)]
+                    if at := self.chains.at(level, d):  # one word list per cofactor degree
+                        words = accepted(degree - d)
+                        out += [(i, w) for i in map(ids, at) for w in words]
                 out.sort(key=lambda k: _max_term_key((chains[k[0]], k[1])), reverse=True)
             cached = self._basis_cache[level, degree] = tuple(out)
         return cached
@@ -280,12 +285,15 @@ class ResolutionContext:
         """Basis of the level module in one internal degree, ascending.
 
         Each basis is built once per context; every call returns a new list.
+        A level outside -1..level_max or a degree outside 0..deg_max raises
+        ``TruncationError``.
         """
         chains = self._chains
         return [(chains[i], w) for i, w in self._pair_ids(level, degree)]
 
     def slice(self, level: int, degree: int) -> ResolutionSlice:
-        """Matrix of the differential at one level and internal degree."""
+        """Matrix of the differential at one level and internal degree;
+        one outside the context's bounds raises ``TruncationError``."""
         rows = self._pair_ids(level - 1, degree)
         row_index = {k: i for i, k in enumerate(rows)}
         of, p = self.field.of, self.p

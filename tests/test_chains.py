@@ -1,8 +1,20 @@
-import pytest
-from helpers import bf_chains, path_counts, shape_chains
+import hashlib
+import json
 
-from anick import Alphabet, chain_graph, chain_graph_dot, complete, enumerate_chains
+import pytest
+from helpers import bf_chains, bf_has_factor, path_counts, shape_chains
+from hypothesis import given, settings, strategies as st
+
+from anick import (
+    Alphabet,
+    chain_graph,
+    chain_graph_dot,
+    complete,
+    enumerate_chains,
+    parse_presentation,
+)
 from anick.errors import AntichainError, ChainError
+from anick.reports import graph_payload
 
 
 def chain_words(chain_set, level, deg_max=None):
@@ -96,18 +108,40 @@ def test_extension_table_links_every_chain_to_its_prefix(name, d, request):
     gb = complete(presentation, d)
     chains = enumerate_chains(presentation.alphabet, list(gb.obstructions), d, d)
     ext = chains.extensions
-    assert ext[()] == tuple((i,) for i in range(presentation.alphabet.size))
-    for tails in ext.values():
-        assert [len(t) for t in tails] == sorted(len(t) for t in tails)
+    # Enumeration looks up the tail of every chain below the top level.
+    assert set(ext) == {c.tail for c in chains.index.values() if c.level < d}
     for c in chains.index.values():
         if c.level >= 1:
-            assert c.tail in ext[c.prefix.tail]
+            o = c.word[len(c.word) - c.tail_len - c.overlap_len:]
+            assert (o, c.overlap_len) in ext[c.prefix.tail]
         if c.level < d:
-            # Every extension that fits is a chain over c, so split's
-            # lookup from the prefix finds each chain and nothing else.
-            for t in ext[c.tail]:
-                if len(c.word) + len(t) <= d:
-                    assert chains.find(c.level + 1, c.word + t).prefix is c
+            # Every extension that fits is a chain over c, so the children
+            # the resolution reads off the prefix ids are exactly these.
+            for o, ov in ext[c.tail]:
+                if len(c.word) + len(o) - ov <= d:
+                    assert chains.find(c.level + 1, c.word + o[ov:]).prefix is c
+
+
+def test_extensions_are_worked_out_once_per_tail(g4, monkeypatch):
+    import anick.chains as chains_module
+
+    tails = []
+    real = chains_module._extensions
+
+    def counted(tail, obstructions):
+        tails.append(tail)
+        return real(tail, obstructions)
+
+    monkeypatch.setattr(chains_module, "_extensions", counted)
+    obstructions = list(complete(g4, 6).obstructions)
+    chains = enumerate_chains(g4.alphabet, obstructions, 6, 6)
+    looked_up = {c.tail for c in chains.index.values() if c.level < 6}
+    assert sorted(tails) == sorted(chains.extensions) == sorted(looked_up)
+    tails.clear()
+    graph = chain_graph(g4.alphabet, obstructions)
+    assert sorted(tails) == sorted({node.tail for node in graph.nodes})
+    # Several class nodes share a tail, and share its table entry.
+    assert len(tails) < len(graph.nodes)
 
 
 def test_rejects_non_antichain_obstructions():
@@ -130,14 +164,35 @@ def test_monomial_relation_without_self_overlap_stops_at_level_one():
         assert chain_words(chains, level) == set()
 
 
-def test_graph_path_counts_match_enumeration(xyz, xyz_ctx):
-    obstructions = [o for o in xyz_ctx.gb.obstructions]
-    graph = chain_graph(xyz.alphabet, obstructions)
-    counts = path_counts(graph, 5, 8)
-    for level in range(0, 6):
-        assert counts[level] == len(
-            [c for c in xyz_ctx.chains.level(level) if c.degree <= 8]
-        )
+def assert_path_counts_match_enumeration(alphabet, obstructions, level_max, deg_max):
+    graph = chain_graph(alphabet, obstructions)
+    chains = enumerate_chains(alphabet, obstructions, level_max, deg_max)
+    want = {level: len(chains.level(level)) for level in range(level_max + 1)}
+    assert path_counts(graph, level_max, deg_max) == want
+
+
+@st.composite
+def antichains(draw):
+    """An alphabet of two or three letters and a random antichain over it
+    of words of length 2-4."""
+    alphabet = Alphabet(("x", "y", "z")[: draw(st.integers(2, 3))])
+    word = st.lists(st.integers(0, alphabet.size - 1), min_size=2, max_size=4).map(tuple)
+    obstructions: list = []
+    for w in draw(st.lists(word, max_size=6)):
+        if not any(bf_has_factor(w, o) or bf_has_factor(o, w) for o in obstructions):
+            obstructions.append(w)
+    return alphabet, obstructions
+
+
+@settings(deadline=None)
+@given(antichains(), st.integers(0, 6), st.integers(1, 9))
+def test_graph_path_counts_match_enumeration(case, level_max, deg_max):
+    assert_path_counts_match_enumeration(*case, level_max, deg_max)
+
+
+def test_graph_path_counts_match_enumeration_on_fixtures(xyz, xyz_gb8, g4_d8_obstructions):
+    assert_path_counts_match_enumeration(xyz.alphabet, list(xyz_gb8.obstructions), 8, 8)
+    assert_path_counts_match_enumeration(*g4_d8_obstructions, 8, 8)
 
 
 def test_graph_dot_rendering(xyz, xyz_gb8):
@@ -148,3 +203,27 @@ def test_graph_dot_rendering(xyz, xyz_gb8):
     assert '"x*z|1"' in dot
     assert '"x" -> "x^2|1";' in dot
     assert dot.endswith("}\n")
+
+
+# sha256 of json.dumps(graph_payload(graph), indent=2) and of the DOT text,
+# beside the pinned example.alg DOT in test_cli.py: both show the order in
+# which the walk numbers the class nodes.
+GRAPH_DIGESTS = {
+    "g4-6": (
+        "edaf44a17bba77a659c220b6b6780b5987540b87cde725d7b2e5078e1dab0490",
+        "7c90de11034c580614b2e058607db87f784d1c6af9869f2da392ff9a20b57a8d",
+    ),
+    "xyz-yxz-8": (
+        "6f977b3fe6ff3161dc677b8406fcd1993913eed222e8812b865df90131e6d94b",
+        "4f5acbe93652817a32fbb91800efb6feda746dfee280673cdf41645930b1928a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_DIGESTS))
+def test_graph_renderings_match_pinned_digest(name, g4):
+    xyz_yxz = "vars: y > x > z\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n"
+    presentation, d = {"g4-6": (g4, 6), "xyz-yxz-8": (parse_presentation(xyz_yxz), 8)}[name]
+    graph = chain_graph(presentation.alphabet, list(complete(presentation, d).obstructions))
+    texts = json.dumps(graph_payload(graph), indent=2), chain_graph_dot(graph)
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == GRAPH_DIGESTS[name]

@@ -259,6 +259,46 @@ def test_a_chain_outside_the_context_raises_truncation_error(xyz, method):
         call()
 
 
+@pytest.mark.parametrize(
+    ("order", "d", "level_max", "deg_max", "level", "degree"),
+    [
+        # Level 3 past level_max 2: there are no level-3 chains, so the
+        # slice had no columns.
+        ("x > y > z", 6, 2, 5, 3, 5),
+        # Degree 8 past deg_max 5 of a certified basis: the chains of
+        # degrees 6 to 8 are missing, so the slice had 93 columns, not 99.
+        ("y > x > z", 8, 4, 5, 3, 8),
+    ],
+)
+def test_slice_and_pair_basis_outside_the_bounds_raise_truncation_error(
+    order, d, level_max, deg_max, level, degree
+):
+    presentation = parse_presentation(f"vars: {order}\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n")
+    ctx = ResolutionContext(complete(presentation, d), level_max, deg_max)
+    with pytest.raises(TruncationError, match="outside this context's bounds"):
+        ctx.slice(level, degree)
+    with pytest.raises(TruncationError, match=f"level {level}, degree {degree}"):
+        ctx.pair_basis(level, degree)
+    assert ctx.slice(min(level, level_max), min(degree, deg_max)).columns
+
+
+def test_pair_basis_lists_the_words_of_each_cofactor_degree_once(xyz_gb8, monkeypatch):
+    # Every chain of one degree takes the same cofactor words; on xyz at
+    # D=8 the level-2 basis in degree 8 has 21 chains over 6 chain degrees.
+    ctx = ResolutionContext(xyz_gb8, 8, 8)
+    calls, real = [], ctx.automaton.accepted_words
+
+    def counted(degree):
+        calls.append(degree)
+        return real(degree)
+
+    monkeypatch.setattr(ctx.automaton, "accepted_words", counted)
+    basis = ctx.pair_basis(2, 8)
+    n = sum(len(ctx.chains.at(2, d)) for d in range(9))
+    assert sorted(calls) == sorted({8 - d for d in range(9) if ctx.chains.at(2, d)})
+    assert len(calls) < n and len(basis) == len(set(basis))
+
+
 @pytest.mark.parametrize("field", ["Q", "Fp 5"])
 def test_chains_are_looked_up_by_value(field):
     # Context a, given context b's chains (equal, not the same objects),
@@ -319,10 +359,11 @@ def test_split_beyond_the_degree_bound_raises_splitting_error(xyz_ctx):
     # The extension t matches the cofactor, but the chain c + t is longer
     # than the context's bound, so the chain index has no such chain.
     chains = xyz_ctx.chains
-    top = [c for c in chains.at(1, chains.deg_max) if chains.extensions.get(c.tail)]
+    top = [c for c in chains.at(1, chains.deg_max) if chains.extensions[c.tail]]
     assert top
     for c in top:
-        t = chains.extensions[c.tail][0]
+        o, ov = chains.extensions[c.tail][0]
+        t = o[ov:]
         with pytest.raises(SplittingError):
             xyz_ctx.split(2, FreeElement({(c, t): xyz_ctx.field.one}))
 
