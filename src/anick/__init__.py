@@ -42,11 +42,10 @@ from .homology import (
     betti_table,
     euler_check,
     koszul_verdict,
-    koszul_verdict_for,
 )
 from .parser import format_presentation, parse_presentation
 from .poly import Polynomial, render_poly
-from .resolution import FreeElement, ResolutionContext, ResolutionSlice, resolution_slices
+from .resolution import FreeElement, ResolutionContext, ResolutionSlice
 from .words import Alphabet, DegLex, Word, overlaps
 
 __version__ = "0.1.0"
@@ -94,13 +93,11 @@ __all__ = [
     "gldim_report",
     "is_finite_dimensional",
     "koszul_verdict",
-    "koszul_verdict_for",
     "normal_form",
     "normal_word_automaton",
     "overlaps",
     "parse_presentation",
     "quadratic_dual",
     "render_poly",
-    "resolution_slices",
     "s_polynomial",
 ]

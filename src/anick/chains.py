@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ChainError
-from .words import Alphabet, Word, check_antichain, deglex_desc, occurrences
+from .words import Alphabet, Word, check_antichain, deglex_desc
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,30 +76,29 @@ class Chain:
         return f"Chain(level={self.level}, word={self.word})"
 
 
-def _window_is_clean(window: Word, start: int, end: int, obstructions: tuple[Word, ...]) -> bool:
-    """True when the only obstruction factor of window is [start, end)."""
-    for o in obstructions:
-        for pos in occurrences(window, o):
-            if (pos, pos + len(o)) != (start, end):
-                return False
-    return True
-
-
 def _extensions(tail: Word, obstructions: tuple[Word, ...]) -> list[tuple[Word, int]]:
     """All (obstruction, overlap length) continuations of a given tail.
 
     The overlap part must be a nonempty suffix of the tail, the leftover
     piece of the obstruction must be nonempty, and the combined window
-    must contain no other obstruction factor.
+    must contain no other obstruction factor.  The tail is a letter or a
+    proper suffix of an obstruction, so it holds no obstruction, and in an
+    antichain only the new one ends where the window does: only factors
+    that end inside the new piece, before its last letter, are looked up.
     """
-    out = []
+    found, lengths = set(obstructions), sorted({len(o) for o in obstructions})
+    out, n = [], len(tail)
     for o in obstructions:
-        for ov in range(1, min(len(tail), len(o) - 1) + 1):
-            if o[:ov] != tail[len(tail) - ov:]:
+        for ov in range(1, min(n, len(o) - 1) + 1):
+            if o[:ov] != tail[n - ov:]:
                 continue
-            new_tail = o[ov:]
-            window = tail + new_tail
-            if _window_is_clean(window, len(tail) - ov, len(window), obstructions):
+            window = tail + o[ov:]
+            if not any(
+                window[end - m:end] in found
+                for end in range(n + 1, len(window))
+                for m in lengths
+                if m <= end
+            ):
                 out.append((o, ov))
     return out
 

@@ -11,10 +11,11 @@ ground field itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import linalg
 from .chains import Chain
-from .errors import CoverageError, NotQuadraticError
+from .errors import CoverageError
 from .groebner import Presentation, complete
 from .resolution import ResolutionContext
 
@@ -25,11 +26,12 @@ def induced_matrix_from_context(
     """Rows (level-1 chains), columns (level chains) and the dense matrix."""
     cols = ctx.chains.at(level, degree)
     rows = ctx.chains.at(level - 1, degree)
-    row_index = {c: i for i, c in enumerate(rows)}
+    row_of = {ctx._id_of(c): r for r, c in enumerate(rows)}
     dense = [[0] * len(cols) for _ in rows]
     for j, c in enumerate(cols):
-        for c2, coeff in ctx.induced_differential(c).items():
-            dense[row_index[c2]][j] = coeff
+        for (i, w), a in ctx.differential(ctx._id_of(c)).items():
+            if not w:
+                dense[row_of[i]][j] = a
     return rows, cols, dense
 
 
@@ -64,37 +66,24 @@ def betti_table(
     if ctx is None:
         gb = complete(presentation, j_max)
         ctx = ResolutionContext(gb, level_max=i_max, deg_max=j_max)
-    field = presentation.field
     values = [[0] * (j_max + 1) for _ in range(i_max + 1)]
     reliable = [[True] * (j_max + 1) for _ in range(i_max + 1)]
     values[0][0] = 1
 
-    rank_cache: dict[tuple[int, int], int] = {}
-
-    def rank_at(level: int, degree: int) -> int:
-        key = (level, degree)
-        if key not in rank_cache:
-            _, _, dense = induced_matrix_from_context(ctx, level, degree)
-            rank_cache[key] = linalg.rank(dense, field)
-        return rank_cache[key]
+    @cache
+    def rank(level: int, degree: int) -> int:
+        dense = induced_matrix_from_context(ctx, level, degree)[2]
+        return linalg.rank(dense, presentation.field)
 
     for i in range(1, i_max + 1):
-        level = i - 1
-        for j in range(0, j_max + 1):
+        # Level-(i-1) chains have degree at least i, so b[i][j] = 0 for j < i.
+        for j in range(i, j_max + 1):
             # The context's basis covers deg_max, so these are its bounds.
-            in_range = j <= ctx.deg_max and i <= ctx.level_max
-            if j < i:
-                # Level-(i-1) chains have degree at least i, so these
-                # entries vanish for structural reasons.
-                values[i][j] = 0
-                continue
-            if not in_range:
+            if j > ctx.deg_max or i > ctx.level_max:
                 reliable[i][j] = False
                 continue
-            dim = len(ctx.chains.at(level, j))
-            out_rank = rank_at(level, j) if level >= 1 else 0
-            in_rank = rank_at(level + 1, j)
-            values[i][j] = dim - out_rank - in_rank
+            out_rank = rank(i - 1, j) if i > 1 else 0
+            values[i][j] = len(ctx.chains.at(i - 1, j)) - out_rank - rank(i, j)
     return BettiTable(values, reliable, i_max, j_max)
 
 
@@ -135,16 +124,6 @@ def koszul_verdict(table: BettiTable, max_degree: int) -> KoszulVerdict:
             if table.values[i][j] != 0:
                 return KoszulVerdict(None, (i, j), table.values[i][j])
     return KoszulVerdict(max_degree)
-
-
-def koszul_verdict_for(presentation: Presentation, max_degree: int) -> KoszulVerdict:
-    """Convenience wrapper that builds the table; quadratic input only."""
-    if not presentation.is_quadratic:
-        raise NotQuadraticError(
-            "Koszulness is defined for quadratic presentations only"
-        )
-    table = betti_table(presentation, max_degree, max_degree)
-    return koszul_verdict(table, max_degree)
 
 
 def euler_check(table: BettiTable, hilbert: list[int]) -> list:

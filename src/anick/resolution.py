@@ -28,11 +28,10 @@ differential cache and the pair bases are keyed by ``(chain id, word)``,
 and per-id tables give each chain's word, level, tail and prefix id.
 Each id's children, as (tail, its length, id), are grouped once under
 their prefix ids; the unit's children are the letters.  Only the public
-methods (``differential``, ``split``, ``act_right``,
-``induced_differential``, ``pair_basis``, ``slice``) take or return pairs
-keyed by ``Chain``; a chain is looked up by level and word.  A chain, or
-a ``slice`` or ``pair_basis`` level or degree, outside the context's
-bounds raises ``TruncationError``.
+methods (``differential``, ``split``, ``act_right``, ``pair_basis``,
+``slice``) take or return pairs keyed by ``Chain``; a chain is looked up
+by level and word.  A chain, or a ``slice`` or ``pair_basis`` level or
+degree, outside the context's bounds raises ``TruncationError``.
 
 Over Fp the context computes on plain ``int`` residues in 1..p-1 and
 stores no zero, reducing mod p where it sums; over Q (``p == 0``)
@@ -50,7 +49,7 @@ from .chains import Chain, ChainSet, enumerate_chains
 from .errors import SplittingError, TruncationError
 from .groebner import GroebnerBasis, Presentation, Reducer, complete, normal_form
 from .poly import LinComb, Polynomial
-from .words import EMPTY, Word, deglex_desc
+from .words import EMPTY, Word
 
 
 class FreeElement(LinComb):
@@ -58,13 +57,6 @@ class FreeElement(LinComb):
     keyed by (chain, normal word)."""
 
     __slots__ = ()
-
-
-def _max_term_key(k: tuple[Chain, Word]) -> tuple[tuple[int, Word], int]:
-    """Sorts pairs descending: by product word under ``deglex_desc``, then
-    longer chain first."""
-    chain_word = k[0].word
-    return deglex_desc(chain_word + k[1]), -len(chain_word)
 
 
 @dataclass
@@ -196,7 +188,7 @@ class ResolutionContext:
             xi = terms
         work = {k: r for k, a in xi.items() if (r := a % p if p else a)}
         # Products in one split share a length, so the word itself orders
-        # them as ``_max_term_key`` does; chain length breaks ties.  No tail
+        # them in deglex; the longer chain comes first on a tie.  No tail
         # fits an empty cofactor, so such a pair stays off the heap.
         heap = [(words[i] + w, -len(words[i]), (i, w)) for i, w in work if w]
         heapq.heapify(heap)
@@ -257,27 +249,24 @@ class ResolutionContext:
             self._diff[i] = out
         return out if type(c) is int else self._element(out)
 
-    def induced_differential(self, c: Chain) -> dict[Chain, object]:
-        """Unit-cofactor part of the differential, over chains one level down."""
-        chains = self._chains
-        return {chains[i]: a for (i, w), a in self.differential(self._id_of(c)).items() if not w}
-
     def _pair_ids(self, level: int, degree: int) -> tuple[tuple[int, Word], ...]:
         """``pair_basis`` as (chain id, word) pairs, built once per context."""
         cached = self._basis_cache.get((level, degree))
         if cached is None:
             if not (-1 <= level <= self.level_max and 0 <= degree <= self.deg_max):
                 raise self._outside(f"level {level}, degree {degree}")
-            accepted, chains = self.automaton.accepted_words, self._chains
+            accepted, words = self.automaton.accepted_words, self._word
             if level == -1:
                 out = [(0, w) for w in accepted(degree)]
             else:
                 out, ids = [], self._id_of
                 for d in range(0, degree + 1):
                     if at := self.chains.at(level, d):  # one word list per cofactor degree
-                        words = accepted(degree - d)
-                        out += [(i, w) for i in map(ids, at) for w in words]
-                out.sort(key=lambda k: _max_term_key((chains[k[0]], k[1])), reverse=True)
+                        cofactors = accepted(degree - d)
+                        out += [(i, w) for i in map(ids, at) for w in cofactors]
+                # The split heap's key, reversed: ascending in the order in
+                # which the heap pops the greatest pair first.
+                out.sort(key=lambda k: (words[k[0]] + k[1], -len(words[k[0]])), reverse=True)
             cached = self._basis_cache[level, degree] = tuple(out)
         return cached
 
@@ -335,14 +324,12 @@ class ResolutionContext:
 
 
 def verify_composition(lower: ResolutionSlice, upper: ResolutionSlice) -> bool:
-    """Check that applying the lower matrix after the upper gives zero."""
-    col_index = {k: i for i, k in enumerate(lower.col_labels)}
-    # The lower column under each row of the upper slice.
-    below = [lower.columns[col_index[k]] for k in upper.row_labels]
+    """Check that applying the lower matrix after the upper gives zero;
+    the upper slice's rows are the lower slice's columns, in order."""
     for col in upper.columns:
         acc: dict[int, object] = {}
         for mid, a in col.items():
-            for row, b in below[mid].items():
+            for row, b in lower.columns[mid].items():
                 acc[row] = acc.get(row, 0) + a * b
         if any(acc.values()):
             return False

@@ -128,12 +128,6 @@ def overlaps(u: Word, w: Word) -> list[int]:
     return found
 
 
-def occurrences(w: Word, factor: Word) -> list[int]:
-    """Start positions of every occurrence of ``factor`` inside ``w``."""
-    n, m = len(w), len(factor)
-    return [i for i in range(n - m + 1) if w[i:i + m] == factor]
-
-
 def check_antichain(words: list[Word]) -> tuple[Word, ...]:
     """Raise unless no word in the list is a factor of another; return the
     words shortest first, equal lengths ascending.

@@ -25,8 +25,14 @@ import heapq
 from fractions import Fraction
 from itertools import product
 
-from anick import FreeElement, Polynomial, Reducer
-from anick.errors import AlgebraError, AntichainError, SplittingError, TruncationError
+from anick import FreeElement, KoszulVerdict, Polynomial, Reducer, betti_table, koszul_verdict
+from anick.errors import (
+    AlgebraError,
+    AntichainError,
+    NotQuadraticError,
+    SplittingError,
+    TruncationError,
+)
 from anick.groebner import Certificate, GroebnerBasis, Presentation, normal_form, s_polynomial
 from anick.linalg import echelon
 from anick.words import EMPTY, DegLex, Word, deglex_desc, overlaps
@@ -524,6 +530,14 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
 
 # ---------------------------------------------------------------------------
 # what the package no longer exports: only tests used these
+
+def koszul_verdict_for(presentation: Presentation, max_degree: int) -> KoszulVerdict:
+    """The Koszul verdict of a quadratic presentation through max_degree,
+    from its Betti table."""
+    if not presentation.is_quadratic:
+        raise NotQuadraticError("Koszulness is defined for quadratic presentations only")
+    return koszul_verdict(betti_table(presentation, max_degree, max_degree), max_degree)
+
 
 def interreduce(polys: list[Polynomial], field) -> list[Polynomial]:
     """Monic inter-reduced generating set with the same two-sided ideal,

@@ -35,11 +35,11 @@ from anick import (
     normal_form,
     normal_word_automaton,
     quadratic_dual,
-    resolution_slices,
     s_polynomial,
 )
 from anick.fields import Rationals
 from anick.homology import induced_matrix_from_context
+from anick.resolution import resolution_slices
 from anick.words import Alphabet, overlaps
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from helpers import induce, rref
+from helpers import induce, koszul_verdict_for, rref
 
 from anick import (
     betti_table,
@@ -9,17 +9,16 @@ from anick import (
     euler_check,
     gldim_report,
     koszul_verdict,
-    koszul_verdict_for,
     normal_word_automaton,
     parse_presentation,
     quadratic_dual,
     render_poly,
-    resolution_slices,
 )
+from anick.chains import Chain
 from anick.errors import CoverageError, NotQuadraticError
 from anick.fields import PrimeField
 from anick.homology import induced_matrix_from_context
-from anick.resolution import ResolutionContext
+from anick.resolution import ResolutionContext, resolution_slices
 
 
 def test_induced_level_two_degree_three(xyz, xyz_ctx):
@@ -40,9 +39,9 @@ def test_induced_first_differential_vanishes(xyz, xyz_ctx):
 
 def test_induced_level_three_degree_four(xyz, xyz_ctx):
     a = xyz.alphabet
-    x4 = xyz_ctx.chains.find(3, a.word("xxxx"))
-    image = xyz_ctx.induced_differential(x4)
-    rendered = {a.str_word(c.word): int(v) for c, v in image.items()}
+    rows, cols, dense = induced_matrix_from_context(xyz_ctx, 3, 4)
+    j = cols.index(xyz_ctx.chains.find(3, a.word("xxxx")))
+    rendered = {a.str_word(c.word): int(row[j]) for c, row in zip(rows, dense) if row[j]}
     assert rendered == {"x^2*y*x": 1, "x*y*x^2": -1}
 
 
@@ -57,6 +56,21 @@ def test_induce_from_slices_matches_context(xyz, xyz_ctx):
             assert [[Fraction(x) for x in row] for row in got] == [
                 [Fraction(x) for x in row] for row in dense
             ]
+
+
+def test_betti_table_hashes_no_chain(xyz, xyz_gb8, monkeypatch):
+    # Inside a context chains are int ids, and the path from the context to
+    # the ranks reads them by id, so no Chain is hashed.
+    ctx = ResolutionContext(xyz_gb8, level_max=8, deg_max=8)
+    hashed, real = [], Chain.__hash__
+
+    def counted(chain):
+        hashed.append(chain)
+        return real(chain)
+
+    monkeypatch.setattr(Chain, "__hash__", counted)
+    assert betti_table(xyz, 8, 8, ctx=ctx).diagonal() == [1, 3, 3, 2, 1, 0, 0, 0, 0]
+    assert hashed == []
 
 
 def test_betti_table_of_main_fixture(xyz, xyz_ctx):

@@ -17,6 +17,7 @@ from anick import (
     normal_word_automaton,
 )
 from anick.fields import ModP, PrimeField, Rationals
+from anick.homology import induced_matrix_from_context
 from anick.linalg import nullspace
 from anick.words import DegLex
 from helpers import (
@@ -221,7 +222,7 @@ def test_scalars_stay_int_fraction_or_modp(case):
     returned = [c for g in basis for c in g.terms.values()]
     returned += normal_form(p, Reducer(field, basis)).terms.values()
     # What a context computes stays inside it: act_right, split,
-    # differential and induced_differential.
+    # differential and the induced matrices.
     ctx = ResolutionContext(gb, 3, 5)
     inside = []
     for level in (2, 3):
@@ -231,7 +232,10 @@ def test_scalars_stay_int_fraction_or_modp(case):
             inside += ctx.split(level - 1, xi).terms.values()
     for chain in ctx.chains.index.values():
         inside += ctx.differential(chain).terms.values()
-        inside += ctx.induced_differential(chain).values()
+    for level in range(1, 4):
+        for degree in range(6):
+            _, _, dense = induced_matrix_from_context(ctx, level, degree)
+            inside += [a for row in dense for a in row if a]
     assert_context_scalars(ctx, inside)
     entries = [a for s in ctx.slices() for col in s.columns for a in col.values()]
     returned += entries

@@ -11,8 +11,8 @@ PUBLIC = """
     Reducer ResolutionContext ResolutionSlice SplittingError TruncationError Word
     betti_table chain_graph chain_graph_dot complete enumerate_chains euler_check
     field_from_name format_presentation gldim_report is_finite_dimensional
-    koszul_verdict koszul_verdict_for normal_form normal_word_automaton overlaps
-    parse_presentation quadratic_dual render_poly resolution_slices s_polynomial
+    koszul_verdict normal_form normal_word_automaton overlaps parse_presentation
+    quadratic_dual render_poly s_polynomial
 """.split()
 
 

@@ -5,7 +5,7 @@ from helpers import bf_has_factor, check_antichain_reference
 from hypothesis import given, settings, strategies as st
 
 from anick import AlgebraError, Alphabet, DegLex, overlaps
-from anick.words import check_antichain, deglex_desc, occurrences
+from anick.words import check_antichain, deglex_desc
 from anick.errors import AntichainError
 
 
@@ -116,12 +116,6 @@ def test_alphabet_validation():
         Alphabet(())
     with pytest.raises(AlgebraError):
         Alphabet(("x", "x"))
-
-
-def test_occurrences_and_factors(xyz_alpha):
-    w = xyz_alpha.word("xyxyx")
-    assert occurrences(w, xyz_alpha.word("xyx")) == [0, 2]
-    assert occurrences(w, xyz_alpha.word("yy")) == []
 
 
 def test_antichain_check(xyz_alpha):
