@@ -24,21 +24,20 @@ from .errors import ChainError
 from .words import Alphabet, Word, check_antichain, deglex_desc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Chain:
-    """An Anick chain: a word with its certified decomposition."""
+    """An Anick chain: a word with its certified decomposition.  Two
+    chains are equal when their word and level are."""
 
     word: Word
     level: int
-    tail_len: int
-    overlap_len: int
-    prefix: "Chain | None"
-    tail: Word = field(init=False)
+    tail_len: int = field(compare=False)
+    overlap_len: int = field(compare=False)
+    prefix: "Chain | None" = field(compare=False)
+    tail: Word = field(init=False, compare=False)
 
     def __post_init__(self):
-        # Chains key the resolution's dicts; hash the (level, word) pair
-        # once, and slice the tail once for the splitting loop.
-        object.__setattr__(self, "_hash", hash((self.level, self.word)))
+        # Slice the tail once for the splitting loop.
         object.__setattr__(self, "tail", self.word[len(self.word) - self.tail_len:])
 
     @property
@@ -61,16 +60,6 @@ class Chain:
             spans.append(node.last_occurrence)
             node = node.prefix
         return tuple(reversed(spans))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Chain)
-            and self.level == other.level
-            and self.word == other.word
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Chain(level={self.level}, word={self.word})"

@@ -48,9 +48,10 @@ from .resolution import ResolutionContext
 from .words import Alphabet
 
 # The precedence search: one probe completion per letter order, at
-# probe_degree(D).  Below PROBE_MIN_DEGREE the probe's chain counts do not
+# probe_degree(D).  Below PROBE_MIN_DEGREE the probe's term counts do not
 # tell the cheap orders from the costly ones (on a generic 4-letter
-# algebra at D=6 the fewest chains at degree 3 go with a slow order), and
+# algebra at D=6 the fewest terms at degree 3 go with three orders that
+# run 5-10 times slower than the fastest), and
 # above SEARCH_MAX_LETTERS letters the n! probes can cost more than the
 # whole run (120 probes of a 5-letter algebra at degree 4 take 0.05-3 s).
 PROBE_MIN_DEGREE = 4
@@ -111,12 +112,11 @@ class Pipeline:
         """The presentation under the precedence the Betti data is
         computed on.
 
-        Each letter order is completed at the probe degree.  Among the
-        orders whose basis is certified complete, or among all if none
-        is, the one with the fewest chains through the probe degree wins;
-        ties go to the given order, then to the first in ``permutations``
-        order.  A certified winner's probe basis is its basis at D, so it
-        is kept rather than completed again.
+        Each letter order is completed at the probe degree.  A certified
+        complete basis beats a truncated one, and then the basis with the
+        fewest terms wins; ties go to the given order, then to the first
+        in ``permutations`` order.  A certified winner's probe basis is its
+        basis at D, so it is kept rather than completed again.
         """
         given = self.presentation
         letters = given.alphabet.letters
@@ -128,8 +128,10 @@ class Pipeline:
             return given
         orders = [given] + [_reordered(given, p) for p in permutations(letters) if p != letters]
         bases = [complete(pres, probe) for pres in orders]
-        certified = [gb for gb in bases if gb.certificate.complete] or bases
-        best = min(certified, key=_chain_count)
+        best = min(
+            bases,
+            key=lambda gb: (not gb.certificate.complete, sum(len(g.terms) for g in gb.elements)),
+        )
         if best.certificate.complete:
             self._bases.setdefault(
                 best.presentation.alphabet.letters, replace(best, truncation_degree=self.max_deg)
@@ -154,12 +156,6 @@ def _reordered(presentation: Presentation, letters: tuple[str, ...]) -> Presenta
         for rel in presentation.relations
     )
     return Presentation(Alphabet(letters), presentation.field, relations)
-
-
-def _chain_count(gb: GroebnerBasis) -> int:
-    """The number of chains through the basis's truncation degree."""
-    degree = gb.truncation_degree
-    return len(enumerate_chains(gb.presentation.alphabet, gb.obstructions, degree, degree).index)
 
 
 def _chains(run: Pipeline) -> dict:

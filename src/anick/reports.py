@@ -95,15 +95,12 @@ def _render(value: Any, newline: str, parts: list[str], flat: dict) -> None:
             return
         try:
             text = "".join(value)
-        except TypeError:  # an item is not a str
-            if all(type(item) is int for item in value):
-                parts += ("[", inner, ("," + inner).join(map(str, value)))
-            else:  # walk the items one by one
-                sep = "[" + inner
-                for item in value:
-                    parts.append(sep)
-                    _render(item, inner, parts, flat)
-                    sep = "," + inner
+        except TypeError:  # an item is not a str: walk the items one by one
+            sep = "[" + inner
+            for item in value:
+                parts.append(sep)
+                _render(item, inner, parts, flat)
+                sep = "," + inner
         else:
             if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
                 # Nothing to escape: each item is its own text in quotes.

@@ -22,6 +22,7 @@ from anick import (
     betti_table,
     cli,
     complete,
+    enumerate_chains,
     format_presentation,
     gldim_report,
     koszul_verdict,
@@ -30,6 +31,7 @@ from anick import (
 from anick.cli import BETTI_COMMANDS, COMMANDS, main, probe_degree
 from anick.fields import PrimeField, Rationals
 from anick.reports import betti_payload, gldim_payload, koszul_payload, slices_payload
+from conftest import G4_TEXT
 
 XYZ = "vars: x > y > z\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n"
 YXSQ_LOW = "vars: x < y\nrelations:\n  x^2 - y*x\n"
@@ -445,6 +447,29 @@ def test_a_certified_probe_basis_is_not_completed_again(monkeypatch, command):
     assert (("y", "x", "z"), 10) in calls
 
 
+def test_the_probe_ranks_g4_by_the_terms_of_its_bases(tmp_path):
+    # At degree 4 the fewest terms (38) go with d > b > a > c, which runs
+    # D=7 about 6 times faster than the given order; the fewest chains (18)
+    # go with b > a > c > d, one of the slowest orders.
+    path = tmp_path / "g4.alg"
+    path.write_text(G4_TEXT)
+    args = cli._build_parser().parse_args(["betti", "--input", str(path), "--max-deg", "7"])
+    assert cli.Pipeline(args).betti_presentation.alphabet.letters == ("d", "b", "a", "c")
+
+
+def test_the_probe_enumerates_no_chains(monkeypatch):
+    calls = []
+
+    def counting_enumerate_chains(*args):
+        calls.append(args)
+        return enumerate_chains(*args)
+
+    monkeypatch.setattr(cli, "enumerate_chains", counting_enumerate_chains)
+    _, config = cli_payload("betti", EXAMPLE.read_text(), 8)
+    assert config["betti_order"] == "y > x > z"
+    assert calls == []
+
+
 @pytest.mark.parametrize("command, code", [("betti", 2), ("koszul", 2), ("gldim", 0)])
 def test_require_certified_checks_the_given_precedence(capsys, command, code):
     # Under x > y > z the basis of example.alg is infinite; the Betti data is
@@ -549,9 +574,9 @@ def test_example_payloads_are_equal_under_every_letter_order(command):
     assert body.startswith("field: Q\n")
     shipped = parse_presentation(EXAMPLE.read_text())
     want = json.dumps(LIBRARY_PAYLOADS[command](shipped, 10), indent=2).replace("\n", "\n  ")
-    # Three orders give a certified basis with 21 chains through degree 5;
-    # a tie keeps the given order, or else goes to the first permutation of
-    # the given letters.
+    # Three orders give a certified basis with 5 terms; the other orders
+    # have 10. A tie keeps the given order, or else goes to the first
+    # permutation of the given letters.
     cheapest = ("y > x > z", "y > z > x", "z > y > x")
     for letters in itertools.permutations("xyz"):
         order = " > ".join(letters)
