@@ -23,7 +23,7 @@ from . import linalg
 from .errors import AlgebraError, TruncationError
 from .fields import Field, PrimeField, is_one
 from .poly import Polynomial
-from .words import EMPTY, Alphabet, Word, deglex_desc, overlaps
+from .words import EMPTY, Alphabet, Word, overlaps
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class Reducer:
     """Monic basis elements as integer rows (over Q the primitive multiple
     with a positive lead, over Fp the residues with lead 1), and the one
     rewriting loop.  ``memo`` maps each word looked up to its reducer;
-    ``extend`` clears it, since a new leading word may divide a seen word.
+    adding rows clears it, since a new leading word may divide a seen word.
     """
 
     def __init__(self, field: Field, basis: Iterable[Polynomial] = ()):
@@ -113,25 +113,31 @@ class Reducer:
         self.extend(basis)
 
     def extend(self, basis: Iterable[Polynomial]) -> None:
-        for g in basis:
-            if g.is_zero or not is_one(g.lead_coeff()):
-                raise AlgebraError("normal_form requires monic basis elements")
-            lead, row = g.lead_word(), linalg._int_row(g.terms.items(), self.p)[0]
-            if not self.p:
-                content = gcd(*row.values())
-                row = {w: c // content for w, c in row.items()}
+        basis = list(basis)
+        if any(g.is_zero or not is_one(g.lead_coeff()) for g in basis):
+            raise AlgebraError("normal_form requires monic basis elements")
+        # A monic row scaled by the lcm of its denominators is primitive.
+        self._add_rows((g.lead_word(), linalg._int_row(g.terms.items(), self.p)[0]) for g in basis)
+
+    def _add_rows(self, rows: Iterable[tuple[Word, dict[Word, int]]]) -> None:
+        """Add primitive (over Fp, monic) integer rows as ``(lead, row)``."""
+        for lead, row in rows:
             self.first.setdefault(lead, len(self.rows))
             self.rows.append((lead, row.pop(lead), row))
         self.lengths = sorted({len(lead) for lead in self.first})
         self.memo.clear()
 
     def find(self, w: Word) -> tuple[int, int] | None:
-        """The leftmost position of w holding a leading word, and the
-        smallest basis index among the leading words there."""
-        for pos in range(len(w)):
-            hits = [gi for n in self.lengths if (gi := self.first.get(w[pos:pos + n])) is not None]
-            if hits:
-                return pos, min(hits)
+        """The leftmost position of w holding a leading word (an empty one
+        sits at len(w) in ()), and the smallest basis index among those."""
+        first, miss = self.first, len(self.rows)
+        for pos in range(len(w) + 1):
+            gi = miss
+            for n in self.lengths:
+                if (hit := first.get(w[pos:pos + n], miss)) < gi:
+                    gi = hit
+            if gi < miss:
+                return pos, gi
         return None
 
     def reduce(self, poly: Polynomial, trace: list | None = None) -> tuple[dict, int]:
@@ -143,50 +149,54 @@ class Reducer:
         ``pending <- m*pending - f*left*G*right``, ``(f, m) = (c, lc) /
         gcd(c, lc)``; over Fp m = 1, and coefficients are reduced mod p
         when popped.  ``trace`` gets the steps as ``normal_form`` does.
-        Words wait in a dict beside a lazy-deletion heap keyed by
-        ``deglex_desc``; a step adds only words below the one it rewrites,
-        so a popped word missing from the dict has cancelled.
+        Words wait in a dict beside lazy heaps of plain words, one per
+        length and longest first (in one length ascending tuples descend in
+        deglex); a step adds words below, so no longer than, the one it
+        rewrites, and a popped word missing from the dict has cancelled.
         """
         p, rows, memo = self.p, self.rows, self.memo
         pending, scale = linalg._int_row(poly.terms.items(), p)
-        heap = [deglex_desc(w) for w in pending]
-        heapq.heapify(heap)
+        heaps: dict[int, list[Word]] = {}
+        for w in sorted(pending):
+            heaps.setdefault(len(w), []).append(w)
         done: dict[Word, int] = {}
-        while heap:
-            w = heapq.heappop(heap)[1]
-            c = pending.pop(w, 0)
-            if p:
-                c %= p
-            if not c:
-                continue
-            hit = memo.get(w, False)
-            if hit is False:
-                hit = memo[w] = self.find(w)
-            if hit is None:
-                done[w] = c
-                continue
-            pos, gi = hit
-            lead, lc, tail = rows[gi]
-            left, right = w[:pos], w[pos + len(lead):]
-            if trace is not None:
-                trace.append((gi, self.field.of(c, scale), left, right))
-            if lc != 1:
-                m = lc // gcd(c, lc)
-                c, scale = c * m // lc, scale * m
-                if m != 1:
-                    for terms in (pending, done):
-                        for u in terms:
-                            terms[u] *= m
-            for u, a in tail.items():
-                x = left + u + right
-                prev = pending.get(x)
-                if prev is None:
-                    pending[x] = -c * a
-                    heapq.heappush(heap, deglex_desc(x))
-                elif total := prev - c * a:
-                    pending[x] = total
-                else:
-                    del pending[x]
+        while heaps:
+            heap = heaps.pop(n := max(heaps))
+            while heap:
+                w = heapq.heappop(heap)
+                c = pending.pop(w, 0)
+                if p:
+                    c %= p
+                if not c:
+                    continue
+                hit = memo.get(w, False)
+                if hit is False:
+                    hit = memo[w] = self.find(w)
+                if hit is None:
+                    done[w] = c
+                    continue
+                pos, gi = hit
+                lead, lc, tail = rows[gi]
+                left, right = w[:pos], w[pos + len(lead):]
+                if trace is not None:
+                    trace.append((gi, self.field.of(c, scale), left, right))
+                if lc != 1:
+                    m = lc // gcd(c, lc)
+                    c, scale = c * m // lc, scale * m
+                    if m != 1:
+                        for terms in (pending, done):
+                            for u in terms:
+                                terms[u] *= m
+                for u, a in tail.items():
+                    x = left + u + right
+                    prev = pending.get(x)
+                    if prev is None:
+                        pending[x] = -c * a
+                        heapq.heappush(heap if len(x) == n else heaps.setdefault(len(x), []), x)
+                    elif total := prev - c * a:
+                        pending[x] = total
+                    else:
+                        del pending[x]
         return done, scale
 
 
@@ -234,7 +244,7 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
     overlap word has length d are reduced against the basis so far, which
     holds only elements of lower degree.  One reduced echelon step over
     the nonzero remainders, with the degree-d words as columns (greatest
-    first), gives the degree-d elements as its monic pivot rows.  A
+    first), gives the degree-d elements from its integer pivot rows.  A
     degree-d leading word divides no shorter word, so no earlier element
     is ever superseded or reduced again.  Elements come out sorted by
     leading word, and the certificate is certified-complete exactly when
@@ -252,7 +262,8 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
     # overlap word is longer than both leading words.
     pairs: dict[int, list[tuple[int, int, int]]] = {}
     basis: list[Polynomial] = []
-    reducer = Reducer(presentation.field)
+    field = presentation.field
+    reducer = Reducer(field)
     # Degrees with nothing to reduce are skipped, so a bound far above a
     # finite basis costs nothing.
     while relations or pairs:
@@ -263,12 +274,13 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
         # The words of one degree are the columns: as tuples they ascend
         # in descending deglex order, so a row's smallest column is its
         # leading word.  The basis grows only after echelon has drawn
-        # every remainder; a remainder's integer multiple has the same
-        # monic pivot rows, so it goes in undivided.
+        # every remainder, undivided: an integer multiple has the same
+        # pivot rows.  The reducer takes those integer rows as they are.
         remainders = (reducer.reduce(p)[0] for p in chain(relations.pop(d, ()), s_polys))
-        start = len(basis)
-        basis += map(Polynomial, reversed(linalg.echelon(remainders, presentation.field)))
-        reducer.extend(basis[start:])
+        start, rows = len(basis), linalg._reduced(remainders, field)[::-1]
+        for lead, row in rows:
+            basis.append(Polynomial({w: field.of(c, row[lead]) for w, c in row.items()}))
+        reducer._add_rows(rows)
         # Pairing each new element with those before it only lists every
         # pair once.
         for new in range(start, len(basis)):

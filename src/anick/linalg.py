@@ -4,13 +4,14 @@
 reduced row echelon form as monic pivot rows; ``nullspace`` is built on
 it and is sparse too.  ``rank`` counts the pivots of the same forward
 pass and is the one entry point that takes dense rows.  Inside, rows are
-plain Python integers: over Q each row is first scaled by the lcm of its
-denominators and then eliminated fraction-free over Z (``row <- g*row -
-f*pivot``, divided by its content gcd), so no intermediate value is ever
-rounded; over Fp the residues are reduced modulo p against monic pivot
-rows.  Field elements appear again only in the rows ``echelon`` returns:
-over Q an ``int`` where the entry is integral and a ``Fraction``
-otherwise, over Fp a ``ModP``.
+plain Python integers: over Q a row of ``int`` entries is taken as it is,
+any other is first scaled by the lcm of its denominators, and rows are
+eliminated fraction-free over Z (``row <- g*row - f*pivot``, divided by
+its content gcd), so no value is ever rounded; over Fp the residues are
+reduced modulo p against monic pivot rows.  Field elements appear again
+only in the rows ``echelon`` returns (over Q an ``int`` where integral, a
+``Fraction`` otherwise, over Fp a ``ModP``); completion takes the integer
+rows of ``_reduced`` themselves.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ def _int_row(row: Iterable[tuple], p: int) -> tuple[dict, int]:
     """The nonzero entries of ``(column, scalar)`` pairs as residues mod p
     (scale 1; an entry may be a ``ModP`` or any ``int``, and a zero is
     skipped before it is reduced) or, over Q (p = 0), as integers after
-    scaling the row by the lcm of its denominators (an ``int`` entry has
-    denominator 1); and the scale."""
+    scaling the row by the lcm of its denominators (a row of ``int``
+    entries is taken as it is); and the scale."""
     if p:
         return {j: r for j, x in row if x and (r := getattr(x, "value", x) % p)}, 1
     entries = {j: x for j, x in row if x}
+    if all(type(x) is int for x in entries.values()):
+        return entries, 1
     scale = lcm(*(x.denominator for x in entries.values()))
     return {j: x.numerator * (scale // x.denominator) for j, x in entries.items()}, scale
 
@@ -88,21 +91,26 @@ def _pivots(rows: Iterable, field: Field) -> tuple[dict, int]:
     return pivots, p
 
 
-def echelon(rows: Iterable[dict], field: Field) -> list[dict]:
-    """Reduced row echelon form of sparse rows: the nonzero rows, each
-    with a one at its leading (smallest) column and zeros at the other
-    rows' leading columns, by ascending leading column.
-
-    Columns may be any totally ordered keys, and zero entries are
-    dropped.  The pivot rows of the forward pass are back-substituted
-    from the last one up with the same cancellation step.
-    """
+def _reduced(rows: Iterable[dict], field: Field) -> list[tuple]:
+    """``echelon``'s rows as ``(leading column, integer row)`` pairs, each
+    row primitive with a positive lead (over Z) or monic (mod p): the
+    forward pass back-substituted from the last pivot row up."""
     pivots, p = _pivots((row.items() for row in rows), field)
     cols = sorted(pivots)
     for c in reversed(cols):
         for k in [k for k in pivots[c] if k != c and k in pivots]:
             pivots[c] = _cancel(pivots[c], pivots[k], k, p)
-    return [{k: field.of(v, pivots[c][c]) for k, v in pivots[c].items()} for c in cols]
+        if not p and (d := gcd(*pivots[c].values())) != 1:
+            pivots[c] = {k: v // d for k, v in pivots[c].items()}
+    return [(c, pivots[c]) for c in cols]
+
+
+def echelon(rows: Iterable[dict], field: Field) -> list[dict]:
+    """Reduced row echelon form of sparse rows: the nonzero rows, each
+    with a one at its leading (smallest) column and zeros at the other
+    rows' leading columns, by ascending leading column.  Columns may be
+    any totally ordered keys, and zero entries are dropped."""
+    return [{k: field.of(v, row[c]) for k, v in row.items()} for c, row in _reduced(rows, field)]
 
 
 def _last_first(row: list) -> Iterable[tuple]:

@@ -325,7 +325,8 @@ def normal_form_reference(
         w = pending.lead_word()
         c = pending.terms[w]
         hit: tuple[int, int] | None = None
-        for pos in range(len(w)):
+        # The position len(w) is scanned too: an empty lead sits there in ().
+        for pos in range(len(w) + 1):
             for gi, lead in enumerate(leads):
                 if w[pos:pos + len(lead)] == lead:
                     hit = (pos, gi)

@@ -134,9 +134,20 @@ SCALING_CASE = (
 )
 
 
+# With a > b, rewriting ab by ab + a leaves -a, which is shorter than ba
+# but sorts before it as a tuple: ba must still be rewritten first, so the
+# trace uses the basis elements in the order 0, 1, 2.
+LENGTH_ORDER_CASE = (
+    Rationals(),
+    Polynomial({(0, 1): 1, (1, 0): 1}),
+    [Polynomial({(0, 1): 1, (0,): 1}), Polynomial({(1, 0): 1}), Polynomial({(0,): 1})],
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(reduction_cases())
 @example(SCALING_CASE)
+@example(LENGTH_ORDER_CASE)
 def test_normal_form_matches_plain_rewriting_loop(case):
     field, p, basis = case
     trace, want_trace = [], []
@@ -147,6 +158,14 @@ def test_normal_form_matches_plain_rewriting_loop(case):
     for g in [p, *basis]:
         if not g.is_zero:
             assert g.lead_word() == max(g.terms, key=NF_ORDER.key)
+
+
+def test_unit_basis_element_reduces_the_empty_word():
+    # The empty word's only position is len(()) = 0.
+    p = Polynomial({(): 2, (0,): 1})
+    trace = []
+    assert normal_form(p, Reducer(Rationals(), [Polynomial({(): 1})]), trace=trace).is_zero
+    assert trace == [(0, 1, (), (0,)), (0, 2, (), ())]
 
 
 def test_complete_generic_four_generator_algebra():
@@ -238,6 +257,26 @@ def test_reducer_memo_is_cleared_when_elements_are_added():
     yx = Polynomial.monomial(alpha.word("yx"), field.one)
     reducer.extend([xy - yx])
     assert normal_form(xy, reducer) == normal_form(xy, Reducer(field, [xy - yx])) == yx
+
+
+@pytest.mark.parametrize("algebra, max_deg", [("g4", 6), ("g4-fp5", 6), ("xyz", 8)])
+def test_complete_hands_the_reducer_the_rows_extend_builds(monkeypatch, xyz, algebra, max_deg):
+    # complete adds echelon's integer pivot rows without going through
+    # monic polynomials; they must be the rows extend builds from those.
+    import anick.groebner
+
+    made = []
+
+    class Recording(Reducer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(anick.groebner, "Reducer", Recording)
+    pres = {"g4": g4(), "g4-fp5": g4(field="Fp 5"), "xyz": xyz}[algebra]
+    gb = complete(pres, max_deg)
+    (reducer,) = made
+    assert reducer.rows == Reducer(pres.field, gb.elements).rows
 
 
 def test_complete_with_a_bound_far_above_a_finite_basis_returns_at_once(yxsq_low):
