@@ -26,7 +26,7 @@ from .errors import (
     SplittingError,
     TruncationError,
 )
-from .fields import Field, ModP, PrimeField, Rationals, field_from_name
+from .fields import Field, PrimeField, Rationals, field_from_name
 from .groebner import (
     Certificate,
     GroebnerBasis,
@@ -68,7 +68,6 @@ __all__ = [
     "GldimReport",
     "GroebnerBasis",
     "KoszulVerdict",
-    "ModP",
     "NormalWordAutomaton",
     "NotQuadraticError",
     "ParseError",

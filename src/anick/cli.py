@@ -152,7 +152,7 @@ def _reordered(presentation: Presentation, letters: tuple[str, ...]) -> Presenta
     """The same algebra with its letters in the precedence ``letters``."""
     index = [letters.index(name) for name in presentation.alphabet.letters]
     relations = tuple(
-        Polynomial({tuple(index[i] for i in w): c for w, c in rel.terms.items()})
+        Polynomial({tuple(index[i] for i in w): c for w, c in rel.terms.items()}, rel.p)
         for rel in presentation.relations
     )
     return Presentation(Alphabet(letters), presentation.field, relations)

@@ -38,7 +38,9 @@ def quadratic_dual(presentation: Presentation) -> Presentation:
     kernel = linalg.nullspace(rows, n * n, field)
 
     dual_alphabet = Alphabet(tuple(name + "!" for name in alphabet.letters))
-    relations = [Polynomial({divmod(k, n): c for k, c in vec.items()}).monic() for vec in kernel]
+    relations = [
+        Polynomial({divmod(k, n): c for k, c in vec.items()}, field.p).monic() for vec in kernel
+    ]
     relations.sort(key=lambda p: deglex_desc(p.lead_word()), reverse=True)
     return Presentation(dual_alphabet, field, tuple(relations))
 

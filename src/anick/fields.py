@@ -1,11 +1,10 @@
-"""Exact scalar arithmetic: rational numbers or a prime field.
+"""Exact scalars: rational numbers or a prime field.
 
 Rational coefficients are plain ``int`` values when they are integral and
-``fractions.Fraction`` values otherwise; arithmetic between the two stays
-exact, and no scalar is ever a ``float`` (``inverse`` never divides two
-ints with ``/``).  Prime-field coefficients are ``ModP`` values that carry
-their modulus, so polynomial code never needs to know which field it is
-working over.
+``fractions.Fraction`` values otherwise, so no scalar is ever a ``float``.
+Prime-field coefficients are plain ``int`` residues in 0..p-1; a field's
+``p`` is its modulus, 0 for Q, and a linear combination holds it once for
+all its coefficients (``poly.LinComb``).
 """
 
 from __future__ import annotations
@@ -14,96 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FieldError
-
-
-class ModP:
-    """Residue modulo a prime p.
-
-    Immutable by convention: equality and hash are on ``(value, p)``, and
-    a residue never equals a bare ``int``.
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value
-        self.p = p
-
-    def __eq__(self, other):
-        if type(other) is not ModP:
-            return NotImplemented
-        return self.value == other.value and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self) -> str:
-        return f"ModP(value={self.value!r}, p={self.p!r})"
-
-    def _residue(self, other) -> int | None:
-        """The integer an operand stands for, or None if it is no scalar
-        of this field; residues of another modulus raise."""
-        if type(other) is ModP:
-            if other.p != self.p:
-                raise FieldError(f"mixed moduli {self.p} and {other.p}")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return None
-
-    def __add__(self, other):
-        v = self._residue(other)
-        if v is None:
-            return NotImplemented
-        return ModP((self.value + v) % self.p, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._residue(other)
-        if v is None:
-            return NotImplemented
-        return ModP((self.value - v) % self.p, self.p)
-
-    def __rsub__(self, other):
-        v = self._residue(other)
-        if v is None:
-            return NotImplemented
-        return ModP((v - self.value) % self.p, self.p)
-
-    def __mul__(self, other):
-        v = self._residue(other)
-        if v is None:
-            return NotImplemented
-        return ModP(self.value * v % self.p, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ModP(-self.value % self.p, self.p)
-
-    def _quotient(self, a: int, b: int) -> "ModP":
-        if b % self.p == 0:
-            raise ZeroDivisionError("division by zero residue")
-        return ModP(a * pow(b, -1, self.p) % self.p, self.p)
-
-    def __truediv__(self, other):
-        v = self._residue(other)
-        if v is None:
-            return NotImplemented
-        return self._quotient(self.value, v)
-
-    def __rtruediv__(self, other):
-        v = self._residue(other)
-        if v is None:
-            return NotImplemented
-        return self._quotient(v, self.value)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __str__(self) -> str:
-        return str(self.value)
 
 
 # Miller-Rabin over the prime bases up to 41 is exact below this bound,
@@ -140,19 +49,10 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Rationals:
-    """The field of rational numbers."""
+    """The field of rational numbers, of modulus ``p`` 0."""
 
-    @property
-    def name(self) -> str:
-        return "Q"
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+    # Class attributes, not dataclass fields.
+    p, name, zero, one = 0, "Q", 0, 1
 
     def of(self, numerator: int, denominator: int = 1) -> int | Fraction:
         """numerator / denominator: an ``int`` when integral."""
@@ -170,40 +70,23 @@ class PrimeField:
         if not _is_prime(self.p):
             raise FieldError(f"{self.p} is not prime")
 
+    zero, one = 0, 1
+
     @property
     def name(self) -> str:
         return f"Fp {self.p}"
 
-    @property
-    def zero(self) -> ModP:
-        return ModP(0, self.p)
-
-    @property
-    def one(self) -> ModP:
-        return ModP(1, self.p)
-
-    def of(self, numerator: int, denominator: int = 1) -> ModP:
+    def of(self, numerator: int, denominator: int = 1) -> int:
+        """numerator / denominator as a residue in 0..p-1."""
+        p = self.p
         if denominator == 1:
-            return ModP(numerator % self.p, self.p)
-        if denominator % self.p == 0:
+            return numerator % p
+        if denominator % p == 0:
             raise ZeroDivisionError("denominator vanishes in the prime field")
-        return ModP(numerator % self.p, self.p) / ModP(denominator % self.p, self.p)
+        return numerator * pow(denominator, -1, p) % p
 
 
 Field = Rationals | PrimeField
-
-
-def is_one(c) -> bool:
-    """Whether a scalar of either field is one, without arithmetic."""
-    return getattr(c, "value", c) == 1
-
-
-def inverse(c):
-    """The exact inverse of a nonzero scalar; over Q an ``int`` whenever
-    it is integral (c = 1/n), never a ``float``."""
-    if isinstance(c, ModP):
-        return 1 / c
-    return Rationals().of(c.denominator, c.numerator)
 
 
 def field_from_name(text: str) -> Field:

@@ -20,8 +20,8 @@ from math import gcd
 from typing import Iterable
 
 from . import linalg
-from .errors import AlgebraError, TruncationError
-from .fields import Field, PrimeField, is_one
+from .errors import AlgebraError, FieldError, TruncationError
+from .fields import Field
 from .poly import Polynomial
 from .words import EMPTY, Alphabet, Word, overlaps
 
@@ -35,8 +35,12 @@ class Presentation:
     relations: tuple[Polynomial, ...]
 
     def __post_init__(self):
-        letters = range(self.alphabet.size)
+        letters, p = range(self.alphabet.size), self.field.p
         for rel in self.relations:
+            if rel.p != p:
+                raise AlgebraError(f"a relation mod {rel.p} over {self.field.name}")
+            if p and any(type(c) is not int for c in rel.terms.values()):
+                raise AlgebraError(f"a coefficient over {self.field.name} is no int residue")
             if any(i not in letters for w in rel.terms for i in w):
                 raise AlgebraError("relation uses a letter outside the alphabet")
             if rel.is_zero:
@@ -103,21 +107,28 @@ class Reducer:
     with a positive lead, over Fp the residues with lead 1), and the one
     rewriting loop.  ``memo`` maps each word looked up to its reducer;
     adding rows clears it, since a new leading word may divide a seen word.
+    A polynomial of another modulus than the field's raises ``FieldError``.
     """
 
     def __init__(self, field: Field, basis: Iterable[Polynomial] = ()):
-        self.field, self.p = field, field.p if isinstance(field, PrimeField) else 0
+        self.field, self.p = field, field.p
         self.rows: list[tuple[Word, int, dict[Word, int]]] = []  # (lead, lc, tail)
         self.first: dict[Word, int] = {}
         self.memo: dict[Word, tuple[int, int] | None] = {}
         self.extend(basis)
 
     def extend(self, basis: Iterable[Polynomial]) -> None:
-        basis = list(basis)
-        if any(g.is_zero or not is_one(g.lead_coeff()) for g in basis):
+        basis = [self._own(g) for g in basis]
+        if any(g.is_zero or g.lead_coeff() != 1 for g in basis):
             raise AlgebraError("normal_form requires monic basis elements")
         # A monic row scaled by the lcm of its denominators is primitive.
         self._add_rows((g.lead_word(), linalg._int_row(g.terms.items(), self.p)[0]) for g in basis)
+
+    def _own(self, poly: Polynomial) -> Polynomial:
+        """poly, which must be over the reducer's field."""
+        if poly.p != self.p:
+            raise FieldError(f"a polynomial mod {poly.p} in a reducer over {self.field.name}")
+        return poly
 
     def _add_rows(self, rows: Iterable[tuple[Word, dict[Word, int]]]) -> None:
         """Add primitive (over Fp, monic) integer rows as ``(lead, row)``."""
@@ -155,7 +166,7 @@ class Reducer:
         rewrites, and a popped word missing from the dict has cancelled.
         """
         p, rows, memo = self.p, self.rows, self.memo
-        pending, scale = linalg._int_row(poly.terms.items(), p)
+        pending, scale = linalg._int_row(self._own(poly).terms.items(), p)
         heaps: dict[int, list[Word]] = {}
         for w in sorted(pending):
             heaps.setdefault(len(w), []).append(w)
@@ -217,7 +228,7 @@ def normal_form(
     field by their multiplier.
     """
     done, scale = reducer.reduce(p, trace)
-    return Polynomial({w: reducer.field.of(c, scale) for w, c in done.items()})
+    return Polynomial({w: reducer.field.of(c, scale) for w, c in done.items()}, reducer.p)
 
 
 def s_polynomial(g: Polynomial, h: Polynomial, overlap_len: int) -> Polynomial:
@@ -227,7 +238,7 @@ def s_polynomial(g: Polynomial, h: Polynomial, overlap_len: int) -> Polynomial:
     the result is ``g * suffix - prefix * h`` where the shared overlap word
     cancels.
     """
-    if not is_one(g.lead_coeff()) or not is_one(h.lead_coeff()):
+    if g.lead_coeff() != 1 or h.lead_coeff() != 1:
         raise AlgebraError("s_polynomial requires monic inputs")
     u, w = g.lead_word(), h.lead_word()
     if not (1 <= overlap_len < len(u)) or not (overlap_len < len(w)):
@@ -279,7 +290,7 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
         remainders = (reducer.reduce(p)[0] for p in chain(relations.pop(d, ()), s_polys))
         start, rows = len(basis), linalg._reduced(remainders, field)[::-1]
         for lead, row in rows:
-            basis.append(Polynomial({w: field.of(c, row[lead]) for w, c in row.items()}))
+            basis.append(Polynomial({w: field.of(c, row[lead]) for w, c in row.items()}, field.p))
         reducer._add_rows(rows)
         # Pairing each new element with those before it only lists every
         # pair once.

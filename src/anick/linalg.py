@@ -10,7 +10,7 @@ eliminated fraction-free over Z (``row <- g*row - f*pivot``, divided by
 its content gcd), so no value is ever rounded; over Fp the residues are
 reduced modulo p against monic pivot rows.  Field elements appear again
 only in the rows ``echelon`` returns (over Q an ``int`` where integral, a
-``Fraction`` otherwise, over Fp a ``ModP``); completion takes the integer
+``Fraction`` otherwise, over Fp a residue); completion takes the integer
 rows of ``_reduced`` themselves.
 """
 
@@ -20,17 +20,16 @@ from itertools import compress, count
 from math import gcd, lcm
 from typing import Iterable
 
-from .fields import Field, PrimeField
+from .fields import Field
 
 
 def _int_row(row: Iterable[tuple], p: int) -> tuple[dict, int]:
     """The nonzero entries of ``(column, scalar)`` pairs as residues mod p
-    (scale 1; an entry may be a ``ModP`` or any ``int``, and a zero is
-    skipped before it is reduced) or, over Q (p = 0), as integers after
+    of any ``int`` entries (scale 1) or, over Q (p = 0), as integers after
     scaling the row by the lcm of its denominators (a row of ``int``
     entries is taken as it is); and the scale."""
     if p:
-        return {j: r for j, x in row if x and (r := getattr(x, "value", x) % p)}, 1
+        return {j: r for j, x in row if (r := x % p)}, 1
     entries = {j: x for j, x in row if x}
     if all(type(x) is int for x in entries.values()):
         return entries, 1
@@ -71,7 +70,7 @@ def _pivots(rows: Iterable, field: Field) -> tuple[dict, int]:
     a new pivot row, which is kept monic (mod p) or primitive with a
     positive leading entry (over Z).
     """
-    p = field.p if isinstance(field, PrimeField) else 0
+    p = field.p
     pivots: dict = {}
     for row in rows:
         vec = _int_row(row, p)[0]
@@ -141,13 +140,13 @@ def nullspace(rows: list[dict], ncols: int, field: Field) -> list[dict]:
     Each basis vector has a one in a distinct free column and the pivot
     columns back-substituted, which makes the output deterministic.
     """
-    reduced = echelon(rows, field)
+    reduced, p = echelon(rows, field), field.p
     pivots = [min(row) for row in reduced]
     basis = []
     for f in sorted(set(range(ncols)).difference(pivots)):
         vec = {f: field.one}
         for row, c in zip(reduced, pivots):
             if f in row:
-                vec[c] = -row[f]
+                vec[c] = p - row[f] if p else -row[f]
         basis.append(vec)
     return basis

@@ -131,7 +131,7 @@ def _parse_polynomial(
             terms.append((tuple(word), field.of(sign * numerator, denominator)))
         except ZeroDivisionError:
             raise error(f"zero denominator in {field.name}", coeff_at) from None
-    poly = Polynomial.from_pairs(terms)
+    poly = Polynomial.from_pairs(terms, field.p)
     if poly.is_zero:
         raise ParseError("relation is zero", line_no, 1)
     if not poly.is_homogeneous:

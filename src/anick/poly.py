@@ -4,53 +4,68 @@
 its arithmetic.  A polynomial is one keyed by words; its leading word
 sorts first by ``words.deglex_desc``.  All operations are pure and
 return new values; zero coefficients are pruned on construction and by
-every operation, so the support invariant always holds.
+every operation, so the support invariant always holds.  A combination
+holds its field's modulus ``p`` once: over Fp its coefficients are ``int``
+residues in 1..p-1, over Q (p = 0) ``int`` or ``Fraction`` values.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .errors import AlgebraError
-from .fields import inverse, is_one
+from .errors import AlgebraError, FieldError
+from .fields import Rationals
 from .words import EMPTY, Alphabet, Word, deglex_desc
 
 
 class LinComb:
-    """A finitely supported map from keys to nonzero scalars.
+    """A finitely supported map from keys to nonzero scalars, over Fp or,
+    with p = 0, over Q.
 
     Polynomials (keyed by words) and free-module elements (keyed by chain
     and normal word) share this arithmetic.  Results are new values of the
-    caller's kind; zero coefficients never survive an operation.
+    caller's kind; zero coefficients never survive an operation, and
+    combining two moduli raises ``FieldError``.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "p")
 
-    def __init__(self, terms: Mapping):
-        self.terms = {k: c for k, c in terms.items() if c}
+    def __init__(self, terms: Mapping, p: int = 0):
+        if p:
+            self.terms = {k: r for k, c in terms.items() if (r := c % p)}
+        else:
+            self.terms = {k: c for k, c in terms.items() if c}
+        self.p = p
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[object, object]]):
+    def from_pairs(cls, pairs: Iterable[tuple[object, object]], p: int = 0):
         """The sum of ``(key, coeff)`` pairs."""
         out: dict = {}
         for k, c in pairs:
             prev = out.get(k)
             out[k] = c if prev is None else prev + c
-        return cls(out)
+        return cls(out, p)
 
     def _like(self, terms: dict):
-        """An element of the same kind over already pruned terms."""
+        """An element of the same kind and modulus over already pruned terms."""
         out = object.__new__(type(self))
-        out.terms = terms
+        out.terms, out.p = terms, self.p
         return out
+
+    def _modulus(self, other: "LinComb") -> int:
+        if other.p != self.p:
+            raise FieldError(f"mixed moduli {self.p} and {other.p}")
+        return self.p
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def add_scaled(self, other: "LinComb", c):
-        """``self + c * other`` in one pass over ``other``."""
-        if not c:
+        """``self + c * other`` in one pass over ``other``, and over Fp one
+        more to reduce the sums."""
+        p = self._modulus(other)
+        if not (c % p if p else c):
             return self
         out = dict(self.terms)
         for k, a in other.terms.items():
@@ -60,7 +75,7 @@ class LinComb:
                 out[k] = s
             else:
                 del out[k]
-        return self._like(out)
+        return type(self)(out, p) if p else self._like(out)
 
     def __add__(self, other):
         return self.add_scaled(other, 1)
@@ -69,16 +84,17 @@ class LinComb:
         return self.add_scaled(other, -1)
 
     def __neg__(self):
-        return self._like({k: -a for k, a in self.terms.items()})
+        return self.scaled(-1)
 
     def scaled(self, c):
-        return self._like({k: p for k, a in self.terms.items() if (p := c * a)})
+        return type(self)({k: c * a for k, a in self.terms.items()}, self.p)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.terms == other.terms
+        return type(other) is type(self) and self.p == other.p and self.terms == other.terms
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.terms!r})"
+        p = f", p={self.p}" if self.p else ""
+        return f"{type(self).__name__}({self.terms!r}{p})"
 
 
 class Polynomial(LinComb):
@@ -86,8 +102,8 @@ class Polynomial(LinComb):
     # construction, so the cache stays valid for the object's lifetime.
     __slots__ = ("_lead",)
 
-    def __init__(self, terms: Mapping[Word, object]):
-        super().__init__(terms)
+    def __init__(self, terms: Mapping[Word, object], p: int = 0):
+        super().__init__(terms, p)
         self._lead = None
 
     def _like(self, terms: dict) -> "Polynomial":
@@ -96,12 +112,12 @@ class Polynomial(LinComb):
         return out
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls({})
+    def zero(cls, p: int = 0) -> "Polynomial":
+        return cls({}, p)
 
     @classmethod
-    def monomial(cls, word: Word, coeff) -> "Polynomial":
-        return cls({word: coeff})
+    def monomial(cls, word: Word, coeff, p: int = 0) -> "Polynomial":
+        return cls({word: coeff}, p)
 
     def lead_word(self) -> Word:
         """The deglex-maximal word."""
@@ -133,12 +149,15 @@ class Polynomial(LinComb):
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial.from_pairs(
-            (u + w, a * b) for u, a in self.terms.items() for w, b in other.terms.items()
+            ((u + w, a * b) for u, a in self.terms.items() for w, b in other.terms.items()),
+            self._modulus(other),
         )
 
     def monic(self) -> "Polynomial":
-        c = self.lead_coeff()
-        return self if is_one(c) else self.scaled(inverse(c))
+        c, p = self.lead_coeff(), self.p
+        if c == 1:
+            return self
+        return self.scaled(pow(c, -1, p) if p else Rationals().of(c.denominator, c.numerator))
 
     # LinComb's __eq__ would otherwise leave polynomials unhashable.
     def __hash__(self):

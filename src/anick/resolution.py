@@ -35,8 +35,8 @@ degree, outside the context's bounds raises ``TruncationError``.
 
 Over Fp the context computes on plain ``int`` residues in 1..p-1 and
 stores no zero, reducing mod p where it sums; over Q (``p == 0``)
-coefficients are ``int`` or ``Fraction``.  Field scalars (``ModP`` over
-Fp) are built only in ``slice``.
+coefficients are ``int`` or ``Fraction``.  The elements it returns hold
+the same scalars and carry ``p``.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class ResolutionContext:
             self.alphabet, relevant, aut_valid
         )
         self._reducer = Reducer(self.field, gb.elements)
-        self.p = self._reducer.p
+        self.p = self.field.p
         self._nf_cache: dict[Word, dict[Word, object]] = {}
         self._basis_cache: dict[tuple[int, int], tuple[tuple[int, Word], ...]] = {}
         # Anick's (-1)-chain; it stays out of the chain set but takes id 0.
@@ -131,7 +131,7 @@ class ResolutionContext:
     def _element(self, terms: dict) -> FreeElement:
         """The public element over id-keyed terms that hold no zero."""
         chains, out = self._chains, object.__new__(FreeElement)
-        out.terms = {(chains[i], w): a for (i, w), a in terms.items()}
+        out.terms, out.p = {(chains[i], w): a for (i, w), a in terms.items()}, self.p
         return out
 
     def nf_word(self, w: Word) -> dict[Word, object]:
@@ -139,9 +139,7 @@ class ResolutionContext:
         over Fp."""
         cached = self._nf_cache.get(w)
         if cached is None:
-            cached = normal_form(Polynomial.monomial(w, self.field.one), self._reducer).terms
-            if self.p:
-                cached = {u: c.value for u, c in cached.items()}
+            cached = normal_form(Polynomial.monomial(w, 1, self.p), self._reducer).terms
             self._nf_cache[w] = cached
         return cached
 
@@ -158,8 +156,7 @@ class ResolutionContext:
         """Right action of a word on a free-module element, in normal form."""
         if not w:
             return elem
-        p, terms = self.p, self._times(elem.terms, w)
-        return elem._like({k: r for k, a in terms.items() if (r := a % p if p else a)})
+        return FreeElement(self._times(elem.terms, w), self.p)
 
     def split(self, level: int, xi: FreeElement | dict) -> FreeElement | dict:
         """Find eta at the given level whose differential is xi.
@@ -168,7 +165,7 @@ class ResolutionContext:
         supported below the given level's chains, which holds for every
         element this engine feeds in.  At level 0, xi is an algebra element
         keyed by ``self.unit`` and must have no degree-0 term.  Over Fp its
-        coefficients may be residues or ``ModP``; the result holds residues.
+        coefficients may be any ``int``; the result holds residues.
         A ``FreeElement`` gives one; a dict keyed by (chain id, word) a dict.
         A pair with an empty cofactor is never split, since no chain
         extension fits it; it must cancel.  A term at another level, or one
@@ -183,8 +180,7 @@ class ResolutionContext:
                     raise SplittingError(
                         f"a level-{level} split got a level-{c.level} term {c.word} (x) {w}"
                     )
-                # A coefficient may be a ModP or an unreduced int: read residues.
-                terms[self._id_of(c), w] = getattr(a, "value", a) if p else a
+                terms[self._id_of(c), w] = a
             xi = terms
         work = {k: r for k, a in xi.items() if (r := a % p if p else a)}
         # Products in one split share a length, so the word itself orders
@@ -292,7 +288,7 @@ class ResolutionContext:
             if w:
                 terms = self._times(terms, w)
             if p:
-                columns.append({row_index[k]: of(r) for k, a in terms.items() if (r := a % p)})
+                columns.append({row_index[k]: r for k, a in terms.items() if (r := a % p)})
             else:  # an int is already a scalar of Q; a Fraction may be integral
                 columns.append(
                     {row_index[k]: a if type(a) is int else of(a) for k, a in terms.items() if a}
@@ -313,7 +309,7 @@ class ResolutionContext:
                 if level >= 1:
                     # The same degree one level down, deg_max + 1 slices back.
                     lower = out[-(self.deg_max + 1)]
-                    s.composes_to_zero = verify_composition(lower, s)
+                    s.composes_to_zero = verify_composition(lower, s, self.p)
                     if not s.composes_to_zero:
                         raise SplittingError(
                             f"differential composition is nonzero at level {level}, "
@@ -323,15 +319,16 @@ class ResolutionContext:
         return out
 
 
-def verify_composition(lower: ResolutionSlice, upper: ResolutionSlice) -> bool:
-    """Check that applying the lower matrix after the upper gives zero;
-    the upper slice's rows are the lower slice's columns, in order."""
+def verify_composition(lower: ResolutionSlice, upper: ResolutionSlice, p: int) -> bool:
+    """Check that applying the lower matrix after the upper gives zero
+    modulo p (exactly for p = 0); the upper slice's rows are the lower
+    slice's columns, in order."""
     for col in upper.columns:
         acc: dict[int, object] = {}
         for mid, a in col.items():
             for row, b in lower.columns[mid].items():
                 acc[row] = acc.get(row, 0) + a * b
-        if any(acc.values()):
+        if any(v % p for v in acc.values()) if p else any(acc.values()):
             return False
     return True
 

@@ -298,10 +298,6 @@ def series_inverse_coefficients(numerator, top):
 # ---------------------------------------------------------------------------
 # plain rewriting loop, the reference for ``anick.groebner.normal_form``
 
-def _is_one(coeff) -> bool:
-    return not bool(coeff - 1)
-
-
 def normal_form_reference(
     p: Polynomial,
     basis: list[Polynomial],
@@ -316,11 +312,11 @@ def normal_form_reference(
     convention ``p == result + sum(c * left * g * right)``.
     """
     for g in basis:
-        if g.is_zero or not _is_one(g.lead_coeff()):
+        if g.is_zero or g.lead_coeff() != 1:
             raise AlgebraError("normal_form requires monic basis elements")
     leads = [g.lead_word() for g in basis]
     done: dict[Word, object] = {}
-    pending = Polynomial(p.terms)
+    pending = Polynomial(p.terms, p.p)
     while not pending.is_zero:
         w = pending.lead_word()
         c = pending.terms[w]
@@ -337,14 +333,14 @@ def normal_form_reference(
             # Irreducible terms leave pending in strictly decreasing order,
             # so each word lands here at most once.
             done[w] = c
-            pending = Polynomial({u: a for u, a in pending.terms.items() if u != w})
+            pending = Polynomial({u: a for u, a in pending.terms.items() if u != w}, p.p)
             continue
         pos, gi = hit
         left, right = w[:pos], w[pos + len(leads[gi]):]
         pending = pending.add_scaled(basis[gi].word_mul(left, right), -c)
         if trace is not None:
             trace.append((gi, c, left, right))
-    return Polynomial(done)
+    return Polynomial(done, p.p)
 
 
 def letter_split_differential(ctx, chain) -> FreeElement:
@@ -353,9 +349,9 @@ def letter_split_differential(ctx, chain) -> FreeElement:
     The engine instead splits through the (-1)-chain ``ctx.unit``."""
     letters = {c.word: c for c in ctx.chains.level(0)}
     o = chain.word
-    nf = normal_form_reference(Polynomial.monomial(o, ctx.field.one), list(ctx.gb.elements))
-    return FreeElement({(letters[o[:1]], o[1:]): ctx.field.one}) - FreeElement.from_pairs(
-        ((letters[w[:1]], w[1:]), c) for w, c in nf.terms.items()
+    nf = normal_form_reference(Polynomial.monomial(o, 1, ctx.p), list(ctx.gb.elements))
+    return FreeElement({(letters[o[:1]], o[1:]): 1}, ctx.p) - FreeElement.from_pairs(
+        (((letters[w[:1]], w[1:]), c) for w, c in nf.terms.items()), ctx.p
     )
 
 
@@ -384,15 +380,15 @@ def split_reference(ctx, level: int, xi: FreeElement, differential, act_right) -
         hat, leftover = found[0]
         emitted.append(((hat, leftover), coeff))
         work = work.add_scaled(act_right(differential(hat), leftover), -coeff)
-    return FreeElement.from_pairs(emitted)
+    return FreeElement.from_pairs(emitted, ctx.p)
 
 
 def differentials_reference(ctx) -> dict:
-    """Every chain's differential in field scalars (``ModP`` over Fp), by
+    """Every chain's differential (residues over Fp), by
     the recursion over ``split_reference`` and a right action that reduces
     each product word with ``normal_form_reference``; memoized apart from
     the engine's caches."""
-    basis, one = list(ctx.gb.elements), ctx.field.one
+    basis, p = list(ctx.gb.elements), ctx.p
     memo, nfs = {}, {}
 
     def act_right(elem, w):
@@ -401,28 +397,22 @@ def differentials_reference(ctx) -> dict:
         pairs = []
         for (c, u), coeff in elem.terms.items():
             if u + w not in nfs:
-                nfs[u + w] = normal_form_reference(Polynomial.monomial(u + w, one), basis)
+                nfs[u + w] = normal_form_reference(Polynomial.monomial(u + w, 1, p), basis)
             pairs += (((c, v), coeff * a) for v, a in nfs[u + w].terms.items())
-        return FreeElement.from_pairs(pairs)
+        return FreeElement.from_pairs(pairs, p)
 
     def d(c):
         if c not in memo:
             if c.level == 0:
-                memo[c] = FreeElement({(ctx.unit, c.word): one})
+                memo[c] = FreeElement({(ctx.unit, c.word): 1}, p)
             else:
                 xi = act_right(d(c.prefix), c.tail)
-                memo[c] = FreeElement({(c.prefix, c.tail): one}) - split_reference(
+                memo[c] = FreeElement({(c.prefix, c.tail): 1}, p) - split_reference(
                     ctx, c.level - 1, xi, d, act_right
                 )
         return memo[c]
 
     return {c: d(c) for c in ctx.chains.index.values()}
-
-
-def field_terms(field, elem) -> dict:
-    """The terms of an engine element as field scalars: over Fp the
-    context's residues become ``ModP``, over Q nothing changes."""
-    return {k: field.of(a) for k, a in elem.terms.items()}
 
 
 def assert_context_scalars(ctx, coeffs) -> None:
@@ -476,9 +466,9 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
 
     def reduce_tail(g: Polynomial, others: list[Polynomial]) -> Polynomial:
         lead = g.lead_word()
-        tail = Polynomial({w: c for w, c in g.terms.items() if w != lead})
+        tail = Polynomial({w: c for w, c in g.terms.items() if w != lead}, g.p)
         reduced = normal_form(tail, Reducer(field, others))
-        return Polynomial({lead: g.terms[lead], **reduced.terms})
+        return Polynomial({lead: g.terms[lead], **reduced.terms}, g.p)
 
     def add_element(candidate: Polynomial) -> None:
         nonlocal next_id

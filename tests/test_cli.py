@@ -327,7 +327,9 @@ def test_gldim_payload_matches_golden_file(capsys, xyz_file):
 EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "example.alg"
 
 # sha256 of each command's output on example.alg at D=8: the payload as the
-# JSON report renders it, or the DOT text for graph.
+# JSON report renders it, or the DOT text for graph; "<command>-fp5" is the
+# payload with --field fp:5, pinned while prime-field coefficients were
+# still a wrapper type and not int residues.
 EXAMPLE_DIGESTS = {
     "gb": "a02f92e82b49c9f470da93782f07dba30dc8380c34ccc4478ae920559dab765a",
     "chains": "26dfd4116e58d8f6b618c9198e63de77278f8589da304e34b26959562db1f9a2",
@@ -338,12 +340,18 @@ EXAMPLE_DIGESTS = {
     "hilbert": "eea8ff644330c83d1423ed51f803e48affa4a1cad3900ec1cbef7efc897298ef",
     "gldim": "7907384b28862459b36a35f415ce79603ff2c3a28fbd8dd2939a911b279bcdec",
     "graph": "ce763e2af0a92324e1ba8a8a7a1325b2cfb8dfa73848923b214037738d68ea83",
+    "gb-fp5": "a02f92e82b49c9f470da93782f07dba30dc8380c34ccc4478ae920559dab765a",
+    "dual-fp5": "3e212f2915e239bd3bfff2cd192efe167898c7d947163887dec848860cddd15c",
+    "betti-fp5": "c11c36158f3638610617e4d11cc449a45ec9d3d59f8d0f3a9f6a3f5dc0955be8",
+    "gldim-fp5": "7907384b28862459b36a35f415ce79603ff2c3a28fbd8dd2939a911b279bcdec",
 }
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", list(EXAMPLE_DIGESTS))
 def test_example_output_matches_pinned_digest(capsys, command):
-    code, out, err = run(capsys, command, "--input", str(EXAMPLE), "--max-deg", "8")
+    name, _, p = command.partition("-fp")
+    flags = ["--field", f"fp:{p}"] if p else []
+    code, out, err = run(capsys, name, "--input", str(EXAMPLE), "--max-deg", "8", *flags)
     assert code == 0, err
     if command != "graph":
         out = out.split('\n  "payload": ', 1)[1].rsplit(',\n  "timing": ', 1)[0]
@@ -550,7 +558,7 @@ def small_quadratic_presentations(draw):
     for _ in range(draw(st.integers(1, 2))):
         support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
         coeffs = st.sampled_from([-2, -1, 1, 2]).map(field.of)
-        rels.append(Polynomial({w: draw(coeffs) for w in support}))
+        rels.append(Polynomial({w: draw(coeffs) for w in support}, field.p))
     return Presentation(alphabet, field, tuple(rels))
 
 

@@ -1,4 +1,4 @@
-"""Scalars of both fields: integral rationals as int, residues as ModP."""
+"""Scalars of both fields: integral rationals as int, residues as int."""
 
 import time
 from fractions import Fraction
@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from anick import Polynomial
 from anick.errors import FieldError
-from anick.fields import ModP, PrimeField, Rationals, _is_prime, inverse, is_one
+from anick.fields import PrimeField, Rationals, _is_prime
 
 Q = Rationals()
 F5 = PrimeField(5)
 
 
 def test_rationals_are_int_when_integral():
+    assert Q.p == 0
     assert type(Q.zero) is int and Q.zero == 0
     assert type(Q.one) is int and Q.one == 1
     for value, expected in [((3,), 3), ((-4, 2), -2), ((6, -3), -2), ((0, 7), 0)]:
@@ -25,62 +27,40 @@ def test_rationals_are_int_when_integral():
 
 
 def test_inverse_is_exact_and_never_a_float():
+    # monic divides by the leading coefficient: over Q by its exact
+    # inverse, an int whenever that is integral; over Fp by pow(c, -1, p).
     for c, expected in [(1, 1), (-1, -1), (2, Fraction(1, 2)), (Fraction(1, 3), 3),
                         (Fraction(-2, 3), Fraction(-3, 2)), (Fraction(-1, 4), -4)]:
-        got = inverse(c)
+        got = Polynomial({(0,): c, (1,): 1}).monic().terms[(1,)]
         assert got == expected
         assert type(got) is type(expected)
-    assert inverse(ModP(2, 5)) == ModP(3, 5)
+    assert Polynomial({(0,): 2, (1,): 1}, 5).monic() == Polynomial({(0,): 1, (1,): 3}, 5)
+    assert F5.of(1, 2) == 3
 
 
 def test_is_one_on_every_scalar_kind():
-    assert is_one(1) and is_one(Fraction(1)) and is_one(ModP(1, 5)) and is_one(F5.one)
-    for c in (0, -1, 2, Fraction(1, 2), ModP(0, 5), ModP(4, 5), ModP(6, 5)):
-        assert not is_one(c)
-
-
-def test_equal_residues_are_equal_and_hash_equal():
-    a, b = ModP(3, 5), F5.of(8)
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b, ModP(3, 7)}) == 2
-    assert ModP(3, 5) != ModP(3, 7)
-    assert ModP(2, 5) != ModP(3, 5)
-    assert repr(a) == "ModP(value=3, p=5)"
-    assert str(a) == "3"
-
-
-def test_residues_never_equal_bare_ints():
-    assert ModP(1, 5) != 1
-    assert 1 != ModP(1, 5)
-    assert ModP(0, 5) != 0
-    assert {ModP(1, 5): "r"}.get(1) is None
-
-
-def test_mixed_moduli_raise():
-    a, b = ModP(1, 5), ModP(1, 7)
-    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
-        with pytest.raises(FieldError):
-            op()
+    # A polynomial whose leading coefficient equals one is already monic.
+    for c, p in [(1, 0), (Fraction(1), 0), (F5.one, 5), (F5.of(6), 5), (11, 5)]:
+        g = Polynomial({(0,): c, (1,): 2}, p)
+        assert g.monic() is g
+    for c, p in [(-1, 0), (2, 0), (Fraction(1, 2), 0), (4, 5), (F5.of(-1), 5)]:
+        g = Polynomial({(0,): c, (1,): 2}, p)
+        assert g.monic() is not g and g.monic().lead_coeff() == 1
 
 
 def test_operators_and_prime_field_constructor():
-    a, b = F5.of(3), F5.of(4)
-    assert a + b == ModP(2, 5) and a - b == ModP(4, 5) and a * b == ModP(2, 5)
-    assert -a == ModP(2, 5) and a / b == ModP(2, 5)
-    assert a + 3 == 3 + a == ModP(1, 5)
-    assert 1 - a == ModP(3, 5) and a - 1 == ModP(2, 5)
-    assert 2 * a == a * 2 == ModP(1, 5)
-    assert 1 / a == ModP(2, 5) and a / 2 == ModP(4, 5)
-    assert F5.of(1, 3) == ModP(2, 5) and F5.of(-7, 2) == ModP(4, 5)
-    assert bool(F5.zero) is False and bool(F5.one) is True
-    with pytest.raises(ZeroDivisionError):
-        a / F5.zero
-    with pytest.raises(ZeroDivisionError):
-        1 / F5.zero
+    assert F5.p == 5 and F5.zero == 0 and F5.one == 1
+    assert type(F5.zero) is int and type(F5.one) is int
+    assert F5.of(3) == 3 and F5.of(8) == 3 and F5.of(-1) == 4
+    assert F5.of(1, 3) == 2 and F5.of(-7, 2) == 4 and F5.of(3, 4) == 2
+    a, b = Polynomial({(): 3}, 5), Polynomial({(): 4}, 5)
+    assert (a + b).terms == {(): 2} and (a - b).terms == {(): 4} and (a * b).terms == {(): 2}
+    assert (-a).terms == {(): 2} and a.scaled(2).terms == {(): 1}
+    assert (a + a.scaled(4)).is_zero and a.scaled(10).is_zero
     with pytest.raises(ZeroDivisionError):
         F5.of(1, 10)
-    assert a.__add__(Fraction(1, 2)) is NotImplemented
-    assert a.__mul__(0.5) is NotImplemented
+    with pytest.raises(ZeroDivisionError):
+        F5.of(1, 0)
 
 
 @given(
@@ -90,8 +70,8 @@ def test_operators_and_prime_field_constructor():
 def test_of_an_integer_is_its_residue(field, a):
     p = field.p
     got = field.of(a)
-    assert got == field.of(a, 1) == ModP(a % p, p) / ModP(1, p)
-    assert type(got) is ModP and got.value == a % p
+    assert got == field.of(a, 1) == field.of(a * (p + 1), p + 1) == a % p
+    assert type(got) is int and 0 <= got < p
     with pytest.raises(ZeroDivisionError):
         field.of(a, p)
 

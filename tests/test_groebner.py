@@ -27,7 +27,7 @@ from anick import (
     render_poly,
     s_polynomial,
 )
-from anick.errors import AlgebraError, TruncationError
+from anick.errors import AlgebraError, FieldError, TruncationError
 from anick.fields import PrimeField, Rationals
 from anick.reports import gb_payload
 from anick.words import DegLex, overlaps
@@ -47,7 +47,8 @@ def words(presentation, *texts):
 
 
 def mono(presentation, text, coeff=1):
-    return Polynomial.monomial(presentation.alphabet.word(text), presentation.field.of(coeff))
+    field = presentation.field
+    return Polynomial.monomial(presentation.alphabet.word(text), field.of(coeff), field.p)
 
 
 def test_normal_form_kills_obstruction_multiples(xyz, xyz_gb8):
@@ -104,7 +105,7 @@ def monic_with_lead(draw, field, lead):
     ]
     terms = {w: field.of(*draw(NF_COEFFS)) for w in below}
     terms[lead] = field.one
-    return Polynomial(terms)
+    return Polynomial(terms, field.p)
 
 
 @st.composite
@@ -120,7 +121,7 @@ def reduction_cases(draw):
         lead = draw(st.one_of(NF_WORDS, factor, st.just(base), st.just(())))
         basis.insert(draw(st.integers(0, len(basis))), draw(monic_with_lead(field, lead)))
     p = Polynomial(
-        {w: field.of(*draw(NF_COEFFS)) for w in draw(st.lists(NF_WORDS, max_size=6))}
+        {w: field.of(*draw(NF_COEFFS)) for w in draw(st.lists(NF_WORDS, max_size=6))}, field.p
     )
     return field, p, basis
 
@@ -180,18 +181,21 @@ def test_complete_generic_four_generator_algebra():
 
 # Basis size and sha256 of json.dumps(gb_payload(complete(g4, D)), indent=2),
 # computed with the incremental Buchberger completion that
-# ``complete_reference`` keeps.
+# ``complete_reference`` keeps; "D-fpP" is the same over Fp P, pinned while
+# prime-field coefficients were still a wrapper type and not int residues.
 G4_PAYLOADS = {
     6: (43, "0dd1cdfcb19f01d058c61ce7c05d48a0b209a5a0905650672ecc2306bcde6cae"),
     7: (67, "0234fd602265131fde20a80832864d79719cedc8c98c29b642d9c12f836adbf1"),
+    "6-fp32003": (43, "d861b7c84d01a96e9f205dac3a368c2a44d8a914bc697340773397e1785eedef"),
 }
 
 
-@pytest.mark.parametrize("max_deg", sorted(G4_PAYLOADS))
-def test_g4_payload_digest_is_pinned(max_deg):
-    gb = complete(g4(), max_deg)
+@pytest.mark.parametrize("key", list(G4_PAYLOADS))
+def test_g4_payload_digest_is_pinned(key):
+    max_deg, _, p = str(key).partition("-fp")
+    gb = complete(g4(field=f"Fp {p}" if p else "Q"), int(max_deg))
     text = json.dumps(gb_payload(gb), indent=2)
-    assert (len(gb.elements), hashlib.sha256(text.encode()).hexdigest()) == G4_PAYLOADS[max_deg]
+    assert (len(gb.elements), hashlib.sha256(text.encode()).hexdigest()) == G4_PAYLOADS[key]
 
 
 ORACLE_COEFFS = [1, -1, 2, -3]
@@ -219,7 +223,7 @@ def oracle_presentations(draw):
         else:
             pool = list(product(range(alphabet.size), repeat=draw(st.integers(1, 3))))
             support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
-            rel = Polynomial({w: draw(coeff) for w in support})
+            rel = Polynomial({w: draw(coeff) for w in support}, field.p)
         rels.append(rel)
     return Presentation(alphabet, field, tuple(rels))
 
@@ -334,20 +338,20 @@ def test_s_polynomial_rejects_bad_overlap(xyz):
         (Rationals(), 2, False),
         (Rationals(), -1, False),
         (Rationals(), Fraction(1, 2), False),
-        (PrimeField(5), PrimeField(5).one, True),
-        (PrimeField(5), PrimeField(5).of(2), False),
-        (PrimeField(5), PrimeField(5).of(-1), False),
+        pytest.param(PrimeField(5), PrimeField(5).one, True, id="field5-lead5-True"),
+        pytest.param(PrimeField(5), PrimeField(5).of(2), False, id="field6-lead6-False"),
+        pytest.param(PrimeField(5), PrimeField(5).of(-1), False, id="field7-lead7-False"),
     ],
 )
 def test_monicity_is_checked_for_every_scalar_kind(field, lead, ok):
     alpha = Alphabet(("x", "y"))
-    g = Polynomial({alpha.word("xy"): lead, alpha.word("yx"): field.one})
-    h = Polynomial.monomial(alpha.word("yx"), field.one)
-    p = Polynomial.monomial(alpha.word("xyy"), field.one)
+    g = Polynomial({alpha.word("xy"): lead, alpha.word("yx"): field.one}, field.p)
+    h = Polynomial.monomial(alpha.word("yx"), field.one, field.p)
+    p = Polynomial.monomial(alpha.word("xyy"), field.one, field.p)
     if ok:
-        yyx = Polynomial.monomial(alpha.word("yyx"), field.one)
+        yyx = Polynomial.monomial(alpha.word("yyx"), field.one, field.p)
         assert normal_form(p, Reducer(field, [g])) == yyx
-        assert s_polynomial(g, h, 1) == Polynomial.monomial(alpha.word("yxx"), field.one)
+        assert s_polynomial(g, h, 1) == Polynomial.monomial(alpha.word("yxx"), field.one, field.p)
         return
     with pytest.raises(AlgebraError):
         normal_form(p, Reducer(field, [g]))
@@ -511,3 +515,37 @@ def test_prime_field_completion_matches_rational_leads(xyz):
     gb5 = complete(over_f5, 6)
     gbq = complete(xyz, 6)
     assert {w for w in gb5.obstructions} == {w for w in gbq.obstructions}
+
+
+# xy + 3yx and xy + yx/2, with p given as the modulus.
+XY_3YX = {(0, 1): 1, (1, 0): 3}
+XY_HALF_YX = {(0, 1): 1, (1, 0): Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), Rationals()], ids=["F5", "Q"])
+def test_presentation_rejects_a_relation_of_another_field(field):
+    # Over F_5 the F_7 residues would be read mod 5; over Q they are no
+    # rationals at all.
+    rel = Polynomial(XY_3YX, 7)
+    with pytest.raises(AlgebraError, match="relation mod 7"):
+        complete(Presentation(Alphabet(("x", "y")), field, (rel,)), 3)
+
+
+def test_presentation_rejects_a_non_int_coefficient_over_a_prime_field():
+    rel = Polynomial(XY_HALF_YX, 5)
+    with pytest.raises(AlgebraError, match="no int residue"):
+        Presentation(Alphabet(("x", "y")), PrimeField(5), (rel,))
+
+
+def test_reducer_rejects_a_polynomial_of_another_field():
+    xyy = Polynomial.monomial((0, 1, 1), 1)
+    # At F_5 the rational basis element would leave a coefficient 11/4.
+    with pytest.raises(FieldError):
+        normal_form(xyy, Reducer(PrimeField(5), [Polynomial(XY_HALF_YX)]))
+    reducer = Reducer(PrimeField(5), [Polynomial(XY_3YX, 5)])  # 3 = 1/2 mod 5
+    with pytest.raises(FieldError):
+        reducer.extend([Polynomial(XY_3YX, 7)])
+    with pytest.raises(FieldError):
+        reducer.reduce(xyy)
+    # xyy -> -3 yxy -> 9 yyx, and 9 = 4 = 1/4 mod 5, as over Q.
+    assert normal_form(Polynomial(xyy.terms, 5), reducer) == Polynomial({(1, 1, 0): 4}, 5)

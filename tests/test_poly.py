@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anick import Alphabet, FreeElement, Polynomial, render_poly
-from anick.errors import AlgebraError
+from anick.errors import AlgebraError, FieldError
 from anick.fields import PrimeField, Rationals
 
 
@@ -95,10 +95,10 @@ def test_render_poly(alpha):
 
 def test_prime_field_arithmetic(alpha):
     field = PrimeField(5)
-    p = Polynomial({alpha.word("xx"): field.of(3), alpha.word("yx"): field.of(3)})
+    p = Polynomial({alpha.word("xx"): field.of(3), alpha.word("yx"): field.of(4)}, field.p)
     m = p.monic()
     assert m.terms[alpha.word("xx")] == field.one
-    assert m.terms[alpha.word("yx")] == field.one
+    assert m.terms[alpha.word("yx")] == field.of(4, 3) == 3
     assert (p - p).is_zero
     assert str(field.of(7)) == "2"
 
@@ -127,14 +127,16 @@ def poly_pairs(draw):
     c = field.of(draw(SCALARS))
     if c and p:
         for w in draw(st.lists(st.sampled_from(sorted(p)), max_size=3)):
-            q[w] = -p[w] / c
-    return field, Polynomial(p), Polynomial(q), c
+            q[w] = field.of(-p[w], c)
+    return field, Polynomial(p, field.p), Polynomial(q, field.p), c
 
 
-def plain_add_scaled(p: dict, q: dict, c, zero) -> dict:
+def plain_add_scaled(p: dict, q: dict, c, modulus: int) -> dict:
     out = dict(p)
     for w, a in q.items():
-        out[w] = out.get(w, zero) + c * a
+        out[w] = out.get(w, 0) + c * a
+    if modulus:
+        out = {w: a % modulus for w, a in out.items()}
     return {w: a for w, a in out.items() if a}
 
 
@@ -143,7 +145,7 @@ def plain_add_scaled(p: dict, q: dict, c, zero) -> dict:
 def test_add_scaled_matches_plain_dict_oracle(case):
     field, p, q, c = case
     result = p.add_scaled(q, c)
-    assert result.terms == plain_add_scaled(p.terms, q.terms, c, field.zero)
+    assert result.terms == plain_add_scaled(p.terms, q.terms, c, field.p)
     for value in (result, p + q, p - q, -p, p.scaled(c), q.word_mul((0,), (1,))):
         assert all(value.terms.values())
     assert (p - p).is_zero
@@ -158,10 +160,21 @@ def test_add_scaled_matches_plain_dict_oracle(case):
     st.dictionaries(st.tuples(st.integers(0, 2), WORDS), SMALL, max_size=5),
 )
 def test_free_element_arithmetic(field, a_terms, b_terms):
-    a = FreeElement({k: field.of(v) for k, v in a_terms.items()})
-    b = FreeElement({k: field.of(v) for k, v in b_terms.items()})
+    a = FreeElement({k: field.of(v) for k, v in a_terms.items()}, field.p)
+    b = FreeElement({k: field.of(v) for k, v in b_terms.items()}, field.p)
     assert (a + b) - b == a
     assert a.add_scaled(b, field.of(-1)) == a - b
     assert a.scaled(field.zero).is_zero
     assert (a - a).is_zero
     assert all((a + b).terms.values())
+
+
+def test_mixed_moduli_raise():
+    f5, f7, q = (Polynomial({(0,): 1, (1,): 2}, p) for p in (5, 7, 0))
+    for a, b in [(f5, f7), (f5, q), (q, f7)]:
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a.add_scaled(b, 2)):
+            with pytest.raises(FieldError):
+                op()
+    with pytest.raises(FieldError):
+        FreeElement({(0, ()): 1}, 5) - FreeElement({(0, ()): 1}, 7)
+    assert f5 != Polynomial({(0,): 1, (1,): 2}) and f5 == Polynomial({(0,): 6, (1,): -3}, 5)

@@ -6,7 +6,6 @@ from helpers import (
     assert_context_scalars,
     dense,
     differentials_reference,
-    field_terms,
     formula_differential,
 )
 from hypothesis import given, settings, strategies as st
@@ -181,7 +180,7 @@ def test_verify_composition_catches_nonzero(xyz, xyz_ctx):
     a = xyz.alphabet
     lower = xyz_ctx.slice(1, 3)
     upper = xyz_ctx.slice(2, 3)
-    assert verify_composition(lower, upper)
+    assert verify_composition(lower, upper, 0)
     # flip the sign of the unit-cofactor entry in the x^3 column; the image
     # of x*y*x under the lower differential no longer cancels
     x3 = xyz_ctx.chains.find(2, a.word("xxx"))
@@ -189,7 +188,25 @@ def test_verify_composition_catches_nonzero(xyz, xyz_ctx):
     col = upper.col_labels.index((x3, ()))
     row = upper.row_labels.index((xyx, ()))
     upper.columns[col][row] = -upper.columns[col][row]
-    assert not verify_composition(lower, upper)
+    assert not verify_composition(lower, upper, 0)
+
+
+def test_context_elements_over_fp_add_mod_p():
+    # Over F_2 the differential of a level-1 chain has coefficients 1, so
+    # it is its own negative.
+    ctx = ResolutionContext(complete(parse_presentation(XYZ_FP5.replace("Fp 5", "Fp 2")), 5), 4, 5)
+    d = ctx.differential(ctx.chains.at(1, 2)[0])
+    assert not d.is_zero and (d + d).is_zero and d.scaled(2).is_zero and -d == d
+    assert d.p == 2 and ctx.act_right(d, (0,)).p == 2 and ctx.split(1, d + d).is_zero
+
+
+def test_verify_composition_reads_residues_mod_p():
+    # Over F_3 the entries are residues: -1 is 2, so a composite that
+    # vanishes mod 3 need not vanish over the integers.
+    ctx = ResolutionContext(complete(parse_presentation(XYZ_FP5.replace("Fp 5", "Fp 3")), 5), 5, 5)
+    pairs = [(ctx.slice(level - 1, d), ctx.slice(level, d)) for level in (2, 3) for d in range(6)]
+    assert all(verify_composition(lower, upper, 3) for lower, upper in pairs)
+    assert not all(verify_composition(lower, upper, 0) for lower, upper in pairs)
 
 
 def test_splitting_failure_signals_incomplete_basis(xyz):
@@ -373,7 +390,7 @@ def test_split_beyond_the_degree_bound_raises_splitting_error(xyz_ctx):
 
 
 def test_split_reads_modp_and_unreduced_coefficients_as_residues():
-    # Over F_5 a caller may hand split field scalars or unreduced ints; it
+    # Over F_5 a caller may hand split residues or unreduced ints; it
     # computes on residues either way and returns residues.
     presentation = parse_presentation(XYZ_FP5)
     ctx = ResolutionContext(complete(presentation, 6), 6, 6)
@@ -402,7 +419,7 @@ def test_differentials_match_the_cut_scanning_split(name, d, request):
     assert len(expected) == len(ctx.chains.index)
     for c, elem in expected.items():
         got = ctx.differential(c)
-        assert field_terms(ctx.field, got) == elem.terms, c
+        assert got == elem, c
         assert_context_scalars(ctx, got.terms.values())
 
 
