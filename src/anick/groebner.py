@@ -39,14 +39,12 @@ class Presentation:
         for rel in self.relations:
             if rel.p != p:
                 raise AlgebraError(f"a relation mod {rel.p} over {self.field.name}")
-            if p and any(type(c) is not int for c in rel.terms.values()):
-                raise AlgebraError(f"a coefficient over {self.field.name} is no int residue")
             if any(i not in letters for w in rel.terms for i in w):
                 raise AlgebraError("relation uses a letter outside the alphabet")
             if rel.is_zero:
-                raise AlgebraError("zero relation")
+                raise AlgebraError("relation is zero")
             if not rel.is_homogeneous:
-                raise AlgebraError("relations must be homogeneous")
+                raise AlgebraError("relation is not homogeneous")
             if rel.degree() < 1:
                 raise AlgebraError("relations must have degree at least 1")
 

@@ -13,8 +13,8 @@ Terms are signed products of letters with ``^`` powers; concatenation is
 written with ``*`` or by juxtaposition (``yx`` splits greedily against
 the declared letter names).  Integer or rational coefficients such as
 ``2`` and ``1/2`` are accepted.  Parsing is strict: duplicate letters,
-unknown names, zero relations and inhomogeneous relations are errors
-that carry a line and column.
+unknown names, a term above the degree bound, and a zero, inhomogeneous
+or degree-0 relation are errors that carry a line and column.
 """
 
 from __future__ import annotations
@@ -29,123 +29,99 @@ from .words import Alphabet
 
 # letters may be any unicode word (dual generators carry trailing '!')
 _NAME = re.compile(r"[^\W\d]\w*!*")
-_NUM = re.compile(r"[0-9]+")
+# One token: a name, a number, an operator, or any other non-blank
+# character, which is an error; blanks between tokens are skipped.
+_TOKEN = re.compile(rf"(?P<name>{_NAME.pattern})|(?P<num>[0-9]+)|(?P<op>[-+*/^])|(?P<bad>\S)")
+
+# A term degree far above any that completion can reach; it bounds the
+# word a power builds when the caller gives no tighter bound.
+MAX_TERM_DEGREE = 10**6
 
 
 def _tokenize(text: str, line_no: int) -> list[tuple[str, str, int]]:
+    """(kind, text, position) tokens, an operator its own kind, then ``end``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "#":
-            break
-        m = _NAME.match(text, pos)
-        if m:
-            tokens.append(("name", m.group(), pos))
-            pos = m.end()
-            continue
-        m = _NUM.match(text, pos)
-        if m:
-            tokens.append(("num", m.group(), pos))
-            pos = m.end()
-            continue
-        if ch in "+-*/^":
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line_no, pos + 1)
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", line_no, m.start() + 1)
+        tokens.append((tok if kind == "op" else kind, tok, m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 def _parse_polynomial(
-    text: str, line_no: int, alphabet: Alphabet, field: Field, max_degree: int | None = None
+    text: str, line_no: int, alphabet: Alphabet, field: Field, max_degree: int
 ) -> Polynomial:
     tokens = _tokenize(text, line_no)
-    if not tokens:
-        raise ParseError("empty relation", line_no, 1)
-    terms: list[tuple[tuple[int, ...], object]] = []
     i = 0
 
-    def error(msg: str, tok_index: int) -> ParseError:
-        col = tokens[tok_index][2] + 1 if tok_index < len(tokens) else len(text) + 1
-        return ParseError(msg, line_no, col)
+    def error(msg: str, at: int) -> ParseError:
+        return ParseError(msg, line_no, tokens[at][2] + 1)
 
-    def number(tok_index: int) -> int:
-        digits = tokens[tok_index][1]
+    def take(kind: str) -> str | None:
+        """The next token's text if it is of this kind, moving past it."""
+        nonlocal i
+        if tokens[i][0] == kind:
+            i += 1
+            return tokens[i - 1][1]
+
+    def number(what: str) -> int:
+        if (digits := take("num")) is None:
+            raise error(f"expected {what}", i)
         try:
             return int(digits)
         except ValueError:  # beyond the interpreter's digit limit
-            raise error(f"number too long ({len(digits)} digits)", tok_index) from None
+            raise error(f"number too long ({len(digits)} digits)", i - 1) from None
 
-    while i < len(tokens):
-        sign = 1
-        if tokens[i][0] in "+-":
-            sign = 1 if tokens[i][0] == "+" else -1
-            i += 1
-        elif terms:
+    terms: list[tuple[tuple[int, ...], object]] = []
+    while tokens[i][0] != "end":
+        op = take("-") or take("+")
+        if not op and terms:
             raise error("expected '+' or '-' between terms", i)
-        numerator, denominator = 1, 1
-        coeff_at = i
-        if i < len(tokens) and tokens[i][0] == "num":
-            numerator = number(i)
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "/":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "num":
-                    raise error("expected denominator", i)
-                denominator = number(i)
-                i += 1
-            if i < len(tokens) and tokens[i][0] == "*":
-                i += 1
+        sign = -1 if op == "-" else 1
+        coeff_at, numerator, denominator = i, 1, 1
+        if tokens[i][0] == "num":
+            numerator = number("coefficient")
+            if take("/"):
+                denominator = number("denominator")
+            take("*")
+        if tokens[i][0] != "name":
+            raise error("a term needs at least one letter", i)
         word: list[int] = []
-        saw_factor = False
-        while i < len(tokens) and tokens[i][0] == "name":
-            chunk_pos = i
+        while name := take("name"):
+            at = i - 1
             try:
-                letters = alphabet.word(tokens[i][1])
+                letters = alphabet.word(name)
             except AlgebraError:
-                raise error(f"unknown letter {tokens[i][1]!r}", chunk_pos) from None
-            i += 1
-            power = 1
-            if i < len(tokens) and tokens[i][0] == "^":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "num":
-                    raise error("expected exponent", i)
-                power = number(i)
-                i += 1
+                raise error(f"unknown letter {name!r}", at) from None
+            power = number("exponent") if take("^") else 1
             # The degree is checked before the power is expanded, so a huge
             # exponent costs no memory.
             degree = len(word) + len(letters) - 1 + power
-            if max_degree is not None and degree > max_degree:
-                raise error(f"term degree {degree} is above the bound {max_degree}", chunk_pos)
+            if degree > max_degree:
+                raise error(f"term degree {degree} is above the bound {max_degree}", at)
             word.extend(letters[:-1] + letters[-1:] * power)
-            saw_factor = True
-            if i < len(tokens) and tokens[i][0] == "*":
-                i += 1
-        if not saw_factor:
-            raise error("a term needs at least one letter", i)
+            take("*")
         try:
             terms.append((tuple(word), field.of(sign * numerator, denominator)))
         except ZeroDivisionError:
             raise error(f"zero denominator in {field.name}", coeff_at) from None
     poly = Polynomial.from_pairs(terms, field.p)
-    if poly.is_zero:
-        raise ParseError("relation is zero", line_no, 1)
-    if not poly.is_homogeneous:
-        raise ParseError("relation is not homogeneous", line_no, 1)
+    try:  # the checks every relation gets, made here to name the line
+        Presentation(alphabet, field, (poly,))
+    except AlgebraError as exc:
+        raise ParseError(str(exc), line_no, 1) from None
     return poly
 
 
 def parse_presentation(
-    text: str, field_override: Field | None = None, max_degree: int | None = None
+    text: str, field_override: Field | None = None, max_degree: int = MAX_TERM_DEGREE
 ) -> Presentation:
     """Parse a presentation file into a validated Presentation.
 
-    With ``max_degree``, a term of higher degree is a ParseError, raised
-    before the term's word is built.
+    A term of degree above ``max_degree`` is a ParseError, raised before
+    the term's word is built.
     """
     lines = text.splitlines()
     alphabet: Alphabet | None = None
@@ -175,9 +151,7 @@ def parse_presentation(
             if len(set(names)) != len(names):
                 dup = next(n for i, n in enumerate(names) if n in names[:i])
                 raise ParseError(f"duplicate letter {dup!r}", line_no, 1)
-            if sep == "<":
-                names = list(reversed(names))
-            alphabet = Alphabet(tuple(names))
+            alphabet = Alphabet(tuple(names[::-1] if sep == "<" else names))
             in_relations = False
         elif low.startswith("field:"):
             if field_override is None:
@@ -204,18 +178,12 @@ def parse_presentation(
         _parse_polynomial(body, line_no, alphabet, field, max_degree)
         for line_no, body in relation_lines
     )
-    try:
-        return Presentation(alphabet, field, relations)
-    except Exception as exc:
-        raise ParseError(str(exc)) from None
+    return Presentation(alphabet, field, relations)
 
 
 def format_presentation(presentation: Presentation) -> str:
     """Canonical text form; parsing it back yields an equal Presentation."""
     alphabet = presentation.alphabet
-    lines = ["vars: " + " > ".join(alphabet.letters)]
-    lines.append(f"field: {presentation.field.name}")
-    lines.append("relations:")
-    for rel in presentation.relations:
-        lines.append("  " + render_poly(alphabet, rel))
+    lines = ["vars: " + " > ".join(alphabet.letters), f"field: {presentation.field.name}"]
+    lines += ["relations:", *("  " + render_poly(alphabet, r) for r in presentation.relations)]
     return "\n".join(lines) + "\n"

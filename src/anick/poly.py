@@ -24,14 +24,17 @@ class LinComb:
 
     Polynomials (keyed by words) and free-module elements (keyed by chain
     and normal word) share this arithmetic.  Results are new values of the
-    caller's kind; zero coefficients never survive an operation, and
-    combining two moduli raises ``FieldError``.
+    caller's kind; zero coefficients never survive an operation.  Combining
+    two moduli, or a coefficient over Fp that is not an ``int``, raises
+    ``FieldError``.
     """
 
     __slots__ = ("terms", "p")
 
     def __init__(self, terms: Mapping, p: int = 0):
         if p:
+            if any(type(c) is not int for c in terms.values()):
+                raise FieldError(f"a coefficient mod {p} is no int residue")
             self.terms = {k: r for k, c in terms.items() if (r := c % p)}
         else:
             self.terms = {k: c for k, c in terms.items() if c}

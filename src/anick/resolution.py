@@ -36,7 +36,8 @@ degree, outside the context's bounds raises ``TruncationError``.
 Over Fp the context computes on plain ``int`` residues in 1..p-1 and
 stores no zero, reducing mod p where it sums; over Q (``p == 0``)
 coefficients are ``int`` or ``Fraction``.  The elements it returns hold
-the same scalars and carry ``p``.
+the same scalars and carry ``p``; an element of another modulus handed to
+it raises ``FieldError``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 from .automaton import NormalWordAutomaton, normal_word_automaton
 from .chains import Chain, ChainSet, enumerate_chains
-from .errors import SplittingError, TruncationError
+from .errors import FieldError, SplittingError, TruncationError
 from .groebner import GroebnerBasis, Presentation, Reducer, complete, normal_form
 from .poly import LinComb, Polynomial
 from .words import EMPTY, Word
@@ -152,11 +153,16 @@ class ResolutionContext:
                 out[k] = out.get(k, 0) + coeff * scalar
         return out
 
+    def _own(self, elem: FreeElement) -> dict:
+        """elem's terms; elem must be over the context's field."""
+        if elem.p != self.p:
+            raise FieldError(f"an element mod {elem.p} in a context over {self.field.name}")
+        return elem.terms
+
     def act_right(self, elem: FreeElement, w: Word) -> FreeElement:
         """Right action of a word on a free-module element, in normal form."""
-        if not w:
-            return elem
-        return FreeElement(self._times(elem.terms, w), self.p)
+        terms = self._own(elem)
+        return FreeElement(self._times(terms, w), self.p) if w else elem
 
     def split(self, level: int, xi: FreeElement | dict) -> FreeElement | dict:
         """Find eta at the given level whose differential is xi.
@@ -164,8 +170,9 @@ class ResolutionContext:
         xi must lie in the kernel of the previous differential and be
         supported below the given level's chains, which holds for every
         element this engine feeds in.  At level 0, xi is an algebra element
-        keyed by ``self.unit`` and must have no degree-0 term.  Over Fp its
-        coefficients may be any ``int``; the result holds residues.
+        keyed by ``self.unit`` and must have no degree-0 term.  A
+        ``FreeElement`` of another modulus raises ``FieldError``; over Fp a
+        dict's coefficients may be any ``int``; the result holds residues.
         A ``FreeElement`` gives one; a dict keyed by (chain id, word) a dict.
         A pair with an empty cofactor is never split, since no chain
         extension fits it; it must cancel.  A term at another level, or one
@@ -175,7 +182,7 @@ class ResolutionContext:
         p, words, children = self.p, self._word, self._children
         if public := isinstance(xi, FreeElement):
             terms = {}
-            for (c, w), a in xi.terms.items():
+            for (c, w), a in self._own(xi).items():
                 if c.level != level - 1:
                     raise SplittingError(
                         f"a level-{level} split got a level-{c.level} term {c.word} (x) {w}"

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anick import format_presentation, parse_presentation, render_poly
 from anick.errors import ParseError
@@ -171,3 +172,66 @@ def test_term_above_the_degree_bound_is_an_error_at_its_factor(relation, degree,
 def test_number_beyond_the_digit_limit_is_a_parse_error(relation):
     with pytest.raises(ParseError, match="number too long \\(5000 digits\\)"):
         parse_presentation(f"vars: x\nrelations:\n  {relation}\n", max_degree=3)
+
+
+@pytest.mark.parametrize(
+    "text, message, at",
+    [
+        ("relations:\n  x*y @ y*x", "unexpected character '@'", (3, 7)),
+        ("relations:\n  x*y 2*y*x", "expected '+' or '-' between terms", (3, 7)),
+        ("relations:\n  x*y + 1/*y*x", "expected denominator", (3, 11)),
+        ("relations:\n  x^*y", "expected exponent", (3, 5)),
+        ("relations:\n  x*y - y*x^", "expected exponent", (3, 13)),
+        ("relations:\n  x*y + 3", "a term needs at least one letter", (3, 10)),
+        ("relations:\n  x*y +", "a term needs at least one letter", (3, 8)),
+        ("relations:\n  x*y - \t ", "a term needs at least one letter", (3, 8)),
+        ("relations:\n  x^0 + x", "relation is not homogeneous", (3, 1)),
+        (" relations:  x*y - y*x $", "unexpected character '$'", (2, 24)),
+    ],
+    ids=[
+        "character",
+        "between-terms",
+        "denominator",
+        "exponent",
+        "exponent-at-end",
+        "no-letter",
+        "trailing-operator",
+        "trailing-operator-and-blanks",
+        "zeroth-power",
+        "on-the-relations-line",
+    ],
+)
+def test_parse_error_names_its_message_line_and_column(text, message, at):
+    with pytest.raises(ParseError) as info:
+        parse_presentation(f"vars: x > y\n{text}\n", max_degree=8)
+    assert (info.value.message, info.value.line, info.value.col) == (message, *at)
+
+
+def test_degree_zero_relation_is_an_error_at_its_line():
+    # The relation is checked when it is read, before the bad line after it.
+    with pytest.raises(ParseError, match="degree at least 1") as info:
+        parse_presentation("vars: x > y\nrelations:\n  x*y\n  x^0\n  x @\n")
+    assert (info.value.line, info.value.col) == (4, 1)
+
+
+def test_huge_exponent_is_bounded_by_default():
+    # Without max_degree the word of x^(10^10) would be built, gigabytes
+    # before anything could reject it.
+    with pytest.raises(ParseError, match="term degree 10000000000 is above the bound") as info:
+        parse_presentation("vars: x\nrelations:\n  x^10000000000\n")
+    assert (info.value.line, info.value.col) == (3, 3)
+
+
+# Letters, digits, operators, blanks (one of them not ASCII) and one stray
+# character.
+FUZZ_CHARACTERS = "xy0123456789+-*/^ \t\u3000@"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(FUZZ_CHARACTERS, max_size=16))
+def test_a_fuzzed_relation_round_trips_or_is_a_parse_error(line):
+    try:
+        pres = parse_presentation(f"vars: x > y\nrelations:\n  {line}\n", max_degree=8)
+    except ParseError:
+        return
+    assert parse_presentation(format_presentation(pres), max_degree=8) == pres

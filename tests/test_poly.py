@@ -178,3 +178,17 @@ def test_mixed_moduli_raise():
     with pytest.raises(FieldError):
         FreeElement({(0, ()): 1}, 5) - FreeElement({(0, ()): 1}, 7)
     assert f5 != Polynomial({(0,): 1, (1,): 2}) and f5 == Polynomial({(0,): 6, (1,): -3}, 5)
+
+
+def test_a_prime_field_combination_holds_only_int_residues(alpha):
+    # Fraction(1, 2) % 5 is Fraction(1, 2): kept, it would leave a
+    # Fraction in every normal form computed with it.
+    xy, yx = alpha.word("xy"), alpha.word("yx")
+    for make in (
+        lambda: Polynomial({xy: Fraction(1, 2), yx: 1}, 5),
+        lambda: Polynomial({xy: Fraction(5, 1)}, 5),
+        lambda: FreeElement({(0, xy): Fraction(1, 2)}, 5),
+        lambda: Polynomial({xy: 1}, 5).scaled(Fraction(1, 2)),
+    ):
+        with pytest.raises(FieldError, match="no int residue"):
+            make()

@@ -21,7 +21,7 @@ from anick import (
     quadratic_dual,
 )
 from anick.chains import Chain
-from anick.errors import SplittingError, TruncationError
+from anick.errors import FieldError, SplittingError, TruncationError
 from anick.reports import slices_payload
 from anick.resolution import resolution_slices, verify_composition
 from anick.words import deglex_desc
@@ -247,7 +247,7 @@ def test_split_raises_on_an_uncancelled_empty_cofactor_pair(field):
             terms = dict(xi.terms)
             terms[c2, ()] = terms.get((c2, ()), 0) + 1
             with pytest.raises(SplittingError, match="uncancelled"):
-                ctx.split(2, FreeElement(terms))
+                ctx.split(2, FreeElement(terms, ctx.p))
             checked += 1
     assert checked >= 4
 
@@ -390,8 +390,8 @@ def test_split_beyond_the_degree_bound_raises_splitting_error(xyz_ctx):
 
 
 def test_split_reads_modp_and_unreduced_coefficients_as_residues():
-    # Over F_5 a caller may hand split residues or unreduced ints; it
-    # computes on residues either way and returns residues.
+    # Over F_5 a caller may build the element from residues or unreduced
+    # ints; split computes on residues either way and returns residues.
     presentation = parse_presentation(XYZ_FP5)
     ctx = ResolutionContext(complete(presentation, 6), 6, 6)
     checked = 0
@@ -400,11 +400,28 @@ def test_split_reads_modp_and_unreduced_coefficients_as_residues():
             xi = ctx.act_right(ctx.differential(chain.prefix), chain.tail)
             want = ctx.split(level - 1, xi).terms
             for coeff in (ctx.field.of, lambda v: v + 5, lambda v: v - 10):
-                got = ctx.split(level - 1, FreeElement({k: coeff(v) for k, v in xi.terms.items()}))
+                elem = FreeElement({k: coeff(v) for k, v in xi.terms.items()}, ctx.p)
+                got = ctx.split(level - 1, elem)
                 assert got.terms == want, chain
                 assert_context_scalars(ctx, got.terms.values())
             checked += 1
     assert ctx.chains.find(2, presentation.alphabet.word("xxx")) is not None and checked > 3
+
+
+def test_split_and_act_right_reject_an_element_of_another_modulus():
+    # Read mod 5, this F_7 element would split with no error to an F_5
+    # element of coefficient 2.
+    ctx = ResolutionContext(complete(parse_presentation(XYZ_FP5), 6), 6, 6)
+    chain = ctx.chains.find(3, ctx.alphabet.word("xxxz"))
+    xi = ctx.act_right(ctx.differential(chain.prefix), chain.tail)
+    f7 = FreeElement({k: 2 for k in xi.terms}, 7)
+    for call in (
+        lambda: ctx.split(2, f7),
+        lambda: ctx.act_right(f7, (0,)),
+        lambda: ctx.act_right(f7, ()),
+    ):
+        with pytest.raises(FieldError, match="mod 7 in a context over Fp 5"):
+            call()
 
 
 @pytest.mark.parametrize("name, d", [("xyz", 9), ("g4", 5), ("xyz-f2", 8), ("xyz-f3", 8)])
