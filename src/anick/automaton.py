@@ -36,17 +36,14 @@ class NormalWordAutomaton:
             )
 
     def hilbert_coefficients(self, max_degree: int) -> list[int]:
-        """Counts of accepted words for each degree 0..max_degree."""
-        self._check_degree(max_degree)
-        return self._path_counts(max_degree)
+        """Counts of accepted words for each degree 0..max_degree.
 
-    def _path_counts(self, n: int) -> list[int]:
-        """Counts of paths from the start of each length 0..n, with no
-        validity check.  Only states some path reaches are visited, so a
-        finite language costs steps in proportion to its live states."""
+        Only states some path reaches are visited, so a finite language
+        costs steps in proportion to its live states."""
+        self._check_degree(max_degree)
         counts = {self.start: 1}
         out = [1]
-        for _ in range(n):
+        for _ in range(max_degree):
             nxt: dict[int, int] = {}
             for state, c in counts.items():
                 for target in self.transitions[state]:

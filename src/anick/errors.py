@@ -14,16 +14,14 @@ class FieldError(AlgebraError):
 class ParseError(AlgebraError):
     """Syntax or validation error in a presentation file, with position."""
 
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(message)
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(message, line, col)  # all three, so that it pickles
         self.message = message
         self.line = line
         self.col = col
 
     def __str__(self) -> str:
-        if self.line:
-            return f"line {self.line}, col {self.col}: {self.message}"
-        return self.message
+        return f"line {self.line}, col {self.col}: {self.message}"
 
 
 class TruncationError(AlgebraError):

@@ -25,10 +25,8 @@ from .errors import AlgebraError, ParseError
 from .fields import Field, Rationals, field_from_name
 from .groebner import Presentation
 from .poly import Polynomial, render_poly
-from .words import Alphabet
+from .words import _NAME, Alphabet
 
-# letters may be any unicode word (dual generators carry trailing '!')
-_NAME = re.compile(r"[^\W\d]\w*!*")
 # One token: a name, a number, an operator, or any other non-blank
 # character, which is an error; blanks between tokens are skipped.
 _TOKEN = re.compile(rf"(?P<name>{_NAME.pattern})|(?P<num>[0-9]+)|(?P<op>[-+*/^])|(?P<bad>\S)")
@@ -142,16 +140,12 @@ def parse_presentation(
             if ">" in body and "<" in body:
                 raise ParseError("cannot mix '>' and '<' in vars", line_no, 1)
             sep = "<" if "<" in body else ">"
-            names = [n.strip() for n in body.split(sep)]
-            if any(not n for n in names):
-                raise ParseError("empty letter name in vars", line_no, 1)
-            for n in names:
-                if not _NAME.fullmatch(n):
-                    raise ParseError(f"bad letter name {n!r}", line_no, 1)
-            if len(set(names)) != len(names):
-                dup = next(n for i, n in enumerate(names) if n in names[:i])
-                raise ParseError(f"duplicate letter {dup!r}", line_no, 1)
-            alphabet = Alphabet(tuple(names[::-1] if sep == "<" else names))
+            try:  # checked as written, so an error names the first bad name
+                alphabet = Alphabet(tuple(n.strip() for n in body.split(sep)))
+            except AlgebraError as exc:
+                raise ParseError(str(exc), line_no, 1) from None
+            if sep == "<":
+                alphabet = Alphabet(alphabet.letters[::-1])
             in_relations = False
         elif low.startswith("field:"):
             if field_override is None:

@@ -10,13 +10,19 @@ reference definition of the same order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import AlgebraError, AntichainError
 
 Word = tuple[int, ...]
 
 EMPTY: Word = ()
+
+# The one rule for a letter name: a unicode word that does not start with a
+# digit, then any number of '!' (the quadratic dual's generators end in '!').
+_NAME = re.compile(r"[^\W\d]\w*!*")
 
 
 @dataclass(frozen=True)
@@ -26,66 +32,53 @@ class Alphabet:
     letters: tuple[str, ...]
 
     def __post_init__(self):
+        # A tuple hashes and equals the alphabet its text reads back as.
+        object.__setattr__(self, "letters", tuple(self.letters or ()))
         if not self.letters:
             raise AlgebraError("alphabet must be nonempty")
-        if len(set(self.letters)) != len(self.letters):
-            raise AlgebraError("alphabet letters must be distinct")
         for name in self.letters:
-            if not name or any(ch.isspace() for ch in name):
+            if not isinstance(name, str) or not _NAME.fullmatch(name):
                 raise AlgebraError(f"bad letter name {name!r}")
+        if len(set(self.letters)) != len(self.letters):
+            dup = next(n for i, n in enumerate(self.letters) if n in self.letters[:i])
+            raise AlgebraError(f"duplicate letter {dup!r}")
+        # (name, index) pairs, longest name first, for splitting words.
+        by_length = sorted(((n, i) for i, n in enumerate(self.letters)), key=lambda p: -len(p[0]))
+        object.__setattr__(self, "_by_length", by_length)
 
     @property
     def size(self) -> int:
         return len(self.letters)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.letters.index(name)
-        except ValueError:
-            raise AlgebraError(f"unknown letter {name!r}") from None
-
     def word(self, text: str) -> Word:
         """Split a juxtaposed string like ``xyx`` into a word.
 
-        Letter names are tried longest first.  ``splittable[pos]`` records
-        whether ``text[pos:]`` splits into letters; the split then takes at
-        each position the first name that leaves a splittable rest, which is
-        the split a longest-first backtracking search finds.
+        Letter names are tried longest first.  One backward pass records at
+        each position the first name that leaves a splittable rest, or None;
+        following those picks from the start gives the split a longest-first
+        backtracking search finds.
         """
-        by_length = sorted(range(self.size), key=lambda i: -len(self.letters[i]))
         n = len(text)
-        splittable = [False] * n + [True]
-
-        def fits(idx: int, pos: int) -> bool:
-            name = self.letters[idx]
-            return text.startswith(name, pos) and splittable[pos + len(name)]
-
+        pick: list = [None] * n + [-1]  # the empty rest splits
         for pos in range(n - 1, -1, -1):
-            splittable[pos] = any(fits(idx, pos) for idx in by_length)
-        if not splittable[0]:
+            for name, idx in self._by_length:
+                if text.startswith(name, pos) and pick[pos + len(name)] is not None:
+                    pick[pos] = idx
+                    break
+        if pick[0] is None:
             raise AlgebraError(f"cannot read {text!r} over alphabet {self.letters}")
         out: list[int] = []
         pos = 0
         while pos < n:
-            idx = next(idx for idx in by_length if fits(idx, pos))
-            out.append(idx)
-            pos += len(self.letters[idx])
+            out.append(pick[pos])
+            pos += len(self.letters[pick[pos]])
         return tuple(out)
 
     def str_word(self, w: Word) -> str:
         """Render a word as ``x*y^2*x``; the empty word renders as ``1``."""
-        if not w:
-            return "1"
-        parts: list[str] = []
-        i = 0
-        while i < len(w):
-            j = i
-            while j < len(w) and w[j] == w[i]:
-                j += 1
-            name = self.letters[w[i]]
-            parts.append(name if j - i == 1 else f"{name}^{j - i}")
-            i = j
-        return "*".join(parts)
+        names = self.letters
+        runs = [names[i] if (k := len(list(g))) == 1 else f"{names[i]}^{k}" for i, g in groupby(w)]
+        return "*".join(runs) or "1"
 
 
 @dataclass(frozen=True)

@@ -314,6 +314,24 @@ def test_cubic_koszul_request_exits_one(capsys, tmp_path):
     assert "quadratic" in err
 
 
+def test_cubic_gldim_request_exits_one(capsys, tmp_path):
+    path = tmp_path / "cubic.alg"
+    path.write_text("vars: x > y\nrelations:\n  x*y*x\n")
+    code, out, err = run(capsys, "gldim", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert "global-dimension report needs a quadratic presentation" in err
+
+
+def test_gldim_require_certified_exits_two_on_an_uncertified_dual(capsys, tmp_path):
+    path = tmp_path / "g4.alg"
+    path.write_text(G4_TEXT)
+    code, out, err = run(
+        capsys, "gldim", "--input", str(path), "--max-deg", "4", "--require-certified"
+    )
+    assert (code, out) == (2, "")
+    assert "dual basis is not certified complete" in err
+
+
 def test_gldim_payload_matches_golden_file(capsys, xyz_file):
     code, out, err = run(
         capsys, "gldim", "--input", xyz_file, "--max-deg", "8", "--format", "json"

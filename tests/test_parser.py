@@ -1,9 +1,12 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anick import format_presentation, parse_presentation, render_poly
+from anick import Alphabet, Polynomial, Presentation, format_presentation, parse_presentation, render_poly
 from anick.errors import ParseError
 from anick.fields import PrimeField, Rationals
+from anick.words import _NAME
 
 
 def test_parses_main_fixture():
@@ -187,6 +190,12 @@ def test_number_beyond_the_digit_limit_is_a_parse_error(relation):
         ("relations:\n  x*y - \t ", "a term needs at least one letter", (3, 8)),
         ("relations:\n  x^0 + x", "relation is not homogeneous", (3, 1)),
         (" relations:  x*y - y*x $", "unexpected character '$'", (2, 24)),
+        ("x*y", "unexpected line 'x*y'", (2, 1)),
+        ("vars: x > y\nvars: y > x", "duplicate vars line", (2, 1)),
+        ("vars: x > > y", "bad letter name ''", (1, 1)),
+        ("vars: x > 1y", "bad letter name '1y'", (1, 1)),
+        ("vars: 1 < x*", "bad letter name '1'", (1, 1)),
+        ("vars: a < b < a < b", "duplicate letter 'a'", (1, 1)),
     ],
     ids=[
         "character",
@@ -199,12 +208,25 @@ def test_number_beyond_the_digit_limit_is_a_parse_error(relation):
         "trailing-operator-and-blanks",
         "zeroth-power",
         "on-the-relations-line",
+        "unexpected-line",
+        "duplicate-vars-line",
+        "empty-letter-name",
+        "bad-letter-name",
+        "bad-letter-name-as-written",
+        "duplicate-letter-as-written",
     ],
 )
 def test_parse_error_names_its_message_line_and_column(text, message, at):
+    # A case without its own vars line reads over x > y.
+    header = "" if text.startswith("vars:") else "vars: x > y\n"
     with pytest.raises(ParseError) as info:
-        parse_presentation(f"vars: x > y\n{text}\n", max_degree=8)
+        parse_presentation(f"{header}{text}\n", max_degree=8)
     assert (info.value.message, info.value.line, info.value.col) == (message, *at)
+
+
+def test_parse_error_keeps_its_position_through_pickle():
+    error = pickle.loads(pickle.dumps(ParseError("bad", 3, 7)))
+    assert (error.message, error.line, error.col, str(error)) == ("bad", 3, 7, "line 3, col 7: bad")
 
 
 def test_degree_zero_relation_is_an_error_at_its_line():
@@ -235,3 +257,35 @@ def test_a_fuzzed_relation_round_trips_or_is_a_parse_error(line):
     except ParseError:
         return
     assert parse_presentation(format_presentation(pres), max_degree=8) == pres
+
+
+# Multi-letter names, names ending in '!', non-ASCII names, and names
+# drawn from the name rule itself.
+LETTER_NAMES = st.one_of(
+    st.sampled_from(["x", "y", "xy", "x!", "x!!", "y1", "_a", "α", "αβ", "Ω2"]),
+    st.from_regex(_NAME, fullmatch=True).filter(lambda n: len(n) <= 4),
+)
+
+
+@st.composite
+def presentations(draw):
+    names = draw(st.lists(LETTER_NAMES, min_size=1, max_size=4, unique=True))
+    # A name and the same name extended, so one is a prefix of the other.
+    longer = [names[0] + s for s in ("!", "9", "x") if _NAME.fullmatch(names[0] + s)]
+    names = list(dict.fromkeys(names + draw(st.lists(st.sampled_from(longer), max_size=2))))
+    field = draw(st.sampled_from([Rationals(), PrimeField(5)]))
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.integers(1, 3))
+        word = st.lists(st.integers(0, len(names) - 1), min_size=degree, max_size=degree)
+        coeff = st.builds(field.of, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+        rel = Polynomial.from_pairs(draw(st.lists(st.tuples(word.map(tuple), coeff), max_size=4)), field.p)
+        if not rel.is_zero:
+            relations.append(rel)
+    return Presentation(Alphabet(tuple(names)), field, tuple(relations))
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations())
+def test_every_presentation_reads_back(pres):
+    assert parse_presentation(format_presentation(pres)) == pres

@@ -281,6 +281,11 @@ def test_a_chain_outside_the_context_raises_truncation_error(xyz, method):
         call()
 
 
+def test_the_unit_chain_has_no_differential(xyz_ctx):
+    with pytest.raises(SplittingError, match="the \\(-1\\)-chain has no differential"):
+        xyz_ctx.differential(xyz_ctx.unit)
+
+
 @pytest.mark.parametrize(
     ("order", "d", "level_max", "deg_max", "level", "degree"),
     [

@@ -111,11 +111,33 @@ def test_word_split_multicharacter_names():
     assert alpha.word("aab") == (1, 0)
 
 
+def test_alphabet_holds_its_letters_as_a_tuple():
+    # A list of letters used to stay a list: the alphabet was unhashable and
+    # unequal to the one its presentation's text reads back as.
+    assert Alphabet(["x", "y"]) == Alphabet(("x", "y"))
+    assert hash(Alphabet(["x", "y"])) == hash(Alphabet(("x", "y")))
+
+
 def test_alphabet_validation():
-    with pytest.raises(AlgebraError):
-        Alphabet(())
-    with pytest.raises(AlgebraError):
-        Alphabet(("x", "x"))
+    for letters in ((), None, iter(())):
+        with pytest.raises(AlgebraError, match="alphabet must be nonempty"):
+            Alphabet(letters)
+    with pytest.raises(AlgebraError, match="duplicate letter 'x'"):
+        Alphabet(("x", "y", "x"))
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [("x#", "y"), ("1", "x"), ("x*", "y"), ("x>y",), ("x", ""), ("x y",), ("x!y",), ("x", 1), (b"x",)],
+)
+def test_alphabet_rejects_names_the_parser_cannot_read(letters):
+    # format_presentation would write these, and the parser would read the
+    # text back as something else ('#' starts a comment) or not at all.  A
+    # name that is not a str is an AlgebraError too, not a raw TypeError.
+    bad = next(n for n in letters if n not in ("x", "y"))
+    with pytest.raises(AlgebraError) as info:
+        Alphabet(letters)
+    assert str(info.value) == f"bad letter name {bad!r}"
 
 
 def test_antichain_check(xyz_alpha):
