@@ -36,11 +36,14 @@ class NormalWordAutomaton:
             )
 
     def hilbert_coefficients(self, max_degree: int) -> list[int]:
-        """Counts of accepted words for each degree 0..max_degree.
+        """Counts of accepted words for each degree 0..max_degree, none
+        for a negative max_degree.
 
         Only states some path reaches are visited, so a finite language
         costs steps in proportion to its live states."""
         self._check_degree(max_degree)
+        if max_degree < 0:
+            return []
         counts = {self.start: 1}
         out = [1]
         for _ in range(max_degree):
@@ -54,12 +57,15 @@ class NormalWordAutomaton:
         return out
 
     def accepted_words(self, degree: int) -> list[Word]:
-        """All accepted words of the given degree, ascending in deglex.
+        """All accepted words of the given degree, ascending in deglex; no
+        word has a negative degree.
 
         The frontier grows letter by letter from index 0 up, so it ascends
         as tuples, which for words of one length is descending deglex.
         """
         self._check_degree(degree)
+        if degree < 0:
+            return []
         frontier: list[tuple[Word, int]] = [((), self.start)]
         for _ in range(degree):
             nxt = []

@@ -138,11 +138,14 @@ class Reducer:
 
     def find(self, w: Word) -> tuple[int, int] | None:
         """The leftmost position of w holding a leading word (an empty one
-        sits at len(w) in ()), and the smallest basis index among those."""
-        first, miss = self.first, len(self.rows)
-        for pos in range(len(w) + 1):
+        sits at len(w) in ()), and the smallest basis index among those.
+        A position tries only the lead lengths that end inside w."""
+        first, miss, end = self.first, len(self.rows), len(w)
+        for pos in range(end + 1):
             gi = miss
             for n in self.lengths:
+                if pos + n > end:
+                    break
                 if (hit := first.get(w[pos:pos + n], miss)) < gi:
                     gi = hit
             if gi < miss:

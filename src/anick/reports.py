@@ -153,8 +153,9 @@ def graph_payload(graph: ChainGraph) -> dict[str, Any]:
 
 def slices_payload(alphabet: Alphabet, slices: list[ResolutionSlice]) -> dict[str, Any]:
     # A pair is a source one level up from where it is a target: its label
-    # is built once and shared.  Far fewer words than pairs occur, and each
-    # is rendered once.
+    # is built once and shared, keyed by the chain's word and the cofactor,
+    # which hash faster than the chain.  Far fewer words than pairs occur,
+    # and each is rendered once.
     labels: dict = {}
     texts: dict = {}
 
@@ -165,10 +166,10 @@ def slices_payload(alphabet: Alphabet, slices: list[ResolutionSlice]) -> dict[st
         return made
 
     def label(pair) -> dict[str, str]:
-        made = labels.get(pair)
+        key = pair[0].word, pair[1]
+        made = labels.get(key)
         if made is None:
-            chain, word = pair
-            made = labels[pair] = {"chain": text(chain.word), "cofactor": text(word)}
+            made = labels[key] = {"chain": text(key[0]), "cofactor": text(key[1])}
         return made
 
     out = []

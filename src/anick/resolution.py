@@ -137,10 +137,18 @@ class ResolutionContext:
 
     def nf_word(self, w: Word) -> dict[Word, object]:
         """The normal form of a word as ``{word: scalar}`` terms, residues
-        over Fp."""
+        over Fp.  A word with no leading-word factor is its own normal form;
+        the factor search goes through the reducer's memo, so ``normal_form``
+        finds a reducible word's factor there and does not search again."""
         cached = self._nf_cache.get(w)
         if cached is None:
-            cached = normal_form(Polynomial.monomial(w, 1, self.p), self._reducer).terms
+            reducer = self._reducer
+            if (hit := reducer.memo.get(w, False)) is False:
+                hit = reducer.memo[w] = reducer.find(w)
+            if hit is None:
+                cached = {w: 1}
+            else:
+                cached = normal_form(Polynomial.monomial(w, 1, self.p), reducer).terms
             self._nf_cache[w] = cached
         return cached
 

@@ -33,7 +33,12 @@ class Alphabet:
 
     def __post_init__(self):
         # A tuple hashes and equals the alphabet its text reads back as.
-        object.__setattr__(self, "letters", tuple(self.letters or ()))
+        try:
+            letters = tuple(self.letters or ())
+        except TypeError:
+            bad = self.letters
+            raise AlgebraError(f"letters must be a sequence of names, got {bad!r}") from None
+        object.__setattr__(self, "letters", letters)
         if not self.letters:
             raise AlgebraError("alphabet must be nonempty")
         for name in self.letters:

@@ -101,6 +101,16 @@ def test_all_two_letter_words_blocked():
     assert aut.hilbert_coefficients(3) == [1, 2, 0, 0]
 
 
+@pytest.mark.parametrize("valid", [None, 3])
+def test_no_word_has_a_negative_degree(xyz_alpha, valid):
+    aut = normal_word_automaton(xyz_alpha, [xyz_alpha.word("xx")], valid)
+    for degree in (-1, -5):
+        assert aut.accepted_words(degree) == []
+        assert aut.hilbert_coefficients(degree) == []
+    assert aut.accepted_words(0) == [()]
+    assert aut.hilbert_coefficients(0) == [1]
+
+
 def test_validity_degree_is_enforced(xyz_alpha):
     obs = [xyz_alpha.word("xx")]
     aut = normal_word_automaton(xyz_alpha, obs, 3)

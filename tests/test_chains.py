@@ -3,6 +3,8 @@ import json
 
 import pytest
 from helpers import bf_chains, bf_has_factor, path_counts, shape_chains
+from dataclasses import FrozenInstanceError
+
 from hypothesis import given, settings, strategies as st
 
 from anick import (
@@ -13,6 +15,7 @@ from anick import (
     enumerate_chains,
     parse_presentation,
 )
+from anick.chains import Chain
 from anick.errors import AntichainError, ChainError
 from anick.reports import graph_payload
 
@@ -227,3 +230,36 @@ def test_graph_renderings_match_pinned_digest(name, g4):
     graph = chain_graph(presentation.alphabet, list(complete(presentation, d).obstructions))
     texts = json.dumps(graph_payload(graph), indent=2), chain_graph_dot(graph)
     assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == GRAPH_DIGESTS[name]
+
+
+def bucket_spans(by_level_degree):
+    return {k: [(c.word, c.decomposition) for c in v] for k, v in by_level_degree.items()}
+
+
+@pytest.mark.parametrize("name, level_max, top", [("xyz", 8, 9), ("g4", 4, 6)])
+def test_enumeration_at_a_bound_is_the_higher_one_cut_to_it(name, level_max, top, request):
+    # A chain stops trying continuations at the first piece that does not
+    # fit; cutting the enumeration two degrees up must give the same chains,
+    # decompositions and bucket order.
+    if name == "xyz":
+        gb = request.getfixturevalue("xyz_gb8")
+        alphabet, obstructions = gb.presentation.alphabet, list(gb.obstructions)
+    else:
+        alphabet, obstructions = request.getfixturevalue("g4_d8_obstructions")
+    for d in range(top + 1):
+        low = enumerate_chains(alphabet, obstructions, level_max, d)
+        high = enumerate_chains(alphabet, obstructions, level_max, d + 2)
+        cut = {k: v for k, v in high.by_level_degree.items() if k[1] <= d}
+        assert bucket_spans(low.by_level_degree) == bucket_spans(cut)
+        assert sorted(low.index) == sorted(k for k in high.index if len(k[1]) <= d)
+
+
+def test_chain_is_frozen_and_equal_by_word_and_level(xyz_ctx):
+    c = xyz_ctx.chains.find(2, (0, 0, 0))
+    with pytest.raises(FrozenInstanceError):
+        c.word = (1, 1, 1)
+    with pytest.raises((AttributeError, TypeError)):
+        c.note = 1  # slotted: no attribute outside the fields
+    twin = Chain(c.word, c.level, 2, 0, None)
+    assert twin == c and hash(twin) == hash(c) and len({twin, c}) == 1
+    assert Chain(c.word, c.level + 1, 1, 1, c) != c

@@ -169,6 +169,30 @@ def test_unit_basis_element_reduces_the_empty_word():
     assert trace == [(0, 1, (), (0,)), (0, 2, (), ())]
 
 
+def leftmost_factor(w, leads):
+    """The first position of w where some lead occurs, with the smallest
+    index of a lead there; found by comparing every lead at every position."""
+    for pos in range(len(w) + 1):
+        hits = [i for i, lead in enumerate(leads) if w[pos:pos + len(lead)] == lead]
+        if hits:
+            return pos, hits[0]
+    return None
+
+
+# Leads of length 0-4 over two letters: lists of them repeat words, hold
+# factors of one another and the empty word.
+FIND_LEADS = st.lists(st.lists(st.integers(0, 1), max_size=4).map(tuple), max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FIND_LEADS, st.lists(st.integers(0, 1), max_size=9).map(tuple))
+@example([(0, 1), (1,), (0, 1), ()], (1, 1, 0, 1))
+@example([(0, 0, 1, 1), (1, 1)], (0, 0, 1))
+def test_reducer_find_is_the_leftmost_factor_of_least_index(leads, w):
+    reducer = Reducer(Rationals(), [Polynomial.monomial(lead, 1) for lead in leads])
+    assert reducer.find(w) == leftmost_factor(w, leads)
+
+
 def test_complete_generic_four_generator_algebra():
     # Hilbert series 1/(1-2t)^2, counted over the words avoiding the
     # obstructions rather than through the automaton.

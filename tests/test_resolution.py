@@ -2,7 +2,9 @@ import hashlib
 import json
 
 import pytest
+from conftest import G4_TEXT, XYZ_TEXT
 from helpers import (
+    all_words,
     assert_context_scalars,
     dense,
     differentials_reference,
@@ -15,13 +17,17 @@ from anick import (
     DegLex,
     FreeElement,
     GroebnerBasis,
+    Polynomial,
+    Reducer,
     ResolutionContext,
     complete,
+    normal_form,
     parse_presentation,
     quadratic_dual,
 )
 from anick.chains import Chain
 from anick.errors import FieldError, SplittingError, TruncationError
+from anick.fields import PrimeField, Rationals
 from anick.reports import slices_payload
 from anick.resolution import resolution_slices, verify_composition
 from anick.words import deglex_desc
@@ -568,3 +574,21 @@ def test_slice_payload_matches_pinned_digest(name, xyz, yxsq_high):
     slices = ResolutionContext(complete(presentation, d), d, d).slices()
     text = json.dumps(slices_payload(presentation.alphabet, slices), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == SLICE_PAYLOADS[name]
+
+
+@pytest.mark.parametrize("text, max_deg", [(XYZ_TEXT, 7), (G4_TEXT, 5)])
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(5)])
+def test_nf_word_is_the_normal_form_of_every_word(text, max_deg, field):
+    # nf_word answers a normal word itself and hands the rest to normal_form;
+    # both must give normal_form's terms, with the same scalar types.
+    pres = parse_presentation(text, field_override=field)
+    gb = complete(pres, max_deg)
+    ctx, reducer = ResolutionContext(gb, 1, max_deg), Reducer(field, gb.elements)
+    words = [w for d in range(max_deg + 1) for w in all_words(pres.alphabet.size, d)]
+    for w in words:
+        want = normal_form(Polynomial.monomial(w, 1, field.p), reducer).terms
+        got = ctx.nf_word(w)
+        assert got == want, w
+        assert [type(a) for a in got.values()] == [type(a) for a in want.values()]
+    # Both kinds of word occur.
+    assert 0 < sum(ctx.nf_word(w) == {w: 1} for w in words) < len(words)

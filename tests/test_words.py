@@ -126,6 +126,13 @@ def test_alphabet_validation():
         Alphabet(("x", "y", "x"))
 
 
+@pytest.mark.parametrize("letters", [5, 2.5, object()])
+def test_alphabet_rejects_letters_that_cannot_be_iterated(letters):
+    # tuple() of these raised a raw TypeError.
+    with pytest.raises(AlgebraError, match="letters must be a sequence of names"):
+        Alphabet(letters)
+
+
 @pytest.mark.parametrize(
     "letters",
     [("x#", "y"), ("1", "x"), ("x*", "y"), ("x>y",), ("x", ""), ("x y",), ("x!y",), ("x", 1), (b"x",)],
