@@ -19,7 +19,7 @@ the first time the tail is looked up; ``enumerate_chains`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .errors import ChainError
 from .words import Alphabet, Word, check_antichain
@@ -153,26 +153,15 @@ def enumerate_chains(
             )
     chain_set = ChainSet(alphabet, obs, level_max, deg_max)
     index, table = chain_set.index, chain_set.extensions
-    # Each tail's continuations as (piece length, obstruction, overlap),
-    # shortest piece first, so a chain stops at the first piece that does
-    # not fit its room below deg_max.  The table keeps its own order, which
-    # numbers the chain graph's nodes.
-    by_piece: dict[Word, list[tuple[int, Word, int]]] = {}
     current = [Chain((x,), 0, 1, 0, None) for x in range(alphabet.size)] if deg_max >= 1 else []
     for level in range(level_max + 1):
-        if level:  # each chain's children are made together
-            parents, current = current, []
-            for c in parents:
-                ext = by_piece.get(c.tail)
-                if ext is None:
-                    ext = by_piece[c.tail] = sorted(
-                        ((len(o) - ov, o, ov) for o, ov in table[c.tail]), key=itemgetter(0)
-                    )
-                room = deg_max - len(c.word)
-                for n, o, ov in ext:
-                    if n > room:
-                        break
-                    current.append(Chain(c.word + o[ov:], level, n, ov, c))
+        if level:  # each chain's children are made together, in the table's order
+            current = [
+                Chain(c.word + o[ov:], level, len(o) - ov, ov, c)
+                for c in current
+                for o, ov in table[c.tail]
+                if len(o) - ov <= deg_max - len(c.word)
+            ]
         for c in current:
             if index.setdefault((level, c.word), c) is not c:
                 raise ChainError(f"word {c.word} has two distinct level-{level} decompositions")

@@ -136,6 +136,13 @@ class Reducer:
         self.lengths = sorted({len(lead) for lead in self.first})
         self.memo.clear()
 
+    def lookup(self, w: Word) -> tuple[int, int] | None:
+        """``find(w)``, searched once per word and kept in ``memo``."""
+        hit = self.memo.get(w, False)
+        if hit is False:
+            hit = self.memo[w] = self.find(w)
+        return hit
+
     def find(self, w: Word) -> tuple[int, int] | None:
         """The leftmost position of w holding a leading word (an empty one
         sits at len(w) in ()), and the smallest basis index among those.
@@ -181,6 +188,7 @@ class Reducer:
                     c %= p
                 if not c:
                     continue
+                # lookup(w), written out: this loop runs once per rewritten word.
                 hit = memo.get(w, False)
                 if hit is False:
                     hit = memo[w] = self.find(w)

@@ -138,17 +138,14 @@ class ResolutionContext:
     def nf_word(self, w: Word) -> dict[Word, object]:
         """The normal form of a word as ``{word: scalar}`` terms, residues
         over Fp.  A word with no leading-word factor is its own normal form;
-        the factor search goes through the reducer's memo, so ``normal_form``
-        finds a reducible word's factor there and does not search again."""
+        ``Reducer.lookup`` keeps the search, so ``normal_form`` does not
+        search a reducible word again."""
         cached = self._nf_cache.get(w)
         if cached is None:
-            reducer = self._reducer
-            if (hit := reducer.memo.get(w, False)) is False:
-                hit = reducer.memo[w] = reducer.find(w)
-            if hit is None:
+            if self._reducer.lookup(w) is None:
                 cached = {w: 1}
             else:
-                cached = normal_form(Polynomial.monomial(w, 1, self.p), reducer).terms
+                cached = normal_form(Polynomial.monomial(w, 1, self.p), self._reducer).terms
             self._nf_cache[w] = cached
         return cached
 
