@@ -1,11 +1,11 @@
 """Deterministic automaton recognizing obstruction-free (normal) words.
 
 States are the proper prefixes of the obstruction words, Aho-Corasick
-style; reading a letter moves to the longest suffix of the extended word
-that is again such a prefix, and dies as soon as a full obstruction
-appears.  Path counting along the automaton gives exact dimension counts
-for the quotient algebra, degree by degree, up to the validity degree of
-the obstruction set.
+style, and state 0, the start, is the empty word; reading a letter moves
+to the longest suffix of the extended word that is again such a prefix,
+and dies as soon as a full obstruction appears.  Path counting along the
+automaton gives exact dimension counts for the quotient algebra, degree by
+degree, up to the validity degree of the obstruction set.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class NormalWordAutomaton:
     state_words: list[Word]
     transitions: list[list[int | None]]
     valid_degree: int | None  # None means valid at every degree
-    start: int = 0
 
     @property
     def size(self) -> int:
@@ -44,7 +43,7 @@ class NormalWordAutomaton:
         self._check_degree(max_degree)
         if max_degree < 0:
             return []
-        counts = {self.start: 1}
+        counts = {0: 1}
         out = [1]
         for _ in range(max_degree):
             nxt: dict[int, int] = {}
@@ -66,7 +65,7 @@ class NormalWordAutomaton:
         self._check_degree(degree)
         if degree < 0:
             return []
-        frontier: list[tuple[Word, int]] = [((), self.start)]
+        frontier: list[tuple[Word, int]] = [((), 0)]
         for _ in range(degree):
             nxt = []
             for w, state in frontier:
@@ -116,12 +115,6 @@ class FiniteDimVerdict:
     top_degree: int | None
     conditional: bool
 
-    def __str__(self) -> str:
-        tag = " (conditional)" if self.conditional else ""
-        if self.finite:
-            return f"finite, top degree {self.top_degree}{tag}"
-        return f"infinite{tag}"
-
 
 def is_finite_dimensional(aut: NormalWordAutomaton) -> FiniteDimVerdict:
     """Finite iff no word as long as the number of states is accepted.
@@ -135,7 +128,7 @@ def is_finite_dimensional(aut: NormalWordAutomaton) -> FiniteDimVerdict:
     set that steps to itself stays nonempty forever, so the walk stops.
     """
     conditional = aut.valid_degree is not None
-    reached = {aut.start}
+    reached = {0}
     top = 0
     while reached and top < aut.size:
         nxt = {t for s in reached for t in aut.transitions[s] if t is not None}

@@ -46,19 +46,13 @@ class Chain:
         return len(self.word)
 
     @property
-    def last_occurrence(self) -> tuple[int, int] | None:
-        """Position of the final obstruction occurrence, levels >= 1."""
-        if self.level == 0:
-            return None
-        return (len(self.word) - self.tail_len - self.overlap_len, len(self.word))
-
-    @property
     def decomposition(self) -> tuple[tuple[int, int], ...]:
         """Obstruction occurrences certifying the chain, left to right."""
         spans: list[tuple[int, int]] = []
         node: Chain | None = self
         while node is not None and node.level >= 1:
-            spans.append(node.last_occurrence)
+            end = len(node.word)
+            spans.append((end - node.tail_len - node.overlap_len, end))
             node = node.prefix
         return tuple(reversed(spans))
 

@@ -104,9 +104,6 @@ class Pipeline:
             )
         return gb
 
-    def context(self, level_max: int) -> ResolutionContext:
-        return ResolutionContext(self.gb, level_max, self.max_deg)
-
     @cached_property
     def betti_presentation(self) -> Presentation:
         """The presentation under the precedence the Betti data is
@@ -212,7 +209,9 @@ def _graph(run: Pipeline) -> dict | str:
 PAYLOADS = {
     "gb": lambda run: gb_payload(run.gb),
     "chains": _chains,
-    "resolution": lambda run: slices_payload(run.alphabet, run.context(run.max_level).slices()),
+    "resolution": lambda run: slices_payload(
+        run.alphabet, ResolutionContext(run.gb, run.max_level, run.max_deg).slices()
+    ),
     "betti": lambda run: betti_payload(_betti_table(run)),
     "koszul": _koszul,
     "dual": lambda run: dual_payload(quadratic_dual(run.presentation)),

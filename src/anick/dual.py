@@ -58,14 +58,10 @@ class GldimReport:
     checked_degree: int
 
     @property
-    def dual_top_degree(self) -> int | None:
-        return self.dual_verdict.top_degree if self.dual_verdict.finite else None
-
-    @property
     def gldim(self) -> int | None:
         """Concluded global dimension, conditional on Koszulness beyond
         the checked degree.  None when no conclusion is possible."""
-        return self.dual_top_degree if self.koszul.is_koszul else None
+        return self.dual_verdict.top_degree if self.koszul.is_koszul else None
 
     @property
     def conjecture_counterexample(self) -> bool:

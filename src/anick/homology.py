@@ -108,7 +108,7 @@ class KoszulVerdict:
 
 def koszul_verdict(table: BettiTable, max_degree: int) -> KoszulVerdict:
     """Diagonal check over all reliable entries with internal degree <= D."""
-    if table.j_max < max_degree or table.i_max < max_degree:
+    if not 0 <= max_degree <= min(table.i_max, table.j_max):
         raise CoverageError(
             f"table covers ({table.i_max}, {table.j_max}) but degree "
             f"{max_degree} was requested"

@@ -62,9 +62,9 @@ def _cancel(vec: dict, pivot: dict, col, p: int) -> dict:
     return vec
 
 
-def _pivots(rows: Iterable, field: Field) -> tuple[dict, int]:
+def _pivots(rows: Iterable, field: Field) -> dict:
     """The forward pass over rows of ``(column, scalar)`` pairs: pivot rows
-    keyed by their leading (smallest) column, and p (0 for Q).
+    keyed by their leading (smallest) column.
 
     Each row is reduced by its leading column until it vanishes or starts
     a new pivot row, which is kept monic (mod p) or primitive with a
@@ -87,14 +87,14 @@ def _pivots(rows: Iterable, field: Field) -> tuple[dict, int]:
                 d = gcd(*vec.values()) * (1 if vec[lead] > 0 else -1)
                 pivots[lead] = {c: v // d for c, v in vec.items()}
             break
-    return pivots, p
+    return pivots
 
 
 def _reduced(rows: Iterable[dict], field: Field) -> list[tuple]:
     """``echelon``'s rows as ``(leading column, integer row)`` pairs, each
     row primitive with a positive lead (over Z) or monic (mod p): the
     forward pass back-substituted from the last pivot row up."""
-    pivots, p = _pivots((row.items() for row in rows), field)
+    pivots, p = _pivots((row.items() for row in rows), field), field.p
     cols = sorted(pivots)
     for c in reversed(cols):
         for k in [k for k in pivots[c] if k != c and k in pivots]:
@@ -130,7 +130,7 @@ def rank(rows: list[list], field: Field) -> int:
     size and fill from them; they become sparse once it counts those from
     the chains instead.
     """
-    return len(_pivots(map(_last_first, rows), field)[0])
+    return len(_pivots(map(_last_first, rows), field))
 
 
 def nullspace(rows: list[dict], ncols: int, field: Field) -> list[dict]:

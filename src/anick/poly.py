@@ -11,11 +11,14 @@ residues in 1..p-1, over Q (p = 0) ``int`` or ``Fraction`` values.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import AlgebraError, FieldError
 from .fields import Rationals
 from .words import EMPTY, Alphabet, Word, deglex_desc
+
+_RATIONAL = frozenset((int, Fraction))  # the exact scalar types over Q
 
 
 class LinComb:
@@ -25,8 +28,8 @@ class LinComb:
     Polynomials (keyed by words) and free-module elements (keyed by chain
     and normal word) share this arithmetic.  Results are new values of the
     caller's kind; zero coefficients never survive an operation.  Combining
-    two moduli, or a coefficient over Fp that is not an ``int``, raises
-    ``FieldError``.
+    two moduli, a coefficient over Fp that is not an ``int``, or one over Q
+    that is not exactly an ``int`` or a ``Fraction``, raises ``FieldError``.
     """
 
     __slots__ = ("terms", "p")
@@ -37,6 +40,8 @@ class LinComb:
                 raise FieldError(f"a coefficient mod {p} is no int residue")
             self.terms = {k: r for k, c in terms.items() if (r := c % p)}
         else:
+            if not _RATIONAL.issuperset(map(type, terms.values())):
+                raise FieldError("a coefficient over Q is neither an int nor a Fraction")
             self.terms = {k: c for k, c in terms.items() if c}
         self.p = p
 
@@ -65,8 +70,8 @@ class LinComb:
         return not self.terms
 
     def add_scaled(self, other: "LinComb", c):
-        """``self + c * other`` in one pass over ``other``, and over Fp one
-        more to reduce the sums."""
+        """``self + c * other`` in one pass over ``other``, and one more
+        through the constructor over Fp, or over Q for a c of another type."""
         p = self._modulus(other)
         if not (c % p if p else c):
             return self
@@ -78,7 +83,7 @@ class LinComb:
                 out[k] = s
             else:
                 del out[k]
-        return type(self)(out, p) if p else self._like(out)
+        return self._like(out) if not p and type(c) in _RATIONAL else type(self)(out, p)
 
     def __add__(self, other):
         return self.add_scaled(other, 1)

@@ -237,7 +237,7 @@ def gldim_payload(report: GldimReport) -> dict[str, Any]:
         "dim_A1": report.dim_degree_one,
         "conjecture_counterexample": report.conjecture_counterexample,
         "koszul": str(report.koszul),
-        "dual_top_degree": report.dual_top_degree,
+        "dual_top_degree": report.dual_verdict.top_degree,
         "dual_certificate": str(report.dual_certificate),
         "dual_finite": report.dual_verdict.finite,
         "dual_hilbert": report.dual_hilbert,

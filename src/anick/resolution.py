@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .automaton import NormalWordAutomaton, normal_word_automaton
 from .chains import Chain, ChainSet, enumerate_chains
-from .errors import FieldError, SplittingError, TruncationError
+from .errors import CoverageError, FieldError, SplittingError, TruncationError
 from .groebner import GroebnerBasis, Presentation, Reducer, complete, normal_form
 from .poly import LinComb, Polynomial
 from .words import EMPTY, Word
@@ -82,7 +82,9 @@ class ResolutionContext:
     """
 
     def __init__(self, gb: GroebnerBasis, level_max: int, deg_max: int):
-        if not gb.covers_degree(deg_max):
+        if level_max < 0 or deg_max < 0:
+            raise CoverageError(f"context bounds must be >= 0, got ({level_max}, {deg_max})")
+        if gb.valid_degree is not None and deg_max > gb.valid_degree:
             raise TruncationError(
                 f"basis valid through degree {gb.valid_degree} cannot support "
                 f"resolution data up to degree {deg_max}"
@@ -117,7 +119,7 @@ class ResolutionContext:
         self._children: dict[int, list[tuple[Word, int, int]]] = {}
         for i, c in enumerate(chains[1:], 1):
             self._children.setdefault(self._prefix[i], []).append((c.tail, c.tail_len, i))
-        self._diff: list[dict | None] = [None] * len(chains)  # filled lazily
+        self._diff: dict[int, dict] = {}  # filled lazily; a negative id misses
 
     def _outside(self, what: str) -> TruncationError:
         bounds = f"levels <= {self.level_max}, degrees <= {self.deg_max}"
@@ -128,12 +130,6 @@ class ResolutionContext:
         if (i := self._id.get((c.level, c.word))) is None:
             raise self._outside(repr(c))
         return i
-
-    def _element(self, terms: dict) -> FreeElement:
-        """The public element over id-keyed terms that hold no zero."""
-        chains, out = self._chains, object.__new__(FreeElement)
-        out.terms, out.p = {(chains[i], w): a for (i, w), a in terms.items()}, self.p
-        return out
 
     def nf_word(self, w: Word) -> dict[Word, object]:
         """The normal form of a word as ``{word: scalar}`` terms, residues
@@ -234,18 +230,23 @@ class ResolutionContext:
             # A pair left over has an empty cofactor or one that is not a
             # normal word, so xi is not in the image of the differential.
             raise SplittingError(f"level-{level} split left {len(work)} terms uncancelled")
-        return self._element(emitted) if public else emitted
+        if not public:
+            return emitted
+        return FreeElement({(self._chains[i], w): a for (i, w), a in emitted.items()}, p)
 
     def differential(self, c: Chain | int) -> FreeElement | dict:
         """d(c (x) 1) as an element one level down; a letter x maps to
         1 (x) x over the (-1)-chain.  A ``Chain`` gives a ``FreeElement``;
         inside the context, a chain id gives the cached dict keyed by
-        ``(chain id, word)``.  A chain out of range raises ``TruncationError``."""
+        ``(chain id, word)``.  A chain or an id out of range raises
+        ``TruncationError``, and the (-1)-chain's id 0 ``SplittingError``."""
         i = c if type(c) is int else self._id_of(c)
-        out = self._diff[i]
+        out = self._diff.get(i)
         if out is None:
-            if not i:
-                raise SplittingError("the (-1)-chain has no differential")
+            if not 0 < i < len(self._word):
+                if not i:
+                    raise SplittingError("the (-1)-chain has no differential")
+                raise self._outside(f"chain id {i}")
             prefix, tail, p = self._prefix[i], self._tail[i], self.p
             out = {(prefix, tail): 1}
             if level := self._level[i]:
@@ -255,7 +256,9 @@ class ResolutionContext:
                 for k, a in self.split(level - 1, xi).items():
                     out[k] = -a % p if p else -a
             self._diff[i] = out
-        return out if type(c) is int else self._element(out)
+        if type(c) is int:
+            return out
+        return FreeElement({(self._chains[i], w): a for (i, w), a in out.items()}, self.p)
 
     def _pair_ids(self, level: int, degree: int) -> tuple[tuple[int, Word], ...]:
         """``pair_basis`` as (chain id, word) pairs, built once per context."""

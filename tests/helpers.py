@@ -625,7 +625,7 @@ def path_counts(graph, level_max: int, deg_max: int) -> dict[int, int]:
 
 def accepts(automaton, w: Word) -> bool:
     """Whether the normal-word automaton reads w without dying."""
-    state = automaton.start
+    state = 0  # the empty word
     for letter in w:
         state = automaton.transitions[state][letter]
         if state is None:
@@ -636,10 +636,10 @@ def accepts(automaton, w: Word) -> bool:
 def finite_dimensional_reference(aut) -> tuple[bool, int | None]:
     """Whether the automaton's language is finite, and its longest word's
     length, by an iterative depth-first search for a cycle among the
-    states reachable from the start."""
+    states reachable from the start, state 0."""
     longest: dict[int, int] = {}
-    on_path = {aut.start}
-    stack = [(aut.start, iter(aut.transitions[aut.start]))]
+    on_path = {0}
+    stack = [(0, iter(aut.transitions[0]))]
     while stack:
         s, edges = stack[-1]
         for t in edges:
@@ -656,4 +656,4 @@ def finite_dimensional_reference(aut) -> tuple[bool, int | None]:
             longest[s] = max(
                 (1 + longest[t] for t in aut.transitions[s] if t is not None), default=0
             )
-    return True, longest[aut.start]
+    return True, longest[0]

@@ -188,7 +188,7 @@ def test_criterion_5_betti_table(xyz, xyz_ctx):
 def test_criterion_6_global_dimension(xyz):
     with criterion(6, "global dimension four, conjecture comparison"):
         report = gldim_report(xyz, 8)
-        assert report.dual_top_degree == 4
+        assert report.dual_verdict.top_degree == 4
         assert report.dual_certificate.complete
         assert not report.dual_verdict.conditional
         assert report.gldim == 4

@@ -190,6 +190,13 @@ def test_koszul_verdict_needs_coverage(xyz, xyz_ctx):
         koszul_verdict(table, 8)
 
 
+def test_koszul_verdict_rejects_a_negative_degree(xyz, xyz_ctx):
+    # It was answered koszul-up-to(-1).
+    table = betti_table(xyz, 5, 8, ctx=xyz_ctx)
+    with pytest.raises(CoverageError):
+        koszul_verdict(table, -1)
+
+
 def test_quadratic_dual_of_main_fixture(xyz):
     dual = quadratic_dual(xyz)
     assert dual.alphabet.letters == ("x!", "y!", "z!")
@@ -275,7 +282,7 @@ def test_koszul_diagonal_equals_dual_hilbert(xyz, xyz_ctx, yxsq_low):
 def test_gldim_report_main_fixture(xyz):
     report = gldim_report(xyz, 8)
     assert report.gldim == 4
-    assert report.dual_top_degree == 4
+    assert report.dual_verdict.top_degree == 4
     assert report.dual_certificate.complete
     assert not report.dual_verdict.conditional
     assert report.dim_degree_one == 3

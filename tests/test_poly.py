@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,7 @@ def test_render_poly(alpha):
     assert render_poly(alpha, Polynomial.zero()) == "0"
     half = Polynomial({alpha.word("xy"): Fraction(1, 2)})
     assert render_poly(alpha, half) == "1/2*x*y"
+    assert render_poly(alpha, Polynomial({(): 3, (0,): -1})) == "-x + 3"
 
 
 def test_prime_field_arithmetic(alpha):
@@ -192,3 +194,17 @@ def test_a_prime_field_combination_holds_only_int_residues(alpha):
     ):
         with pytest.raises(FieldError, match="no int residue"):
             make()
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, Decimal("0.5"), 1 + 0j, True])
+def test_a_rational_combination_holds_only_ints_and_fractions(alpha, c):
+    # Such a coefficient was kept over Q, and completion then failed in
+    # linalg with a raw AttributeError; a bool passed as 1.
+    xy, yx = alpha.word("xy"), alpha.word("yx")
+    makes = [lambda: Polynomial({xy: c, yx: 1}), lambda: FreeElement({(0, xy): c})]
+    if c is not True:  # True times an int is an exact int
+        makes += [lambda: Polynomial({xy: 1}).add_scaled(Polynomial({yx: 1}), c)]
+    for make in makes:
+        with pytest.raises(FieldError, match="neither an int nor a Fraction"):
+            make()
+    assert Polynomial({xy: Fraction(1, 2), yx: -1}).terms == {xy: Fraction(1, 2), yx: -1}

@@ -97,3 +97,8 @@ def test_render_json_matches_json_dumps_on_a_resolution_report(capsys, monkeypat
     (report,) = rendered
     assert report["payload"]["slices"]
     assert out == json.dumps(report, indent=2) + "\n"
+
+
+def test_render_text_writes_a_scalar_in_a_mixed_list_on_its_own_line():
+    report = {"command": "t", "config": {}, "payload": {"a": [1, {"b": 2}]}}
+    assert reports.render_text(report) == "command: t\n\na:\n  1\n\n  b: 2\n"

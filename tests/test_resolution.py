@@ -26,7 +26,7 @@ from anick import (
     quadratic_dual,
 )
 from anick.chains import Chain
-from anick.errors import FieldError, SplittingError, TruncationError
+from anick.errors import CoverageError, FieldError, SplittingError, TruncationError
 from anick.fields import PrimeField, Rationals
 from anick.reports import slices_payload
 from anick.resolution import resolution_slices, verify_composition
@@ -288,8 +288,19 @@ def test_a_chain_outside_the_context_raises_truncation_error(xyz, method):
 
 
 def test_the_unit_chain_has_no_differential(xyz_ctx):
-    with pytest.raises(SplittingError, match="the \\(-1\\)-chain has no differential"):
-        xyz_ctx.differential(xyz_ctx.unit)
+    for unit in (xyz_ctx.unit, 0):
+        with pytest.raises(SplittingError, match="the \\(-1\\)-chain has no differential"):
+            xyz_ctx.differential(unit)
+
+
+@pytest.mark.parametrize("i", [-1, 60, 10**6])
+def test_a_chain_id_outside_the_context_raises_truncation_error(xyz, i):
+    # The ids of xyz at D=6 run from 0 to 59.  Id -1 was answered with id
+    # 59's cached differential, and 60 and 10**6 raised a raw IndexError.
+    ctx = ResolutionContext(complete(xyz, 6), 6, 6)
+    assert ctx.differential(59)
+    with pytest.raises(TruncationError, match=f"chain id {i} is outside"):
+        ctx.differential(i)
 
 
 @pytest.mark.parametrize(
@@ -455,6 +466,13 @@ def test_context_rejects_uncovered_degree(xyz):
     gb = complete(xyz, 4)
     with pytest.raises(TruncationError):
         ResolutionContext(gb, level_max=2, deg_max=6)
+
+
+@pytest.mark.parametrize("level_max, deg_max", [(-1, 4), (2, -1)])
+def test_context_rejects_negative_bounds(xyz, level_max, deg_max):
+    # Both built an empty context.
+    with pytest.raises(CoverageError, match="must be >= 0"):
+        ResolutionContext(complete(xyz, 4), level_max, deg_max)
 
 
 def test_differentials_preserve_internal_degree(xyz_ctx):

@@ -86,6 +86,9 @@ def test_overlaps_examples(xyz_alpha):
     assert overlaps(xz, zy) == [1]
     assert overlaps(zy, xz) == []
     assert overlaps(xx, xx) == [1]
+    for u, w in [((), xx), (xx, ())]:
+        with pytest.raises(AlgebraError, match="empty words"):
+            overlaps(u, w)
 
 
 def test_overlaps_long_words():
