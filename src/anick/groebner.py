@@ -9,6 +9,7 @@ downgrades the completeness certificate instead.
 Rewriting is fraction-free: a ``Reducer`` holds each basis element as an
 integer row and reduces integer (over Fp, residue) coefficients, and only
 ``normal_form`` divides back into the field; ``complete`` never does.
+Inside both, a word is a ``str`` of code points; outside, it is a tuple.
 """
 
 from __future__ import annotations
@@ -63,14 +64,6 @@ class Certificate:
     complete: bool
     degree: int | None = None
 
-    @classmethod
-    def certified(cls) -> "Certificate":
-        return cls(True, None)
-
-    @classmethod
-    def up_to(cls, degree: int) -> "Certificate":
-        return cls(False, degree)
-
     def __str__(self) -> str:
         if self.complete:
             return "certified-complete"
@@ -97,35 +90,53 @@ class GroebnerBasis:
         return None if self.certificate.complete else self.truncation_degree
 
 
+def _code(w: Word) -> str:
+    """w as a string of code points; a letter that is no code point raises ``AlgebraError``."""
+    try:
+        return bytes(w).decode("latin-1")
+    except ValueError:  # a letter of 256 or more
+        if all(0 <= i <= 0x10FFFF for i in w):
+            return "".join(map(chr, w))
+    raise AlgebraError(f"word {w} has a letter outside 0..0x10FFFF")
+
+
+def _word(s: str) -> Word:
+    try:
+        return tuple(s.encode("latin-1"))
+    except UnicodeEncodeError:  # a letter of 256 or more
+        return tuple(map(ord, s))
+
+
 class Reducer:
     """Monic basis elements as integer rows (over Q the primitive multiple
     with a positive lead, over Fp the residues with lead 1), and the one
     rewriting loop.  ``memo`` maps each word looked up to its reducer;
     adding rows clears it, since a new leading word may divide a seen word.
     A polynomial of another modulus than the field's raises ``FieldError``.
+    ``rows``, ``first``, ``memo`` and ``reduce``'s remainders hold ``_code`` strings.
     """
 
     def __init__(self, field: Field, basis: Iterable[Polynomial] = ()):
         self.field, self.p = field, field.p
-        self.rows: list[tuple[Word, int, dict[Word, int]]] = []  # (lead, lc, tail)
-        self.first: dict[Word, int] = {}
-        self.memo: dict[Word, tuple[int, int] | None] = {}
+        self.rows: list[tuple[str, int, dict[str, int]]] = []  # (lead, lc, tail)
+        self.first: dict[str, int] = {}
+        self.memo: dict[str, tuple[int, int] | None] = {}
         self.extend(basis)
 
     def extend(self, basis: Iterable[Polynomial]) -> None:
-        basis = [self._own(g) for g in basis]
-        if any(g.is_zero or g.lead_coeff() != 1 for g in basis):
+        rows = [(g, self._int_row(g)[0]) for g in basis]
+        if any(g.is_zero or g.lead_coeff() != 1 for g, _ in rows):
             raise AlgebraError("normal_form requires monic basis elements")
         # A monic row scaled by the lcm of its denominators is primitive.
-        self._add_rows((g.lead_word(), linalg._int_row(g.terms.items(), self.p)[0]) for g in basis)
+        self._add_rows((_code(g.lead_word()), row) for g, row in rows)
 
-    def _own(self, poly: Polynomial) -> Polynomial:
-        """poly, which must be over the reducer's field."""
+    def _int_row(self, poly: Polynomial) -> tuple[dict[str, int], int]:
+        """``linalg._int_row`` of poly, which must be over the reducer's field."""
         if poly.p != self.p:
             raise FieldError(f"a polynomial mod {poly.p} in a reducer over {self.field.name}")
-        return poly
+        return linalg._int_row(((_code(w), c) for w, c in poly.terms.items()), self.p)
 
-    def _add_rows(self, rows: Iterable[tuple[Word, dict[Word, int]]]) -> None:
+    def _add_rows(self, rows: Iterable[tuple[str, dict[str, int]]]) -> None:
         """Add primitive (over Fp, monic) integer rows as ``(lead, row)``."""
         for lead, row in rows:
             self.first.setdefault(lead, len(self.rows))
@@ -133,17 +144,16 @@ class Reducer:
         self.lengths = sorted({len(lead) for lead in self.first})
         self.memo.clear()
 
-    def lookup(self, w: Word) -> tuple[int, int] | None:
-        """``find(w)``, searched once per word and kept in ``memo``."""
-        hit = self.memo.get(w, False)
-        if hit is False:
-            hit = self.memo[w] = self.find(w)
+    def find(self, w: Word) -> tuple[int, int] | None:
+        """The leftmost position of w holding a leading word (an empty one sits
+        at len(w) in ()) and the least basis index there, kept in ``memo``."""
+        s = _code(w)
+        if (hit := self.memo.get(s, False)) is False:
+            hit = self.memo[s] = self._find(s)
         return hit
 
-    def find(self, w: Word) -> tuple[int, int] | None:
-        """The leftmost position of w holding a leading word (an empty one
-        sits at len(w) in ()), and the smallest basis index among those.
-        A position tries only the lead lengths that end inside w."""
+    def _find(self, w: str) -> tuple[int, int] | None:
+        """``find`` of a ``_code`` string, unmemoized; it tries only leads that end in w."""
         first, miss, end = self.first, len(self.rows), len(w)
         for pos in range(end + 1):
             gi = miss
@@ -166,16 +176,16 @@ class Reducer:
         gcd(c, lc)``; over Fp m = 1, and coefficients are reduced mod p
         when popped.  ``trace`` gets the steps as ``normal_form`` does.
         Words wait in a dict beside lazy heaps of plain words, one per
-        length and longest first (in one length ascending tuples descend in
+        length and longest first (in one length ascending strings descend in
         deglex); a step adds words below, so no longer than, the one it
         rewrites, and a popped word missing from the dict has cancelled.
         """
         p, rows, memo = self.p, self.rows, self.memo
-        pending, scale = linalg._int_row(self._own(poly).terms.items(), p)
-        heaps: dict[int, list[Word]] = {}
+        pending, scale = self._int_row(poly)
+        heaps: dict[int, list[str]] = {}
         for w in sorted(pending):
             heaps.setdefault(len(w), []).append(w)
-        done: dict[Word, int] = {}
+        done: dict[str, int] = {}
         while heaps:
             heap = heaps.pop(n := max(heaps))
             while heap:
@@ -185,10 +195,10 @@ class Reducer:
                     c %= p
                 if not c:
                     continue
-                # lookup(w), written out: calling it cost gb-g4 45.5 -> 46.5 ms (CPython 3.11).
+                # find(w), written out: calling it cost gb-g4 45.5 -> 46.5 ms (CPython 3.11).
                 hit = memo.get(w, False)
                 if hit is False:
-                    hit = memo[w] = self.find(w)
+                    hit = memo[w] = self._find(w)
                 if hit is None:
                     done[w] = c
                     continue
@@ -196,7 +206,7 @@ class Reducer:
                 lead, lc, tail = rows[gi]
                 left, right = w[:pos], w[pos + len(lead):]
                 if trace is not None:
-                    trace.append((gi, self.field.of(c, scale), left, right))
+                    trace.append((gi, self.field.of(c, scale), _word(left), _word(right)))
                 if lc != 1:
                     m = lc // gcd(c, lc)
                     c, scale = c * m // lc, scale * m
@@ -234,7 +244,7 @@ def normal_form(
     field by their multiplier.
     """
     done, scale = reducer.reduce(p, trace)
-    return Polynomial({w: reducer.field.of(c, scale) for w, c in done.items()}, reducer.p)
+    return Polynomial({_word(w): reducer.field.of(c, scale) for w, c in done.items()}, reducer.p)
 
 
 def s_polynomial(g: Polynomial, h: Polynomial, overlap_len: int) -> Polynomial:
@@ -279,7 +289,7 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
     # overlap word is longer than both leading words.
     pairs: dict[int, list[tuple[int, int, int]]] = {}
     basis: list[Polynomial] = []
-    field = presentation.field
+    field, p = presentation.field, presentation.field.p
     reducer = Reducer(field)
     # Degrees with nothing to reduce are skipped, so a bound far above a
     # finite basis costs nothing.
@@ -288,15 +298,15 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
         if d > max_deg:
             break
         s_polys = (s_polynomial(basis[i], basis[j], l) for i, j, l in pairs.pop(d, ()))
-        # The words of one degree are the columns: as tuples they ascend
+        # The words of one degree are the columns: as strings they ascend
         # in descending deglex order, so a row's smallest column is its
         # leading word.  The basis grows only after echelon has drawn
         # every remainder, undivided: an integer multiple has the same
         # pivot rows.  The reducer takes those integer rows as they are.
-        remainders = (reducer.reduce(p)[0] for p in chain(relations.pop(d, ()), s_polys))
+        remainders = (reducer.reduce(f)[0] for f in chain(relations.pop(d, ()), s_polys))
         start, rows = len(basis), linalg._reduced(remainders, field)[::-1]
         for lead, row in rows:
-            basis.append(Polynomial({w: field.of(c, row[lead]) for w, c in row.items()}, field.p))
+            basis.append(Polynomial({_word(w): field.of(c, row[lead]) for w, c in row.items()}, p))
         reducer._add_rows(rows)
         # Pairing each new element with those before it only lists every
         # pair once.
@@ -310,5 +320,5 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
                     for l in overlaps(w, u):
                         pairs.setdefault(len(u) + len(w) - l, []).append((j, new, l))
     # What is left are pairs above max_deg.
-    certificate = Certificate.up_to(max_deg) if pairs else Certificate.certified()
+    certificate = Certificate(not pairs, max_deg if pairs else None)
     return GroebnerBasis(presentation, tuple(basis), max_deg, certificate)

@@ -29,9 +29,9 @@ and per-id tables give each chain's word, level, tail and prefix id.
 Each id's children, as (tail, its length, id), are grouped once under
 their prefix ids; the unit's children are the letters.  Only the public
 methods (``differential``, ``split``, ``act_right``, ``pair_basis``,
-``slice``) take or return pairs keyed by ``Chain``; a chain is looked up
-by level and word.  A chain, or a ``slice`` or ``pair_basis`` level or
-degree, outside the context's bounds raises ``TruncationError``.
+``slice``) take or return pairs keyed by ``Chain``, found by level and word.
+A chain, or a ``slice`` or ``pair_basis`` level or degree, outside the
+context's bounds raises ``TruncationError``; a wrong type, ``TypeError``.
 
 Over Fp the context computes on plain ``int`` residues in 1..p-1 and
 stores no zero, reducing mod p where it sums; over Q (``p == 0``)
@@ -113,12 +113,15 @@ class ResolutionContext:
         self._chains = chains = [self.unit, *self.chains.index.values()]
         self._id = dict(zip([(-1, EMPTY), *self.chains.index], range(len(chains))))
         self._word, self._level, self._tail = zip(*((c.word, c.level, c.tail) for c in chains))
+        self._neg = tuple(-len(w) for w in self._word)  # the split heap's tie-break
         # A letter's prefix is the unit, and its tail is the letter.
         self._prefix = [self._id.get((c.level - 1, c.word[: -c.tail_len]), 0) for c in chains]
         # Id -> the chains one level up that extend it, as (tail, its length, id).
         self._children: dict[int, list[tuple[Word, int, int]]] = {}
+        self._at: dict[int, dict[int, Word]] = {-1: {0: EMPTY}}  # level -> id -> word
         for i, c in enumerate(chains[1:], 1):
             self._children.setdefault(self._prefix[i], []).append((c.tail, c.tail_len, i))
+            self._at.setdefault(c.level, {})[i] = c.word
         self._diff: dict[int, dict] = {}  # filled lazily; a negative id misses
 
     def _outside(self, what: str) -> TruncationError:
@@ -127,6 +130,8 @@ class ResolutionContext:
 
     def _id_of(self, c: Chain) -> int:
         """The id of the chain equal to c, found by level and word."""
+        if not isinstance(c, Chain):
+            raise TypeError(f"expected a Chain or an int chain id, got {type(c).__name__}")
         if (i := self._id.get((c.level, c.word))) is None:
             raise self._outside(repr(c))
         return i
@@ -134,11 +139,11 @@ class ResolutionContext:
     def nf_word(self, w: Word) -> dict[Word, object]:
         """The normal form of a word as ``{word: scalar}`` terms, residues
         over Fp.  A word with no leading-word factor is its own normal form;
-        ``Reducer.lookup`` keeps the search, so ``normal_form`` does not
+        ``Reducer.find`` keeps the search, so ``normal_form`` does not
         search a reducible word again."""
         cached = self._nf_cache.get(w)
         if cached is None:
-            if self._reducer.lookup(w) is None:
+            if self._reducer.find(w) is None:
                 cached = {w: 1}
             else:
                 cached = normal_form(Polynomial.monomial(w, 1, self.p), self._reducer).terms
@@ -156,6 +161,8 @@ class ResolutionContext:
 
     def _own(self, elem: FreeElement) -> dict:
         """elem's terms; elem must be over the context's field."""
+        if not isinstance(elem, FreeElement):
+            raise TypeError(f"expected a FreeElement, got {type(elem).__name__}")
         if elem.p != self.p:
             raise FieldError(f"an element mod {elem.p} in a context over {self.field.name}")
         return elem.terms
@@ -178,9 +185,9 @@ class ResolutionContext:
         A pair with an empty cofactor is never split, since no chain
         extension fits it; it must cancel.  A term at another level, or one
         that does not cancel, raises ``SplittingError``; a chain outside the
-        context's bounds raises ``TruncationError``.
+        context's bounds, or an id that names none, ``TruncationError``.
         """
-        p, words, children = self.p, self._word, self._children
+        p, at, neg, children = self.p, self._at.get(level - 1, {}), self._neg, self._children
         if public := isinstance(xi, FreeElement):
             terms = {}
             for (c, w), a in self._own(xi).items():
@@ -191,10 +198,13 @@ class ResolutionContext:
                 terms[self._id_of(c), w] = a
             xi = terms
         work = {k: r for k, a in xi.items() if (r := a % p if p else a)}
-        # Products in one split share a length, so the word itself orders
-        # them in deglex; the longer chain comes first on a tie.  No tail
-        # fits an empty cofactor, so such a pair stays off the heap.
-        heap = [(words[i] + w, -len(words[i]), (i, w)) for i, w in work if w]
+        # Products in one split share a length, so the word itself orders them
+        # in deglex, the longer chain first on a tie.  A pair with an empty
+        # cofactor fits no tail and stays off the heap, unless at lacks its id.
+        try:  # at[i] raises for an id that names no chain one level down
+            heap = [(at[i] + w, neg[i], (i, w)) for i, w in work if w or i not in at]
+        except KeyError as e:
+            raise self._outside(f"chain id {e.args[0]} at level {level - 1}") from None
         heapq.heapify(heap)
         emitted: dict[tuple[int, Word], object] = {}
         while heap:
@@ -209,7 +219,7 @@ class ResolutionContext:
             else:
                 raise SplittingError(
                     f"no level-{level} chain prefix for product word "
-                    f"{words[i] + w0}; the basis data is incomplete or invalid"
+                    f"{at[i] + w0}; the basis data is incomplete or invalid"
                 )
             leftover = w0[n:]
             emitted[hat, leftover] = coeff
@@ -223,7 +233,7 @@ class ResolutionContext:
                 if s := (prev - coeff * a) % p if p else prev - coeff * a:
                     work[k] = s
                     if not prev and k[1]:
-                        heapq.heappush(heap, (words[k[0]] + k[1], -len(words[k[0]]), k))
+                        heapq.heappush(heap, (at[k[0]] + k[1], neg[k[0]], k))
                 elif prev:
                     del work[k]
         if work:
@@ -266,7 +276,7 @@ class ResolutionContext:
         if cached is None:
             if not (-1 <= level <= self.level_max and 0 <= degree <= self.deg_max):
                 raise self._outside(f"level {level}, degree {degree}")
-            accepted, words = self.automaton.accepted_words, self._word
+            accepted, words, neg = self.automaton.accepted_words, self._word, self._neg
             if level == -1:
                 out = [(0, w) for w in accepted(degree)]
             else:
@@ -277,7 +287,7 @@ class ResolutionContext:
                         out += [(i, w) for i in map(ids, at) for w in cofactors]
                 # The split heap's key, reversed: ascending in the order in
                 # which the heap pops the greatest pair first.
-                out.sort(key=lambda k: (words[k[0]] + k[1], -len(words[k[0]])), reverse=True)
+                out.sort(key=lambda k: (words[k[0]] + k[1], neg[k[0]]), reverse=True)
             cached = self._basis_cache[level, degree] = tuple(out)
         return cached
 

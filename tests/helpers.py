@@ -514,7 +514,7 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
         if not reduced.is_zero:
             add_element(reduced.monic())
 
-    certificate = Certificate.certified() if not overflow else Certificate.up_to(max_deg)
+    certificate = Certificate(not overflow, max_deg if overflow else None)
     elements = tuple(sorted(alive.values(), key=lambda g: order.key(g.lead_word())))
     return GroebnerBasis(presentation, elements, max_deg, certificate)
 

@@ -98,9 +98,9 @@ NF_COEFFS = st.sampled_from([(1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (1, 2), (
 
 
 @st.composite
-def monic_with_lead(draw, field, lead):
+def monic_with_lead(draw, field, lead, words=NF_WORDS):
     below = [
-        w for w in draw(st.lists(NF_WORDS, max_size=3))
+        w for w in draw(st.lists(words, max_size=3))
         if NF_ORDER.key(w) < NF_ORDER.key(lead)
     ]
     terms = {w: field.of(*draw(NF_COEFFS)) for w in below}
@@ -109,19 +109,19 @@ def monic_with_lead(draw, field, lead):
 
 
 @st.composite
-def reduction_cases(draw):
+def reduction_cases(draw, words=NF_WORDS):
     """(field, p, basis) over Q or F_5, the basis possibly redundant."""
     field = draw(st.sampled_from(NF_FIELDS))
-    basis = [draw(monic_with_lead(field, draw(NF_WORDS)))]
+    basis = [draw(monic_with_lead(field, draw(words), words))]
     size = draw(st.integers(1, 5))
     while len(basis) < size:
         base = draw(st.sampled_from(basis)).lead_word()
         cut = st.integers(0, len(base))
         factor = st.tuples(cut, cut).map(lambda ij: base[min(ij):max(ij)])
-        lead = draw(st.one_of(NF_WORDS, factor, st.just(base), st.just(())))
-        basis.insert(draw(st.integers(0, len(basis))), draw(monic_with_lead(field, lead)))
+        lead = draw(st.one_of(words, factor, st.just(base), st.just(())))
+        basis.insert(draw(st.integers(0, len(basis))), draw(monic_with_lead(field, lead, words)))
     p = Polynomial(
-        {w: field.of(*draw(NF_COEFFS)) for w in draw(st.lists(NF_WORDS, max_size=6))}, field.p
+        {w: field.of(*draw(NF_COEFFS)) for w in draw(st.lists(words, max_size=6))}, field.p
     )
     return field, p, basis
 
@@ -145,8 +145,14 @@ LENGTH_ORDER_CASE = (
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(reduction_cases())
+# A Reducer rewrites words as strings of code points: letters below 256
+# convert through latin-1, the others through chr and ord.  These straddle
+# that edge and take a lone surrogate and the last code point.
+WIDE_WORDS = st.lists(st.sampled_from([0, 1, 255, 256, 0xD800, 0x10FFFF]), max_size=4).map(tuple)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(reduction_cases(), reduction_cases(WIDE_WORDS)))
 @example(SCALING_CASE)
 @example(LENGTH_ORDER_CASE)
 def test_normal_form_matches_plain_rewriting_loop(case):
@@ -159,6 +165,52 @@ def test_normal_form_matches_plain_rewriting_loop(case):
     for g in [p, *basis]:
         if not g.is_zero:
             assert g.lead_word() == max(g.terms, key=NF_ORDER.key)
+
+
+def test_public_words_stay_tuples_of_int():
+    pres = g4()
+    gb = complete(pres, 5)
+    trace = []
+    p = mono(pres, "dcba") + mono(pres, "abcd", 2)
+    nf = normal_form(p, Reducer(pres.field, gb.elements), trace=trace)
+    assert trace and not nf.is_zero
+    words = [w for g in gb.elements for w in g.terms] + list(gb.obstructions) + list(nf.terms)
+    words += [w for _, _, left, right in trace for w in (left, right)]
+    assert all(type(w) is tuple and all(type(i) is int for i in w) for w in words)
+
+
+def _reducer_entries(letter):
+    """Each way a word enters a Reducer (a lead, a tail, a reduced term, a
+    searched word), called with a word holding letter."""
+    w, field = (0, letter), Rationals()
+    reducer = Reducer(field, [Polynomial({(0, 0): 1})])
+    return [
+        lambda: Reducer(field, [Polynomial({w: 1})]),
+        lambda: Reducer(field, [Polynomial({(0, 0, 0): 1, w: 1})]),
+        lambda: normal_form(Polynomial({w: 1}), reducer),
+        lambda: reducer.find(w),
+    ]
+
+
+@pytest.mark.parametrize("entry", range(4))
+@pytest.mark.parametrize("letter", [-1, 0x110000])
+def test_a_letter_that_is_no_code_point_raises_algebra_error(letter, entry):
+    # Tuple words took these silently; a plain chr conversion raises a raw
+    # ValueError.
+    with pytest.raises(AlgebraError, match="has a letter outside 0..0x10FFFF"):
+        _reducer_entries(letter)[entry]()
+
+
+def test_a_surrogate_letter_is_an_ordinary_letter():
+    x = 0xD800
+    basis = [Polynomial({(0, x): 1, (x, 0): -1})]
+    reducer = Reducer(Rationals(), basis)
+    assert reducer.find((x, 0, x)) == (1, 0)
+    trace, want_trace = [], []
+    p = Polynomial({(0, 0, x): 1})
+    assert normal_form(p, reducer, trace) == Polynomial({(x, 0, 0): 1})
+    normal_form_reference(p, basis, want_trace)
+    assert trace == want_trace
 
 
 def test_unit_basis_element_reduces_the_empty_word():

@@ -222,7 +222,7 @@ def test_splitting_failure_signals_incomplete_basis(xyz):
         xyz,
         tuple(r.monic() for r in xyz.relations),
         4,
-        Certificate.up_to(4),
+        Certificate(False, 4),
     )
     ctx = ResolutionContext(fake, level_max=2, deg_max=4)
     chain = ctx.chains.find(2, xyz.alphabet.word("xxx"))
@@ -301,6 +301,35 @@ def test_a_chain_id_outside_the_context_raises_truncation_error(xyz, i):
     assert ctx.differential(59)
     with pytest.raises(TruncationError, match=f"chain id {i} is outside"):
         ctx.differential(i)
+
+
+@pytest.mark.parametrize(
+    "level, i", [(1, -1), (1, 0), (1, 60), (1, 10**6), (0, -1), (0, 1), (0, 60), (2, 1)]
+)
+@pytest.mark.parametrize("w", [(0,), ()])
+def test_split_rejects_an_id_that_names_no_chain_one_level_down(xyz, level, i, w):
+    # The ids of xyz at D=6 run from 0 to 59: the unit 0, which keys the
+    # terms of a level-0 split, then the letters 1 to 3.  With a cofactor,
+    # 10**6 raised a raw IndexError and -1 read id 59's word into a
+    # SplittingError about a product word xi does not hold; the unit at
+    # level 1 was split as if at level 0.
+    ctx = ResolutionContext(complete(xyz, 6), 6, 6)
+    with pytest.raises(TruncationError, match=f"chain id {i} at level {level - 1} is outside"):
+        ctx.split(level, {(i, w): 1})
+
+
+@pytest.mark.parametrize("c", [True, 1.0, "a", None])
+def test_differential_of_neither_a_chain_nor_an_id_raises_type_error(xyz_ctx, c):
+    # Each raised a raw AttributeError from the chain lookup.
+    with pytest.raises(TypeError, match="expected a Chain or an int chain id, got"):
+        xyz_ctx.differential(c)
+
+
+@pytest.mark.parametrize("elem", [{}, {(0, (0,)): 1}, None])
+def test_act_right_on_anything_but_a_free_element_raises_type_error(xyz_ctx, elem):
+    # Each raised a raw AttributeError reading the element's modulus.
+    with pytest.raises(TypeError, match="expected a FreeElement"):
+        xyz_ctx.act_right(elem, (0,))
 
 
 @pytest.mark.parametrize(
