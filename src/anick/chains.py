@@ -176,8 +176,6 @@ class GraphNode:
 
     @property
     def tail(self) -> Word:
-        if self.kind == "letter":
-            return self.word
         return self.word[self.overlap:]
 
     def name(self, alphabet: Alphabet) -> str:

@@ -249,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-level", type=nonnegative_int, default=None, dest="max_level")
         p.add_argument(
             "--format",
-            choices=("json", "text", "dot"),
+            choices=("json", "text", "dot") if name == "graph" else ("json", "text"),
             default="dot" if name == "graph" else "json",
         )
         p.add_argument("--field", default=None, help="q or fp:<prime>")
@@ -268,9 +268,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.format == "dot" and args.command != "graph":
-        print("error: dot format is only available for the graph command", file=sys.stderr)
-        return 1
     started = time.perf_counter()
     try:
         run = Pipeline(args)

@@ -24,7 +24,7 @@ from . import linalg
 from .errors import AlgebraError, FieldError, TruncationError
 from .fields import Field
 from .poly import Polynomial
-from .words import EMPTY, Alphabet, Word, overlaps
+from .words import Alphabet, Word, overlaps
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def s_polynomial(g: Polynomial, h: Polynomial, overlap_len: int) -> Polynomial:
 
     The suffix of lead(g) of that length must equal the prefix of lead(h);
     the result is ``g * suffix - prefix * h`` where the shared overlap word
-    cancels.
+    cancels, formed in one dict.  Two moduli raise ``FieldError``.
     """
     if g.lead_coeff() != 1 or h.lead_coeff() != 1:
         raise AlgebraError("s_polynomial requires monic inputs")
@@ -261,7 +261,11 @@ def s_polynomial(g: Polynomial, h: Polynomial, overlap_len: int) -> Polynomial:
         raise AlgebraError(f"invalid overlap length {overlap_len}")
     if u[len(u) - overlap_len:] != w[:overlap_len]:
         raise AlgebraError("words do not overlap at the given length")
-    return g.word_mul(EMPTY, w[overlap_len:]) - h.word_mul(u[:len(u) - overlap_len], EMPTY)
+    suffix, prefix = w[overlap_len:], u[:len(u) - overlap_len]
+    out = {v + suffix: c for v, c in g.terms.items()}
+    for v, c in h.terms.items():
+        out[prefix + v] = out.get(prefix + v, 0) - c
+    return Polynomial(out, g._modulus(h))
 
 
 def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:

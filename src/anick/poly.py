@@ -2,11 +2,12 @@
 
 ``LinComb`` is a finitely supported map from keys to nonzero scalars with
 its arithmetic.  A polynomial is one keyed by words; its leading word
-sorts first by ``words.deglex_desc``.  All operations are pure and
-return new values; zero coefficients are pruned on construction and by
-every operation, so the support invariant always holds.  A combination
-holds its field's modulus ``p`` once: over Fp its coefficients are ``int``
-residues in 1..p-1, over Q (p = 0) ``int`` or ``Fraction`` values.
+sorts first by ``words.deglex_desc``.  All operations are pure and build
+their results through the one constructor, which checks scalar types,
+reduces residues and prunes zeros, so the support invariant always holds.
+A combination holds its field's modulus ``p`` once: over Fp its
+coefficients are ``int`` residues in 1..p-1, over Q (p = 0) ``int`` or
+``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class LinComb:
 
     Polynomials (keyed by words) and free-module elements (keyed by chain
     and normal word) share this arithmetic.  Results are new values of the
-    caller's kind; zero coefficients never survive an operation.  Combining
+    caller's kind; an operand of another kind raises ``TypeError``.  Combining
     two moduli, a coefficient over Fp that is not an ``int``, or one over Q
     that is not exactly an ``int`` or a ``Fraction``, raises ``FieldError``.
     """
@@ -54,13 +55,9 @@ class LinComb:
             out[k] = c if prev is None else prev + c
         return cls(out, p)
 
-    def _like(self, terms: dict):
-        """An element of the same kind and modulus over already pruned terms."""
-        out = object.__new__(type(self))
-        out.terms, out.p = terms, self.p
-        return out
-
     def _modulus(self, other: "LinComb") -> int:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if other.p != self.p:
             raise FieldError(f"mixed moduli {self.p} and {other.p}")
         return self.p
@@ -70,20 +67,12 @@ class LinComb:
         return not self.terms
 
     def add_scaled(self, other: "LinComb", c):
-        """``self + c * other`` in one pass over ``other``, and one more
-        through the constructor over Fp, or over Q for a c of another type."""
-        p = self._modulus(other)
-        if not (c % p if p else c):
-            return self
-        out = dict(self.terms)
+        """``self + c * other``, summed into a copy of ``self``'s terms; the
+        constructor checks c through the coefficients it makes and prunes."""
+        p, out = self._modulus(other), dict(self.terms)
         for k, a in other.terms.items():
-            prev = out.get(k)
-            s = c * a if prev is None else prev + c * a
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return self._like(out) if not p and type(c) in _RATIONAL else type(self)(out, p)
+            out[k] = out.get(k, 0) + c * a
+        return type(self)(out, p)
 
     def __add__(self, other):
         return self.add_scaled(other, 1)
@@ -113,11 +102,6 @@ class Polynomial(LinComb):
     def __init__(self, terms: Mapping[Word, object], p: int = 0):
         super().__init__(terms, p)
         self._lead = None
-
-    def _like(self, terms: dict) -> "Polynomial":
-        out = super()._like(terms)
-        out._lead = None
-        return out
 
     @classmethod
     def zero(cls, p: int = 0) -> "Polynomial":
@@ -153,7 +137,7 @@ class Polynomial(LinComb):
 
     def word_mul(self, left: Word, right: Word) -> "Polynomial":
         """The product ``left * self * right`` with monomial cofactors."""
-        return self._like({left + w + right: c for w, c in self.terms.items()})
+        return Polynomial({left + w + right: c for w, c in self.terms.items()}, self.p)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial.from_pairs(

@@ -185,12 +185,15 @@ class ResolutionContext:
         A pair with an empty cofactor is never split, since no chain
         extension fits it; it must cancel.  A term at another level, or one
         that does not cancel, raises ``SplittingError``; a chain outside the
-        context's bounds, or an id that names none, ``TruncationError``.
+        context's bounds, or an id that names none, ``TruncationError``; any
+        other xi, or a ``FreeElement`` key with no ``Chain``, ``TypeError``.
         """
         p, at, neg, children = self.p, self._at.get(level - 1, {}), self._neg, self._children
-        if public := isinstance(xi, FreeElement):
+        if public := not isinstance(xi, dict):
             terms = {}
             for (c, w), a in self._own(xi).items():
+                if not isinstance(c, Chain):
+                    raise TypeError(f"expected a Chain in a key, got {type(c).__name__}")
                 if c.level != level - 1:
                     raise SplittingError(
                         f"a level-{level} split got a level-{c.level} term {c.word} (x) {w}"

@@ -225,6 +225,7 @@ def test_gldim_require_certified_accepts_certified_dual(capsys, xyz_file):
 def test_dot_rejected_outside_graph(capsys, xyz_file):
     code, out, err = run(capsys, "gb", "--input", xyz_file, "--format", "dot")
     assert code == 1
+    assert "invalid choice: 'dot'" in err
 
 
 def test_text_format(capsys, xyz_file):

@@ -406,6 +406,43 @@ def test_s_polynomial_rejects_bad_overlap(xyz):
         s_polynomial(mono(xyz, "zy"), mono(xyz, "xz"), 1)
 
 
+def test_s_polynomial_of_two_moduli_raises_field_error():
+    # s_polynomial builds its result in one dict, so it keeps the check that
+    # subtracting the two products made.
+    for p, q in [(5, 7), (5, 0), (0, 7)]:
+        with pytest.raises(FieldError, match="mixed moduli"):
+            s_polynomial(Polynomial({(0, 2): 1}, p), Polynomial({(2, 1): 1}, q), 1)
+
+
+# Words over two letters, so tails collide and monomials cancel to zero.
+BITS = st.integers(0, 1)
+S_WORDS = st.lists(BITS, max_size=4).map(tuple)
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """(g, h, l): monic g and h over Q or F_5 whose leads overlap at l; h
+    is g itself for a drawn self-overlap."""
+    field = draw(st.sampled_from(NF_FIELDS))
+    u = tuple(draw(st.lists(BITS, min_size=2, max_size=4)))
+    g = draw(monic_with_lead(field, u, S_WORDS))
+    if draw(st.booleans()) and (own := overlaps(u, u)):
+        return g, g, draw(st.sampled_from(own))
+    l = draw(st.integers(1, len(u) - 1))
+    w = u[len(u) - l:] + tuple(draw(st.lists(BITS, min_size=1, max_size=2)))
+    return g, draw(monic_with_lead(field, w, S_WORDS)), l
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlapping_pairs())
+def test_s_polynomial_matches_its_definition(case):
+    g, h, l = case
+    u, w = g.lead_word(), h.lead_word()
+    s = s_polynomial(g, h, l)
+    assert s == g.word_mul((), w[l:]) - h.word_mul(u[:len(u) - l], ())
+    assert s.p == g.p and all(s.terms.values())
+
+
 @pytest.mark.parametrize(
     "field, lead, ok",
     [

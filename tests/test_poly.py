@@ -182,6 +182,20 @@ def test_mixed_moduli_raise():
     assert f5 != Polynomial({(0,): 1, (1,): 2}) and f5 == Polynomial({(0,): 6, (1,): -3}, 5)
 
 
+def test_combining_two_kinds_raises_type_error():
+    # A polynomial plus a free-module element was a Polynomial keyed by
+    # words and (chain, word) pairs alike; a scalar operand raised a raw
+    # AttributeError.
+    poly, elem = Polynomial({(0,): 1}), FreeElement({(0, (0,)): 1})
+    for a, b in [(poly, elem), (elem, poly), (poly, 1), (elem, 2)]:
+        for op in (lambda: a + b, lambda: a - b, lambda: a.add_scaled(b, 2)):
+            with pytest.raises(TypeError, match="cannot combine"):
+                op()
+    for b in (elem, 2):
+        with pytest.raises(TypeError, match="cannot combine"):
+            poly * b
+
+
 def test_a_prime_field_combination_holds_only_int_residues(alpha):
     # Fraction(1, 2) % 5 is Fraction(1, 2): kept, it would leave a
     # Fraction in every normal form computed with it.
@@ -191,15 +205,18 @@ def test_a_prime_field_combination_holds_only_int_residues(alpha):
         lambda: Polynomial({xy: Fraction(5, 1)}, 5),
         lambda: FreeElement({(0, xy): Fraction(1, 2)}, 5),
         lambda: Polynomial({xy: 1}, 5).scaled(Fraction(1, 2)),
+        # A zero float factor used to return the element unchecked.
+        lambda: Polynomial({xy: 1}, 5).add_scaled(Polynomial({yx: 1}, 5), 0.0),
     ):
         with pytest.raises(FieldError, match="no int residue"):
             make()
 
 
-@pytest.mark.parametrize("c", [0.5, 2.0, Decimal("0.5"), 1 + 0j, True])
+@pytest.mark.parametrize("c", [0.5, 2.0, Decimal("0.5"), 1 + 0j, True, 0.0])
 def test_a_rational_combination_holds_only_ints_and_fractions(alpha, c):
     # Such a coefficient was kept over Q, and completion then failed in
-    # linalg with a raw AttributeError; a bool passed as 1.
+    # linalg with a raw AttributeError; a bool passed as 1, and add_scaled
+    # returned its element unchecked for a zero float factor.
     xy, yx = alpha.word("xy"), alpha.word("yx")
     makes = [lambda: Polynomial({xy: c, yx: 1}), lambda: FreeElement({(0, xy): c})]
     if c is not True:  # True times an int is an exact int

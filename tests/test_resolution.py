@@ -273,6 +273,15 @@ def test_split_rejects_a_term_of_another_level(xyz, xyz_ctx):
             xyz_ctx.split(level, xi)
 
 
+@pytest.mark.parametrize(
+    "xi", [FreeElement({(3, (0,)): 1}), [1], None], ids=["int-key", "list", "none"]
+)
+def test_split_of_neither_chain_keys_nor_a_dict_raises_type_error(xyz_ctx, xi):
+    # Each raised a raw AttributeError: on the int key's level, or on items().
+    with pytest.raises(TypeError, match="expected a"):
+        xyz_ctx.split(1, xi)
+
+
 @pytest.mark.parametrize("method", ["differential", "split"])
 def test_a_chain_outside_the_context_raises_truncation_error(xyz, method):
     # A level-2 chain of degree 8 from a D=9 context lies past a D=5
