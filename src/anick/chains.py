@@ -19,6 +19,7 @@ the first time the tail is looked up; ``enumerate_chains`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from operator import attrgetter
 
 from .errors import ChainError
@@ -28,7 +29,10 @@ from .words import Alphabet, Word, check_antichain
 @dataclass(frozen=True, slots=True)
 class Chain:
     """An Anick chain: a word with its certified decomposition.  Two
-    chains are equal, and hash equal, when their word and level are."""
+    chains are equal, and hash equal, when their word and level are.
+    ``id`` is a position, not a name: ``enumerate_chains`` numbers its
+    chains 1..n in ``ChainSet.index`` order, and another enumeration may
+    renumber them; one built by hand has -1, so it cannot pass for the unit."""
 
     word: Word
     level: int
@@ -36,6 +40,7 @@ class Chain:
     overlap_len: int = field(compare=False)
     prefix: "Chain | None" = field(compare=False)
     tail: Word = field(init=False, compare=False)
+    id: int = field(default=-1, compare=False)
 
     def __post_init__(self):
         # Slice the tail once for the splitting loop.
@@ -146,12 +151,12 @@ def enumerate_chains(
                 "resolution machinery; eliminate the dead generator first"
             )
     chain_set = ChainSet(alphabet, obs, level_max, deg_max)
-    index, table = chain_set.index, chain_set.extensions
-    current = [Chain((x,), 0, 1, 0, None) for x in range(alphabet.size)] if deg_max >= 1 else []
+    index, table, ids = chain_set.index, chain_set.extensions, count(1)
+    current = [Chain((x,), 0, 1, 0, None, next(ids)) for x in range(alphabet.size) if deg_max > 0]
     for level in range(level_max + 1):
         if level:  # each chain's children are made together, in the table's order
             current = [
-                Chain(c.word + o[ov:], level, len(o) - ov, ov, c)
+                Chain(c.word + o[ov:], level, len(o) - ov, ov, c, next(ids))
                 for c in current
                 for o, ov in table[c.tail]
                 if len(o) - ov <= deg_max - len(c.word)
@@ -190,7 +195,6 @@ class ChainGraph:
     """Finite digraph whose length-n paths from letters generate n-chains."""
 
     alphabet: Alphabet
-    obstructions: tuple[Word, ...]
     nodes: list[GraphNode]
     edges: list[tuple[int, int]]
 
@@ -222,7 +226,7 @@ def chain_graph(alphabet: Alphabet, obstructions: list[Word]) -> ChainGraph:
         visit(i)
     while frontier:
         visit(frontier.pop())
-    return ChainGraph(alphabet, obs, nodes, sorted(edges))
+    return ChainGraph(alphabet, nodes, sorted(edges))
 
 
 def chain_graph_dot(graph: ChainGraph) -> str:

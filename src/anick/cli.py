@@ -19,6 +19,7 @@ import time
 from dataclasses import replace
 from functools import cache, cached_property
 from itertools import permutations
+from pathlib import Path
 
 from . import __version__
 from .automaton import normal_word_automaton
@@ -66,13 +67,6 @@ class CertificationFailure(Exception):
     """Raised when --require-certified cannot be honored."""
 
 
-def _read_input(path: str | None) -> str:
-    if path is None:
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 class Pipeline:
     """One invocation: the parsed input, its bounds and, at most once, its
     completion."""
@@ -81,9 +75,9 @@ class Pipeline:
         field = field_from_name(args.field) if args.field else None
         # Every command completes at D but dual, which needs quadratic
         # relations, so a term above max(D, 2) can only fail later.
-        self.presentation = parse_presentation(
-            _read_input(args.input), field, max(args.max_deg, 2)
-        )
+        path = args.input
+        text = sys.stdin.read() if path is None else Path(path).read_text(encoding="utf-8")
+        self.presentation = parse_presentation(text, field, max(args.max_deg, 2))
         self.alphabet = self.presentation.alphabet
         self.max_deg = args.max_deg
         # Koszul and gldim verdicts need every level up to D, so D is the

@@ -67,8 +67,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise FieldError(f"{self.p} is not prime")
+        if type(self.p) is not int or not _is_prime(self.p):
+            raise FieldError(f"{self.p!r} is not prime")
 
     zero, one = 0, 1
 

@@ -252,8 +252,11 @@ def s_polynomial(g: Polynomial, h: Polynomial, overlap_len: int) -> Polynomial:
 
     The suffix of lead(g) of that length must equal the prefix of lead(h);
     the result is ``g * suffix - prefix * h`` where the shared overlap word
-    cancels, formed in one dict.  Two moduli raise ``FieldError``.
+    cancels, formed in one dict.  An operand that is not a ``Polynomial``
+    raises ``TypeError``; two moduli raise ``FieldError``.
     """
+    if not (isinstance(g, Polynomial) and isinstance(h, Polynomial)):
+        raise TypeError(f"expected two Polynomials, got {type(g).__name__}, {type(h).__name__}")
     if g.lead_coeff() != 1 or h.lead_coeff() != 1:
         raise AlgebraError("s_polynomial requires monic inputs")
     u, w = g.lead_word(), h.lead_word()

@@ -26,10 +26,10 @@ def induced_matrix_from_context(
     """Rows (level-1 chains), columns (level chains) and the dense matrix."""
     cols = ctx.chains.at(level, degree)
     rows = ctx.chains.at(level - 1, degree)
-    row_of = {ctx._id_of(c): r for r, c in enumerate(rows)}
+    row_of = {c.id: r for r, c in enumerate(rows)}
     dense = [[0] * len(cols) for _ in rows]
     for j, c in enumerate(cols):
-        for (i, w), a in ctx.differential(ctx._id_of(c)).items():
+        for (i, w), a in ctx.differential(c.id).items():
             if not w:
                 dense[row_of[i]][j] = a
     return rows, cols, dense
@@ -60,7 +60,8 @@ def betti_table(
     j_max: int,
     ctx: ResolutionContext | None = None,
 ) -> BettiTable:
-    """Compute b[i][j] for homological degrees <= i_max, internal <= j_max."""
+    """Compute b[i][j] for homological degrees <= i_max, internal <= j_max,
+    ranking in ``ctx.field``; the presentation only builds a missing context."""
     if i_max < 0 or j_max < 0:
         raise CoverageError(f"Betti bounds must be >= 0, got ({i_max}, {j_max})")
     if ctx is None:
@@ -73,7 +74,7 @@ def betti_table(
     @cache
     def rank(level: int, degree: int) -> int:
         dense = induced_matrix_from_context(ctx, level, degree)[2]
-        return linalg.rank(dense, presentation.field)
+        return linalg.rank(dense, ctx.field)
 
     for i in range(1, i_max + 1):
         # Level-(i-1) chains have degree at least i, so b[i][j] = 0 for j < i.

@@ -128,16 +128,14 @@ def chains_payload(chain_set: ChainSet) -> dict[str, Any]:
     alphabet = chain_set.alphabet
     levels = []
     for level in range(0, chain_set.level_max + 1):
-        entries = []
-        for degree in range(0, chain_set.deg_max + 1):
-            for c in chain_set.at(level, degree):
-                entries.append(
-                    {
-                        "word": alphabet.str_word(c.word),
-                        "degree": c.degree,
-                        "occurrences": [list(span) for span in c.decomposition],
-                    }
-                )
+        entries = [
+            {
+                "word": alphabet.str_word(c.word),
+                "degree": c.degree,
+                "occurrences": [list(span) for span in c.decomposition],
+            }
+            for c in chain_set.level(level)
+        ]
         levels.append({"level": level, "count": len(entries), "chains": entries})
     return {"chains": levels}
 

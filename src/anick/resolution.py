@@ -22,12 +22,12 @@ and must cancel.  The maximal term strictly decreases, so the recursion
 terminates; a missing chain prefix means the Groebner data is invalid for
 the requested degree and raises.
 
-Inside a context a chain is an int id (0 is the unit, then the chain set's
-chains level by level): the split's terms, heap and result, the
-differential cache and the pair bases are keyed by ``(chain id, word)``,
-and per-id tables give each chain's word, level, tail and prefix id.
-Each id's children, as (tail, its length, id), are grouped once under
-their prefix ids; the unit's children are the letters.  Only the public
+Inside a context a chain is its int id, ``Chain.id`` (0 is the unit, then
+the chain set's chains level by level): the split's terms, heap and
+result, the differential cache and the pair bases are keyed by
+``(chain id, word)``, and each id's chain holds its word, level, tail and
+prefix.  Each id's children, as (tail, its length, id), are grouped once
+under their prefix ids; the unit's children are the letters.  Only the public
 methods (``differential``, ``split``, ``act_right``, ``pair_basis``,
 ``slice``) take or return pairs keyed by ``Chain``, found by level and word.
 A chain, or a ``slice`` or ``pair_basis`` level or degree, outside the
@@ -108,20 +108,18 @@ class ResolutionContext:
         self._nf_cache: dict[Word, dict[Word, object]] = {}
         self._basis_cache: dict[tuple[int, int], tuple[tuple[int, Word], ...]] = {}
         # Anick's (-1)-chain; it stays out of the chain set but takes id 0.
-        self.unit = Chain(EMPTY, -1, 0, 0, None)
-        # Ids follow the chain index, which holds the chains level by level.
+        self.unit = Chain(EMPTY, -1, 0, 0, None, 0)
+        # The chain set numbers its chains 1..n in index order, so _chains[c.id] is c.
         self._chains = chains = [self.unit, *self.chains.index.values()]
-        self._id = dict(zip([(-1, EMPTY), *self.chains.index], range(len(chains))))
-        self._word, self._level, self._tail = zip(*((c.word, c.level, c.tail) for c in chains))
-        self._neg = tuple(-len(w) for w in self._word)  # the split heap's tie-break
-        # A letter's prefix is the unit, and its tail is the letter.
-        self._prefix = [self._id.get((c.level - 1, c.word[: -c.tail_len]), 0) for c in chains]
+        self._id = {(c.level, c.word): c.id for c in chains}
+        self._neg = tuple(-c.degree for c in chains)  # the split heap's tie-break
         # Id -> the chains one level up that extend it, as (tail, its length, id).
         self._children: dict[int, list[tuple[Word, int, int]]] = {}
         self._at: dict[int, dict[int, Word]] = {-1: {0: EMPTY}}  # level -> id -> word
-        for i, c in enumerate(chains[1:], 1):
-            self._children.setdefault(self._prefix[i], []).append((c.tail, c.tail_len, i))
-            self._at.setdefault(c.level, {})[i] = c.word
+        for c in chains[1:]:  # a letter's prefix is the unit
+            parent = c.prefix.id if c.level else 0
+            self._children.setdefault(parent, []).append((c.tail, c.tail_len, c.id))
+            self._at.setdefault(c.level, {})[c.id] = c.word
         self._diff: dict[int, dict] = {}  # filled lazily; a negative id misses
 
     def _outside(self, what: str) -> TruncationError:
@@ -256,17 +254,18 @@ class ResolutionContext:
         i = c if type(c) is int else self._id_of(c)
         out = self._diff.get(i)
         if out is None:
-            if not 0 < i < len(self._word):
+            if not 0 < i < len(self._chains):
                 if not i:
                     raise SplittingError("the (-1)-chain has no differential")
                 raise self._outside(f"chain id {i}")
-            prefix, tail, p = self._prefix[i], self._tail[i], self.p
-            out = {(prefix, tail): 1}
-            if level := self._level[i]:
+            chain, p = self._chains[i], self.p
+            prefix = chain.prefix.id if chain.level else 0
+            out = {(prefix, chain.tail): 1}
+            if chain.level:
                 # split reduces d(c') . t mod p itself; every term it returns
                 # lies below the product word of (c', t).
-                xi = self._times(self.differential(prefix), tail)
-                for k, a in self.split(level - 1, xi).items():
+                xi = self._times(self.differential(prefix), chain.tail)
+                for k, a in self.split(chain.level - 1, xi).items():
                     out[k] = -a % p if p else -a
             self._diff[i] = out
         if type(c) is int:
@@ -279,15 +278,15 @@ class ResolutionContext:
         if cached is None:
             if not (-1 <= level <= self.level_max and 0 <= degree <= self.deg_max):
                 raise self._outside(f"level {level}, degree {degree}")
-            accepted, words, neg = self.automaton.accepted_words, self._word, self._neg
+            accepted, neg = self.automaton.accepted_words, self._neg
             if level == -1:
                 out = [(0, w) for w in accepted(degree)]
             else:
-                out, ids = [], self._id_of
+                out, words = [], self._at.get(level, {})
                 for d in range(0, degree + 1):
                     if at := self.chains.at(level, d):  # one word list per cofactor degree
                         cofactors = accepted(degree - d)
-                        out += [(i, w) for i in map(ids, at) for w in cofactors]
+                        out += [(c.id, w) for c in at for w in cofactors]
                 # The split heap's key, reversed: ascending in the order in
                 # which the heap pops the greatest pair first.
                 out.sort(key=lambda k: (words[k[0]] + k[1], neg[k[0]]), reverse=True)

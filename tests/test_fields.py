@@ -92,6 +92,13 @@ def test_carmichael_and_strong_pseudoprimes_are_rejected(n):
         PrimeField(n)
 
 
+@pytest.mark.parametrize("p", [5.0, "5", Fraction(5), True])
+def test_a_modulus_that_is_not_an_int_is_a_field_error(p):
+    # No scalar is a float, so no modulus is one either; a bool is not an int here.
+    with pytest.raises(FieldError, match="is not prime"):
+        PrimeField(p)
+
+
 def test_primality_agrees_with_trial_division_below_twenty_thousand():
     primes = [n for n in range(2, 20000) if all(n % d for d in range(2, int(n**0.5) + 1))]
     assert [n for n in range(-3, 20000) if _is_prime(n)] == primes

@@ -30,6 +30,7 @@ from anick import (
 from anick.errors import AlgebraError, FieldError, TruncationError
 from anick.fields import PrimeField, Rationals
 from anick.reports import gb_payload
+from anick.resolution import FreeElement
 from anick.words import DegLex, overlaps
 
 G4_RELATIONS = (
@@ -412,6 +413,20 @@ def test_s_polynomial_of_two_moduli_raises_field_error():
     for p, q in [(5, 7), (5, 0), (0, 7)]:
         with pytest.raises(FieldError, match="mixed moduli"):
             s_polynomial(Polynomial({(0, 2): 1}, p), Polynomial({(2, 1): 1}, q), 1)
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        (Polynomial({(0, 2): 1}), None),
+        (FreeElement({(0, (0,)): 1}), Polynomial({(0, 2): 1})),
+        (FreeElement({(0, (0, 1)): 1}), FreeElement({(0, (1, 0)): 1})),
+    ],
+)
+def test_s_polynomial_of_a_non_polynomial_raises_type_error(g, h):
+    # The operands' kinds are checked before their leading coefficients.
+    with pytest.raises(TypeError, match="expected two Polynomials"):
+        s_polynomial(g, h, 1)
 
 
 # Words over two letters, so tails collide and monomials cancel to zero.

@@ -137,6 +137,7 @@ def test_betti_table_of_main_fixture_at_degree_eleven(p):
     assert betti_table(xyz, 11, 11).values == expected
 
 
+XYZ_TEXT = "vars: x > y > z\nrelations:\n  x^2 + y*x\n  x*z\n  z*y\n"
 G4_TEXT = (
     "vars: a > b > c > d\nrelations:\n  a*b - b*a + c*d\n  a*c - 2*d*b\n"
     "  b*d + a^2 - c^2\n  d*a - b*c\n"
@@ -153,6 +154,19 @@ def test_betti_table_over_fp_matches_q_with_fraction_coefficients():
     fp = betti_table(parse_presentation(G4_TEXT, field_override=PrimeField(32003)), 5, 5)
     assert fp.values == q
     assert q == [[[1, 4, 4, 0, 0, 0][i] if i == j else 0 for j in range(6)] for i in range(6)]
+
+
+@pytest.mark.parametrize(
+    "text, given, ctx_field",
+    [(XYZ_TEXT, None, PrimeField(3)), (G4_TEXT, PrimeField(2), None)],
+)
+def test_betti_table_ranks_in_its_context_field(text, given, ctx_field):
+    # The entries come from the context's differentials, so they are ranked
+    # in its field, whatever field the presentation handed in has.
+    over = parse_presentation(text, field_override=ctx_field)
+    ctx = ResolutionContext(complete(over, 6), level_max=6, deg_max=6)
+    table = betti_table(parse_presentation(text, field_override=given), 6, 6, ctx=ctx)
+    assert table.values == betti_table(over, 6, 6).values
 
 
 def test_koszul_verdict_main_fixture(xyz, xyz_ctx):

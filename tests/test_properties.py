@@ -307,3 +307,17 @@ def quadratic_presentations(draw):
 @given(quadratic_presentations())
 def test_random_quadratic_algebra_comes_out_in_deglex_order(pres):
     assert_ordered_as_deglex_defines(pres, 5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(quadratic_presentations(), st.integers(2, 5))
+def test_chain_ids_are_context_positions(pres, degree):
+    # The context's chain set comes from enumerate_chains, which numbers its
+    # chains 1..n in index order; the context reads each id's chain by it.
+    ctx = ResolutionContext(complete(pres, degree), degree, degree)
+    ids = [c.id for c in ctx.chains.index.values()]
+    assert ctx.unit.id == 0 and ids == list(range(1, len(ids) + 1))
+    for c in ctx.chains.index.values():
+        assert ctx._chains[c.id] is c
+        by_id = {(ctx._chains[i], w): a for (i, w), a in ctx.differential(c.id).items()}
+        assert by_id == ctx.differential(c).terms
