@@ -23,7 +23,7 @@ from itertools import count
 from operator import attrgetter
 
 from .errors import ChainError
-from .words import Alphabet, Word, check_antichain
+from .words import EMPTY, Alphabet, Word, check_antichain
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,8 +54,8 @@ class Chain:
     def decomposition(self) -> tuple[tuple[int, int], ...]:
         """Obstruction occurrences certifying the chain, left to right."""
         spans: list[tuple[int, int]] = []
-        node: Chain | None = self
-        while node is not None and node.level >= 1:
+        node = self
+        while node.level >= 1:
             end = len(node.word)
             spans.append((end - node.tail_len - node.overlap_len, end))
             node = node.prefix
@@ -117,9 +117,11 @@ class ChainSet:
     by_level_degree: dict[tuple[int, int], list[Chain]] = field(default_factory=dict)
     index: dict[tuple[int, Word], Chain] = field(default_factory=dict)
     extensions: ExtensionTable = field(init=False)
+    unit: Chain = field(init=False)  # the (-1)-chain, id 0: every letter's prefix, in no table
 
     def __post_init__(self):
         self.extensions = ExtensionTable(self.obstructions)
+        self.unit = Chain(EMPTY, -1, 0, 0, None, 0)
 
     def at(self, level: int, degree: int) -> list[Chain]:
         return self.by_level_degree.get((level, degree), [])
@@ -151,8 +153,8 @@ def enumerate_chains(
                 "resolution machinery; eliminate the dead generator first"
             )
     chain_set = ChainSet(alphabet, obs, level_max, deg_max)
-    index, table, ids = chain_set.index, chain_set.extensions, count(1)
-    current = [Chain((x,), 0, 1, 0, None, next(ids)) for x in range(alphabet.size) if deg_max > 0]
+    index, table, ids, unit = chain_set.index, chain_set.extensions, count(1), chain_set.unit
+    current = [Chain((x,), 0, 1, 0, unit, next(ids)) for x in range(alphabet.size) if deg_max > 0]
     for level in range(level_max + 1):
         if level:  # each chain's children are made together, in the table's order
             current = [

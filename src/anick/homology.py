@@ -15,7 +15,7 @@ from functools import cache
 
 from . import linalg
 from .chains import Chain
-from .errors import CoverageError
+from .errors import AlgebraError, CoverageError
 from .groebner import Presentation, complete
 from .resolution import ResolutionContext
 
@@ -23,7 +23,9 @@ from .resolution import ResolutionContext
 def induced_matrix_from_context(
     ctx: ResolutionContext, level: int, degree: int
 ) -> tuple[list[Chain], list[Chain], list[list]]:
-    """Rows (level-1 chains), columns (level chains) and the dense matrix."""
+    """Rows (level-1 chains), columns (level chains) and dense matrix, inside ctx's bounds."""
+    if not (0 <= level <= ctx.level_max and 0 <= degree <= ctx.deg_max):
+        raise ctx._outside(f"level {level}, degree {degree}")
     cols = ctx.chains.at(level, degree)
     rows = ctx.chains.at(level - 1, degree)
     row_of = {c.id: r for r, c in enumerate(rows)}
@@ -60,13 +62,15 @@ def betti_table(
     j_max: int,
     ctx: ResolutionContext | None = None,
 ) -> BettiTable:
-    """Compute b[i][j] for homological degrees <= i_max, internal <= j_max,
-    ranking in ``ctx.field``; the presentation only builds a missing context."""
+    """b[i][j] for homological degrees <= i_max, internal <= j_max, ranked in
+    ``ctx.field``; the presentation builds a missing context, else must share its alphabet."""
     if i_max < 0 or j_max < 0:
         raise CoverageError(f"Betti bounds must be >= 0, got ({i_max}, {j_max})")
     if ctx is None:
         gb = complete(presentation, j_max)
         ctx = ResolutionContext(gb, level_max=i_max, deg_max=j_max)
+    elif presentation.alphabet != ctx.alphabet:
+        raise AlgebraError(f"{presentation.alphabet} differs from the context's {ctx.alphabet}")
     values = [[0] * (j_max + 1) for _ in range(i_max + 1)]
     reliable = [[True] * (j_max + 1) for _ in range(i_max + 1)]
     values[0][0] = 1

@@ -22,12 +22,12 @@ and must cancel.  The maximal term strictly decreases, so the recursion
 terminates; a missing chain prefix means the Groebner data is invalid for
 the requested degree and raises.
 
-Inside a context a chain is its int id, ``Chain.id`` (0 is the unit, then
-the chain set's chains level by level): the split's terms, heap and
-result, the differential cache and the pair bases are keyed by
-``(chain id, word)``, and each id's chain holds its word, level, tail and
-prefix.  Each id's children, as (tail, its length, id), are grouped once
-under their prefix ids; the unit's children are the letters.  Only the public
+Inside a context a chain is its int id, ``Chain.id`` (0 is the chain
+set's unit, every letter's prefix, then its chains level by level): the
+split's terms, heap and result, the differential cache and the pair bases
+are keyed by ``(chain id, word)``, and each id's chain holds its word,
+level, tail and prefix.  Each id's children, as (tail, its length, id),
+are grouped once under their prefix ids.  Only the public
 methods (``differential``, ``split``, ``act_right``, ``pair_basis``,
 ``slice``) take or return pairs keyed by ``Chain``, found by level and word.
 A chain, or a ``slice`` or ``pair_basis`` level or degree, outside the
@@ -107,18 +107,14 @@ class ResolutionContext:
         self.p = self.field.p
         self._nf_cache: dict[Word, dict[Word, object]] = {}
         self._basis_cache: dict[tuple[int, int], tuple[tuple[int, Word], ...]] = {}
-        # Anick's (-1)-chain; it stays out of the chain set but takes id 0.
-        self.unit = Chain(EMPTY, -1, 0, 0, None, 0)
-        # The chain set numbers its chains 1..n in index order, so _chains[c.id] is c.
+        # Ids run 0 (the chain set's unit), then 1..n in index order: _chains[c.id] is c.
+        self.unit = self.chains.unit
         self._chains = chains = [self.unit, *self.chains.index.values()]
-        self._id = {(c.level, c.word): c.id for c in chains}
-        self._neg = tuple(-c.degree for c in chains)  # the split heap's tie-break
         # Id -> the chains one level up that extend it, as (tail, its length, id).
         self._children: dict[int, list[tuple[Word, int, int]]] = {}
         self._at: dict[int, dict[int, Word]] = {-1: {0: EMPTY}}  # level -> id -> word
-        for c in chains[1:]:  # a letter's prefix is the unit
-            parent = c.prefix.id if c.level else 0
-            self._children.setdefault(parent, []).append((c.tail, c.tail_len, c.id))
+        for c in chains[1:]:
+            self._children.setdefault(c.prefix.id, []).append((c.tail, c.tail_len, c.id))
             self._at.setdefault(c.level, {})[c.id] = c.word
         self._diff: dict[int, dict] = {}  # filled lazily; a negative id misses
 
@@ -130,9 +126,10 @@ class ResolutionContext:
         """The id of the chain equal to c, found by level and word."""
         if not isinstance(c, Chain):
             raise TypeError(f"expected a Chain or an int chain id, got {type(c).__name__}")
-        if (i := self._id.get((c.level, c.word))) is None:
+        found = self.unit if c == self.unit else self.chains.find(c.level, c.word)
+        if found is None:
             raise self._outside(repr(c))
-        return i
+        return found.id
 
     def nf_word(self, w: Word) -> dict[Word, object]:
         """The normal form of a word as ``{word: scalar}`` terms, residues
@@ -186,7 +183,7 @@ class ResolutionContext:
         context's bounds, or an id that names none, ``TruncationError``; any
         other xi, or a ``FreeElement`` key with no ``Chain``, ``TypeError``.
         """
-        p, at, neg, children = self.p, self._at.get(level - 1, {}), self._neg, self._children
+        p, at, children = self.p, self._at.get(level - 1, {}), self._children
         if public := not isinstance(xi, dict):
             terms = {}
             for (c, w), a in self._own(xi).items():
@@ -199,11 +196,11 @@ class ResolutionContext:
                 terms[self._id_of(c), w] = a
             xi = terms
         work = {k: r for k, a in xi.items() if (r := a % p if p else a)}
-        # Products in one split share a length, so the word itself orders them
-        # in deglex, the longer chain first on a tie.  A pair with an empty
-        # cofactor fits no tail and stays off the heap, unless at lacks its id.
+        # Products in one split share a length, so the word orders them in deglex,
+        # the shorter cofactor (the longer chain) first on a tie.  A pair with an
+        # empty cofactor fits no tail and stays off the heap, unless at lacks its id.
         try:  # at[i] raises for an id that names no chain one level down
-            heap = [(at[i] + w, neg[i], (i, w)) for i, w in work if w or i not in at]
+            heap = [(at[i] + w, len(w), (i, w)) for i, w in work if w or i not in at]
         except KeyError as e:
             raise self._outside(f"chain id {e.args[0]} at level {level - 1}") from None
         heapq.heapify(heap)
@@ -234,7 +231,7 @@ class ResolutionContext:
                 if s := (prev - coeff * a) % p if p else prev - coeff * a:
                     work[k] = s
                     if not prev and k[1]:
-                        heapq.heappush(heap, (at[k[0]] + k[1], neg[k[0]], k))
+                        heapq.heappush(heap, (at[k[0]] + k[1], len(k[1]), k))
                 elif prev:
                     del work[k]
         if work:
@@ -259,12 +256,11 @@ class ResolutionContext:
                     raise SplittingError("the (-1)-chain has no differential")
                 raise self._outside(f"chain id {i}")
             chain, p = self._chains[i], self.p
-            prefix = chain.prefix.id if chain.level else 0
-            out = {(prefix, chain.tail): 1}
+            out = {(chain.prefix.id, chain.tail): 1}
             if chain.level:
                 # split reduces d(c') . t mod p itself; every term it returns
                 # lies below the product word of (c', t).
-                xi = self._times(self.differential(prefix), chain.tail)
+                xi = self._times(self.differential(chain.prefix.id), chain.tail)
                 for k, a in self.split(chain.level - 1, xi).items():
                     out[k] = -a % p if p else -a
             self._diff[i] = out
@@ -278,7 +274,7 @@ class ResolutionContext:
         if cached is None:
             if not (-1 <= level <= self.level_max and 0 <= degree <= self.deg_max):
                 raise self._outside(f"level {level}, degree {degree}")
-            accepted, neg = self.automaton.accepted_words, self._neg
+            accepted = self.automaton.accepted_words
             if level == -1:
                 out = [(0, w) for w in accepted(degree)]
             else:
@@ -289,7 +285,7 @@ class ResolutionContext:
                         out += [(c.id, w) for c in at for w in cofactors]
                 # The split heap's key, reversed: ascending in the order in
                 # which the heap pops the greatest pair first.
-                out.sort(key=lambda k: (words[k[0]] + k[1], neg[k[0]]), reverse=True)
+                out.sort(key=lambda k: (words[k[0]] + k[1], len(k[1])), reverse=True)
             cached = self._basis_cache[level, degree] = tuple(out)
         return cached
 

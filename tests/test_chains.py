@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from anick import (
     Alphabet,
+    ResolutionContext,
     chain_graph,
     chain_graph_dot,
     complete,
@@ -86,7 +87,30 @@ def test_chain_split_examples(xyz, xyz_ctx):
     assert (prefix.level, prefix.word) == (0, a.word("x"))
     assert tail == a.word("z")
 
-    assert chains.find(0, a.word("x")).prefix is None
+    assert chains.find(0, a.word("x")).prefix is chains.unit
+
+
+@pytest.mark.parametrize("name, d", [("xyz", 8), ("g4", 5)])
+def test_the_unit_chain_is_every_letters_prefix(name, d, request):
+    # Anick's (-1)-chain is the empty word with id 0: the chain set holds it
+    # in neither table, and its context keys the same object by id 0.
+    presentation = request.getfixturevalue(name)
+    ctx = ResolutionContext(complete(presentation, d), d, d)
+    chain_set = ctx.chains
+    unit = chain_set.unit
+    assert (unit.word, unit.level, unit.id, unit.prefix) == ((), -1, 0, None)
+    assert ctx.unit is chain_set.unit and ctx._chains[0] is unit
+    letters = chain_set.level(0)
+    assert sorted(c.word for c in letters) == [(x,) for x in range(presentation.alphabet.size)]
+    for c in letters:
+        assert c.prefix is chain_set.unit and c.decomposition == ()
+    assert all(level >= 0 for level, _ in chain_set.index)
+    assert all(level >= 0 for level, _ in chain_set.by_level_degree)
+    # An equal chain built by hand names the unit too.
+    assert ctx._id_of(Chain((), -1, 0, 0, None)) == 0
+    # With no room for a letter, the chain set still holds its unit.
+    empty = enumerate_chains(presentation.alphabet, [], d, 0)
+    assert empty.index == {} and empty.unit == unit
 
 
 def test_split_recombines(xyz_ctx):

@@ -15,7 +15,7 @@ from anick import (
     render_poly,
 )
 from anick.chains import Chain
-from anick.errors import CoverageError, NotQuadraticError
+from anick.errors import AlgebraError, CoverageError, NotQuadraticError, TruncationError
 from anick.fields import PrimeField
 from anick.homology import induced_matrix_from_context
 from anick.resolution import ResolutionContext, resolution_slices
@@ -43,6 +43,14 @@ def test_induced_level_three_degree_four(xyz, xyz_ctx):
     j = cols.index(xyz_ctx.chains.find(3, a.word("xxxx")))
     rendered = {a.str_word(c.word): int(row[j]) for c, row in zip(rows, dense) if row[j]}
     assert rendered == {"x^2*y*x": 1, "x*y*x^2": -1}
+
+
+@pytest.mark.parametrize("level, degree", [(5, 6), (2, 9), (-1, 2), (2, -1)])
+def test_induced_matrix_outside_the_context_raises(xyz, level, degree):
+    # No chains there would read as a zero map, not as a missing one.
+    ctx = ResolutionContext(complete(xyz, 6), 3, 6)
+    with pytest.raises(TruncationError):
+        induced_matrix_from_context(ctx, level, degree)
 
 
 def test_induce_from_slices_matches_context(xyz, xyz_ctx):
@@ -167,6 +175,12 @@ def test_betti_table_ranks_in_its_context_field(text, given, ctx_field):
     ctx = ResolutionContext(complete(over, 6), level_max=6, deg_max=6)
     table = betti_table(parse_presentation(text, field_override=given), 6, 6, ctx=ctx)
     assert table.values == betti_table(over, 6, 6).values
+
+
+def test_betti_table_rejects_a_context_over_another_alphabet(xyz_ctx):
+    ab = parse_presentation("vars: a > b\nrelations:\n  a*b\n")
+    with pytest.raises(AlgebraError):
+        betti_table(ab, 3, 5, ctx=xyz_ctx)
 
 
 def test_koszul_verdict_main_fixture(xyz, xyz_ctx):

@@ -11,8 +11,10 @@ from anick import (
     Presentation,
     Reducer,
     ResolutionContext,
+    betti_table,
     complete,
     enumerate_chains,
+    euler_check,
     normal_form,
     normal_word_automaton,
 )
@@ -292,15 +294,15 @@ def test_xyz_comes_out_in_deglex_order(xyz):
 
 
 @st.composite
-def quadratic_presentations(draw):
+def quadratic_presentations(draw, field=FIELD):
     alphabet = Alphabet(("x", "y", "z")[: draw(st.integers(2, 3))])
     pool = list(product(range(alphabet.size), repeat=2))
     rels = []
     for _ in range(draw(st.integers(1, 3))):
         support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
-        coeffs = st.sampled_from([-2, -1, 1, 2]).map(FIELD.of)
-        rels.append(Polynomial({w: draw(coeffs) for w in support}))
-    return Presentation(alphabet, FIELD, tuple(rels))
+        coeffs = st.sampled_from([-2, -1, 1, 2]).map(field.of)
+        rels.append(Polynomial({w: draw(coeffs) for w in support}, field.p))
+    return Presentation(alphabet, field, tuple(rels))
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,3 +323,12 @@ def test_chain_ids_are_context_positions(pres, degree):
         assert ctx._chains[c.id] is c
         by_id = {(ctx._chains[i], w): a for (i, w), a in ctx.differential(c.id).items()}
         assert by_id == ctx.differential(c).terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([FIELD, PrimeField(5)]).flatmap(quadratic_presentations))
+def test_betti_table_satisfies_the_euler_identity(pres):
+    # The alternating Betti sums times the Hilbert series give 1 through D.
+    ctx = ResolutionContext(complete(pres, 5), 5, 5)
+    table = betti_table(pres, 5, 5, ctx=ctx)
+    assert euler_check(table, ctx.automaton.hilbert_coefficients(5)) == [0] * 6
