@@ -113,7 +113,7 @@ class Reducer:
     rewriting loop.  ``memo`` maps each word looked up to its reducer;
     adding rows clears it, since a new leading word may divide a seen word.
     A polynomial of another modulus than the field's raises ``FieldError``.
-    ``rows``, ``first``, ``memo`` and ``reduce``'s remainders hold ``_code`` strings.
+    ``rows``, ``first``, ``memo``, ``find``'s word and ``reduce``'s remainders are ``_code``s.
     """
 
     def __init__(self, field: Field, basis: Iterable[Polynomial] = ()):
@@ -144,12 +144,11 @@ class Reducer:
         self.lengths = sorted({len(lead) for lead in self.first})
         self.memo.clear()
 
-    def find(self, w: Word) -> tuple[int, int] | None:
-        """The leftmost position of w holding a leading word (an empty one sits
-        at len(w) in ()) and the least basis index there, kept in ``memo``."""
-        s = _code(w)
-        if (hit := self.memo.get(s, False)) is False:
-            hit = self.memo[s] = self._find(s)
+    def find(self, w: str) -> tuple[int, int] | None:
+        """The leftmost position of a ``_code`` string w holding a leading word (an
+        empty one sits at len(w) in "") and the least basis index there, kept in ``memo``."""
+        if (hit := self.memo.get(w, False)) is False:
+            hit = self.memo[w] = self._find(w)
         return hit
 
     def _find(self, w: str) -> tuple[int, int] | None:
@@ -284,6 +283,8 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
     leading word, and the certificate is certified-complete exactly when
     no overlap word is longer than max_deg.
     """
+    if type(max_deg) is not int:
+        raise TypeError(f"truncation degree must be an int, got {type(max_deg).__name__}")
     if max_deg < presentation.max_relation_degree():
         raise TruncationError(
             f"truncation degree {max_deg} is below the maximal relation degree "

@@ -22,15 +22,15 @@ and must cancel.  The maximal term strictly decreases, so the recursion
 terminates; a missing chain prefix means the Groebner data is invalid for
 the requested degree and raises.
 
-Inside a context a chain is its int id, ``Chain.id`` (0 is the chain
-set's unit, every letter's prefix, then its chains level by level): the
+Inside a context a chain is its int id, ``Chain.id`` (0 is the chain set's
+unit, then its chains level by level), and a word is a ``str`` of code
+points, as in ``Reducer``: ``nf_word`` takes and returns them, and the
 split's terms, heap and result, the differential cache and the pair bases
-are keyed by ``(chain id, word)``, and each id's chain holds its word,
-level, tail and prefix.  Each id's children, as (tail, its length, id),
-are grouped once under their prefix ids.  Only the public
-methods (``differential``, ``split``, ``act_right``, ``pair_basis``,
-``slice``) take or return pairs keyed by ``Chain``, found by level and word.
-A chain, or a ``slice`` or ``pair_basis`` level or degree, outside the
+hold ``(chain id, code word)``.  An id's code word is its prefix's plus its
+tail's; a dict maps (prefix id, tail code) to the child id.  Only the public
+methods (``differential``, ``split``, ``act_right``, ``pair_basis``, ``slice``)
+take or return ``Chain`` keys and tuple words; a letter outside the alphabet
+there raises ``AlgebraError``.  A chain, level or degree outside the
 context's bounds raises ``TruncationError``; a wrong type, ``TypeError``.
 
 Over Fp the context computes on plain ``int`` residues in 1..p-1 and
@@ -47,10 +47,10 @@ from dataclasses import dataclass
 
 from .automaton import NormalWordAutomaton, normal_word_automaton
 from .chains import Chain, ChainSet, enumerate_chains
-from .errors import CoverageError, FieldError, SplittingError, TruncationError
-from .groebner import GroebnerBasis, Presentation, Reducer, complete, normal_form
+from .errors import AlgebraError, CoverageError, FieldError, SplittingError, TruncationError
+from .groebner import GroebnerBasis, Presentation, Reducer, _code, _word, complete, normal_form
 from .poly import LinComb, Polynomial
-from .words import EMPTY, Word
+from .words import Word
 
 
 class FreeElement(LinComb):
@@ -105,17 +105,18 @@ class ResolutionContext:
         )
         self._reducer = Reducer(self.field, gb.elements)
         self.p = self.field.p
-        self._nf_cache: dict[Word, dict[Word, object]] = {}
-        self._basis_cache: dict[tuple[int, int], tuple[tuple[int, Word], ...]] = {}
+        self._letters = _code(range(self.alphabet.size))  # every letter, for _check
+        self._nf_cache: dict[str, dict[str, object]] = {}
+        self._basis_cache: dict[tuple[int, int], tuple[tuple[int, str, Word], ...]] = {}
         # Ids run 0 (the chain set's unit), then 1..n in index order: _chains[c.id] is c.
         self.unit = self.chains.unit
         self._chains = chains = [self.unit, *self.chains.index.values()]
-        # Id -> the chains one level up that extend it, as (tail, its length, id).
-        self._children: dict[int, list[tuple[Word, int, int]]] = {}
-        self._at: dict[int, dict[int, Word]] = {-1: {0: EMPTY}}  # level -> id -> word
+        self._child: dict[tuple[int, str], int] = {}  # (prefix id, tail code) -> child id
+        self._at: dict[int, dict[int, str]] = {-1: {0: ""}}  # level -> id -> code word
+        tails = {t: _code(t) for t in {c.tail for c in chains[1:]}}
         for c in chains[1:]:
-            self._children.setdefault(c.prefix.id, []).append((c.tail, c.tail_len, c.id))
-            self._at.setdefault(c.level, {})[c.id] = c.word
+            self._child[c.prefix.id, t := tails[c.tail]] = c.id
+            self._at.setdefault(c.level, {})[c.id] = self._at[c.level - 1][c.prefix.id] + t
         self._diff: dict[int, dict] = {}  # filled lazily; a negative id misses
 
     def _outside(self, what: str) -> TruncationError:
@@ -131,21 +132,26 @@ class ResolutionContext:
             raise self._outside(repr(c))
         return found.id
 
-    def nf_word(self, w: Word) -> dict[Word, object]:
-        """The normal form of a word as ``{word: scalar}`` terms, residues
-        over Fp.  A word with no leading-word factor is its own normal form;
-        ``Reducer.find`` keeps the search, so ``normal_form`` does not
-        search a reducible word again."""
+    def _check(self, w: str) -> str:
+        """w, if a code word over the alphabet; ``str.strip`` raises ``TypeError`` on a non-str."""
+        if str.strip(w, self._letters):  # the strip stops at a letter outside the alphabet
+            raise AlgebraError(f"word {_word(w)} has a letter outside 0..{len(self._letters) - 1}")
+        return w
+
+    def nf_word(self, w: str) -> dict[str, object]:
+        """The normal form of a code word as ``{code word: scalar}`` terms, residues over
+        Fp; a word with no leading-word factor is its own.  ``Reducer.find`` keeps the
+        search, so ``normal_form`` does not search it again.  w is checked on a miss."""
         cached = self._nf_cache.get(w)
         if cached is None:
-            if self._reducer.find(w) is None:
-                cached = {w: 1}
-            else:
-                cached = normal_form(Polynomial.monomial(w, 1, self.p), self._reducer).terms
+            cached = {w: 1}  # unless w has a leading-word factor
+            if self._reducer.find(self._check(w)) is not None:
+                nf = normal_form(Polynomial.monomial(_word(w), 1, self.p), self._reducer)
+                cached = {_code(u): a for u, a in nf.terms.items()}
             self._nf_cache[w] = cached
         return cached
 
-    def _times(self, terms: dict, w: Word) -> dict:
+    def _times(self, terms: dict, w: str) -> dict:
         """terms . w in normal form, summed but not reduced, keyed as terms is."""
         nf_word, out = self.nf_word, {}
         for (c, u), coeff in terms.items():
@@ -164,26 +170,27 @@ class ResolutionContext:
 
     def act_right(self, elem: FreeElement, w: Word) -> FreeElement:
         """Right action of a word on a free-module element, in normal form."""
-        terms = self._own(elem)
-        return FreeElement(self._times(terms, w), self.p) if w else elem
+        terms, w = self._own(elem), self._check(_code(w))
+        out = self._times({(c, _code(u)): a for (c, u), a in terms.items()}, w)
+        return FreeElement({(c, _word(u)): a for (c, u), a in out.items()}, self.p)
 
     def split(self, level: int, xi: FreeElement | dict) -> FreeElement | dict:
         """Find eta at the given level whose differential is xi.
 
-        xi must lie in the kernel of the previous differential and be
-        supported below the given level's chains, which holds for every
-        element this engine feeds in.  At level 0, xi is an algebra element
-        keyed by ``self.unit`` and must have no degree-0 term.  A
-        ``FreeElement`` of another modulus raises ``FieldError``; over Fp a
-        dict's coefficients may be any ``int``; the result holds residues.
-        A ``FreeElement`` gives one; a dict keyed by (chain id, word) a dict.
-        A pair with an empty cofactor is never split, since no chain
-        extension fits it; it must cancel.  A term at another level, or one
-        that does not cancel, raises ``SplittingError``; a chain outside the
-        context's bounds, or an id that names none, ``TruncationError``; any
-        other xi, or a ``FreeElement`` key with no ``Chain``, ``TypeError``.
+        xi must lie in the kernel of the previous differential and be supported
+        below the given level's chains, which holds for every element this engine
+        feeds in.  At level 0, xi is an algebra element keyed by ``self.unit`` and
+        must have no degree-0 term.  A ``FreeElement`` of another modulus raises
+        ``FieldError``, and one with a letter outside the alphabet ``AlgebraError``;
+        over Fp a dict's coefficients may be any ``int``; the result holds residues.
+        A ``FreeElement`` gives one; a dict keyed by (chain id, code word) a dict.
+        A pair with an empty cofactor is never split, since no chain extension fits
+        it; it must cancel.  A term at another level, or one that does not cancel,
+        raises ``SplittingError``; a chain outside the context's bounds, or an id
+        that names none, ``TruncationError``; any other xi, or a ``FreeElement``
+        key with no ``Chain``, ``TypeError``.
         """
-        p, at, children = self.p, self._at.get(level - 1, {}), self._children
+        p, at, child = self.p, self._at.get(level - 1, {}), self._child
         if public := not isinstance(xi, dict):
             terms = {}
             for (c, w), a in self._own(xi).items():
@@ -193,31 +200,32 @@ class ResolutionContext:
                     raise SplittingError(
                         f"a level-{level} split got a level-{c.level} term {c.word} (x) {w}"
                     )
-                terms[self._id_of(c), w] = a
+                terms[self._id_of(c), self._check(_code(w))] = a
             xi = terms
         work = {k: r for k, a in xi.items() if (r := a % p if p else a)}
-        # Products in one split share a length, so the word orders them in deglex,
-        # the shorter cofactor (the longer chain) first on a tie.  A pair with an
-        # empty cofactor fits no tail and stays off the heap, unless at lacks its id.
+        # Products in one split share a length, so the code word orders them in
+        # deglex, the shorter cofactor (the longer chain) first on a tie.  A pair with
+        # an empty cofactor fits no tail and stays off the heap, unless at lacks its id.
         try:  # at[i] raises for an id that names no chain one level down
-            heap = [(at[i] + w, len(w), (i, w)) for i, w in work if w or i not in at]
+            heap = [(at[k[0]] + k[1], len(k[1]), k) for k in work if k[1] or k[0] not in at]
         except KeyError as e:
             raise self._outside(f"chain id {e.args[0]} at level {level - 1}") from None
         heapq.heapify(heap)
-        emitted: dict[tuple[int, Word], object] = {}
+        emitted: dict[tuple[int, str], object] = {}
         while heap:
             key = heapq.heappop(heap)[2]
             coeff = work.get(key)
             if coeff is None:
                 continue
             i, w0 = key
-            for t, n, hat in children.get(i, ()):
-                if w0[:n] == t:
-                    break
-            else:
+            hat, n = child.get(key), len(w0)  # most often the tail is all of w0
+            while hat is None and n > 1:  # at most one child's tail begins w0
+                n -= 1
+                hat = child.get((i, w0[:n]))
+            if hat is None:
                 raise SplittingError(
                     f"no level-{level} chain prefix for product word "
-                    f"{at[i] + w0}; the basis data is incomplete or invalid"
+                    f"{_word(at[i] + w0)}; the basis data is incomplete or invalid"
                 )
             leftover = w0[n:]
             emitted[hat, leftover] = coeff
@@ -240,13 +248,13 @@ class ResolutionContext:
             raise SplittingError(f"level-{level} split left {len(work)} terms uncancelled")
         if not public:
             return emitted
-        return FreeElement({(self._chains[i], w): a for (i, w), a in emitted.items()}, p)
+        return FreeElement({(self._chains[i], _word(w)): a for (i, w), a in emitted.items()}, p)
 
     def differential(self, c: Chain | int) -> FreeElement | dict:
         """d(c (x) 1) as an element one level down; a letter x maps to
         1 (x) x over the (-1)-chain.  A ``Chain`` gives a ``FreeElement``;
         inside the context, a chain id gives the cached dict keyed by
-        ``(chain id, word)``.  A chain or an id out of range raises
+        ``(chain id, code word)``.  A chain or an id out of range raises
         ``TruncationError``, and the (-1)-chain's id 0 ``SplittingError``."""
         i = c if type(c) is int else self._id_of(c)
         out = self._diff.get(i)
@@ -256,33 +264,35 @@ class ResolutionContext:
                     raise SplittingError("the (-1)-chain has no differential")
                 raise self._outside(f"chain id {i}")
             chain, p = self._chains[i], self.p
-            out = {(chain.prefix.id, chain.tail): 1}
+            out = {(chain.prefix.id, t := self._at[chain.level][i][-chain.tail_len:]): 1}
             if chain.level:
                 # split reduces d(c') . t mod p itself; every term it returns
                 # lies below the product word of (c', t).
-                xi = self._times(self.differential(chain.prefix.id), chain.tail)
+                xi = self._times(self.differential(chain.prefix.id), t)
                 for k, a in self.split(chain.level - 1, xi).items():
                     out[k] = -a % p if p else -a
             self._diff[i] = out
         if type(c) is int:
             return out
-        return FreeElement({(self._chains[i], w): a for (i, w), a in out.items()}, self.p)
+        return FreeElement({(self._chains[i], _word(w)): a for (i, w), a in out.items()}, self.p)
 
-    def _pair_ids(self, level: int, degree: int) -> tuple[tuple[int, Word], ...]:
-        """``pair_basis`` as (chain id, word) pairs, built once per context."""
+    def _pair_ids(self, level: int, degree: int) -> tuple[tuple[int, str, Word], ...]:
+        """``pair_basis`` as (chain id, code word, word), built once per context."""
+        if type(level) is not int or type(degree) is not int:
+            raise TypeError(f"level and degree must be ints, got {level!r}, {degree!r}")
         cached = self._basis_cache.get((level, degree))
         if cached is None:
             if not (-1 <= level <= self.level_max and 0 <= degree <= self.deg_max):
                 raise self._outside(f"level {level}, degree {degree}")
             accepted = self.automaton.accepted_words
             if level == -1:
-                out = [(0, w) for w in accepted(degree)]
+                out = [(0, _code(w), w) for w in accepted(degree)]
             else:
                 out, words = [], self._at.get(level, {})
                 for d in range(0, degree + 1):
                     if at := self.chains.at(level, d):  # one word list per cofactor degree
-                        cofactors = accepted(degree - d)
-                        out += [(c.id, w) for c in at for w in cofactors]
+                        cofactors = [(_code(w), w) for w in accepted(degree - d)]
+                        out += [(c.id, s, w) for c in at for s, w in cofactors]
                 # The split heap's key, reversed: ascending in the order in
                 # which the heap pops the greatest pair first.
                 out.sort(key=lambda k: (words[k[0]] + k[1], len(k[1])), reverse=True)
@@ -297,16 +307,16 @@ class ResolutionContext:
         ``TruncationError``.
         """
         chains = self._chains
-        return [(chains[i], w) for i, w in self._pair_ids(level, degree)]
+        return [(chains[i], w) for i, _, w in self._pair_ids(level, degree)]
 
     def slice(self, level: int, degree: int) -> ResolutionSlice:
         """Matrix of the differential at one level and internal degree;
         one outside the context's bounds raises ``TruncationError``."""
         rows = self._pair_ids(level - 1, degree)
-        row_index = {k: i for i, k in enumerate(rows)}
+        row_index = {(i, s): r for r, (i, s, _) in enumerate(rows)}
         of, p = self.field.of, self.p
         columns = []
-        for i, w in self._pair_ids(level, degree):
+        for i, w, _ in self._pair_ids(level, degree):
             terms = self.differential(i)
             if w:
                 terms = self._times(terms, w)
@@ -316,7 +326,7 @@ class ResolutionContext:
                 columns.append(
                     {row_index[k]: a if type(a) is int else of(a) for k, a in terms.items() if a}
                 )
-        rows = [w for _, w in rows] if level == 0 else self.pair_basis(level - 1, degree)
+        rows = [w for *_, w in rows] if level == 0 else self.pair_basis(level - 1, degree)
         return ResolutionSlice(level, degree, self.pair_basis(level, degree), rows, columns)
 
     def slices(self) -> list[ResolutionSlice]:

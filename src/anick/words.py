@@ -50,6 +50,7 @@ class Alphabet:
         # (name, index) pairs, longest name first, for splitting words.
         by_length = sorted(((n, i) for i, n in enumerate(self.letters)), key=lambda p: -len(p[0]))
         object.__setattr__(self, "_by_length", by_length)
+        object.__setattr__(self, "_names", dict(enumerate(letters)))
 
     @property
     def size(self) -> int:
@@ -80,9 +81,12 @@ class Alphabet:
         return tuple(out)
 
     def str_word(self, w: Word) -> str:
-        """Render a word as ``x*y^2*x``; the empty word renders as ``1``."""
-        names = self.letters
-        runs = [names[i] if (k := len(list(g))) == 1 else f"{names[i]}^{k}" for i, g in groupby(w)]
+        """Render a word as ``x*y^2*x``, the empty word as ``1``; a foreign letter raises."""
+        name = self._names  # a dict: a negative letter misses, as one past the last does
+        try:
+            runs = [name[i] if (k := len([*g])) == 1 else f"{name[i]}^{k}" for i, g in groupby(w)]
+        except KeyError as bad:
+            raise AlgebraError(f"letter {bad} is outside the alphabet {self.letters}") from None
         return "*".join(runs) or "1"
 
 

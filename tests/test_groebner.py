@@ -29,6 +29,7 @@ from anick import (
 )
 from anick.errors import AlgebraError, FieldError, TruncationError
 from anick.fields import PrimeField, Rationals
+from anick.groebner import _code
 from anick.reports import gb_payload
 from anick.resolution import FreeElement
 from anick.words import DegLex, overlaps
@@ -182,14 +183,15 @@ def test_public_words_stay_tuples_of_int():
 
 def _reducer_entries(letter):
     """Each way a word enters a Reducer (a lead, a tail, a reduced term, a
-    searched word), called with a word holding letter."""
+    searched word, converted as ``find``'s tuple callers do), called with a
+    word holding letter."""
     w, field = (0, letter), Rationals()
     reducer = Reducer(field, [Polynomial({(0, 0): 1})])
     return [
         lambda: Reducer(field, [Polynomial({w: 1})]),
         lambda: Reducer(field, [Polynomial({(0, 0, 0): 1, w: 1})]),
         lambda: normal_form(Polynomial({w: 1}), reducer),
-        lambda: reducer.find(w),
+        lambda: reducer.find(_code(w)),
     ]
 
 
@@ -206,7 +208,7 @@ def test_a_surrogate_letter_is_an_ordinary_letter():
     x = 0xD800
     basis = [Polynomial({(0, x): 1, (x, 0): -1})]
     reducer = Reducer(Rationals(), basis)
-    assert reducer.find((x, 0, x)) == (1, 0)
+    assert reducer.find(_code((x, 0, x))) == (1, 0)
     trace, want_trace = [], []
     p = Polynomial({(0, 0, x): 1})
     assert normal_form(p, reducer, trace) == Polynomial({(x, 0, 0): 1})
@@ -243,7 +245,7 @@ FIND_LEADS = st.lists(st.lists(st.integers(0, 1), max_size=4).map(tuple), max_si
 @example([(0, 0, 1, 1), (1, 1)], (0, 0, 1))
 def test_reducer_find_is_the_leftmost_factor_of_least_index(leads, w):
     reducer = Reducer(Rationals(), [Polynomial.monomial(lead, 1) for lead in leads])
-    assert reducer.find(w) == leftmost_factor(w, leads)
+    assert reducer.find(_code(w)) == leftmost_factor(w, leads)
 
 
 def test_complete_generic_four_generator_algebra():
@@ -614,6 +616,20 @@ def test_confluence_up_to_truncation(xyz, xyz_gb8):
                     continue
                 s = s_polynomial(g, h, l)
                 assert normal_form(s, reducer).is_zero
+
+
+@pytest.mark.parametrize("bound", [4.5, 4.0, True, "4", None])
+def test_a_bound_that_is_not_exactly_an_int_raises_type_error(xyz, xyz_ctx, bound):
+    # complete(p, 4.5) was certified complete-up-to-degree(4.5), and True
+    # raised a TruncationError below the relation degree; pair_basis(1.5, 2)
+    # returned [] and slice(1.0, 2) a slice.
+    with pytest.raises(TypeError, match="must be an int"):
+        complete(xyz, bound)
+    for method in (xyz_ctx.pair_basis, xyz_ctx.slice):
+        with pytest.raises(TypeError):
+            method(bound, 2)
+        with pytest.raises(TypeError, match="must be ints"):
+            method(1, bound)
 
 
 def test_complete_rejects_tiny_truncation(xyz):

@@ -19,6 +19,7 @@ from anick import (
     normal_word_automaton,
 )
 from anick.fields import PrimeField, Rationals
+from anick.groebner import _word
 from anick.homology import induced_matrix_from_context
 from anick.linalg import nullspace
 from anick.words import DegLex
@@ -316,12 +317,13 @@ def test_random_quadratic_algebra_comes_out_in_deglex_order(pres):
 def test_chain_ids_are_context_positions(pres, degree):
     # The context's chain set comes from enumerate_chains, which numbers its
     # chains 1..n in index order; the context reads each id's chain by it.
+    # Inside the context a word is a code word; the public differential's are tuples.
     ctx = ResolutionContext(complete(pres, degree), degree, degree)
     ids = [c.id for c in ctx.chains.index.values()]
     assert ctx.unit.id == 0 and ids == list(range(1, len(ids) + 1))
     for c in ctx.chains.index.values():
         assert ctx._chains[c.id] is c
-        by_id = {(ctx._chains[i], w): a for (i, w), a in ctx.differential(c.id).items()}
+        by_id = {(ctx._chains[i], _word(w)): a for (i, w), a in ctx.differential(c.id).items()}
         assert by_id == ctx.differential(c).terms
 
 

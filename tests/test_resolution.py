@@ -20,14 +20,16 @@ from anick import (
     Polynomial,
     Reducer,
     ResolutionContext,
+    betti_table,
     complete,
     normal_form,
     parse_presentation,
     quadratic_dual,
 )
 from anick.chains import Chain
-from anick.errors import CoverageError, FieldError, SplittingError, TruncationError
+from anick.errors import AlgebraError, CoverageError, FieldError, SplittingError, TruncationError
 from anick.fields import PrimeField, Rationals
+from anick.groebner import _code, _word
 from anick.reports import slices_payload
 from anick.resolution import resolution_slices, verify_composition
 from anick.words import deglex_desc
@@ -341,6 +343,47 @@ def test_act_right_on_anything_but_a_free_element_raises_type_error(xyz_ctx, ele
         xyz_ctx.act_right(elem, (0,))
 
 
+def test_a_word_outside_the_alphabet_raises_where_it_enters_the_context(xyz):
+    # At D=6 act_right by (9,) returned z (x) (1, 9), and nf_word((7, 0))
+    # answered {(7, 0): 1}, though the alphabet has 3 letters; a split of
+    # z (x) (1, 9) returned zy (x) (9,).  nf_word takes code words.
+    ctx = ResolutionContext(complete(xyz, 6), 6, 6)
+    z, zy = ctx.chains.find(0, (2,)), ctx.chains.find(1, (2, 1))
+    for w in [(9,), (0, -1), (1, 3)]:
+        with pytest.raises(AlgebraError, match="has a letter outside 0.."):
+            ctx.act_right(ctx.differential(zy), w)
+        with pytest.raises(AlgebraError, match="has a letter outside 0.."):
+            ctx.split(1, FreeElement({(z, (1, *w)): 1}))
+    with pytest.raises(AlgebraError, match=r"word \(7, 0\) has a letter outside 0..2"):
+        ctx.nf_word(_code((7, 0)))
+    for w in [(7, 0), (0, 1), 0, None]:
+        with pytest.raises(TypeError, match="for 'str' objects"):
+            ctx.nf_word(w)
+    assert ctx.nf_word(_code((0, 2))) == {} and ctx.act_right(ctx.differential(zy), ()).terms
+
+
+def test_letters_past_latin_1_resolve_as_their_relabelled_algebra(xyz):
+    # A letter of index 256 or more takes the chr path of _code and _word,
+    # not latin-1.  The paper's example on the last three of 260 letters
+    # has the 3-letter algebra's differentials, relabelled, and its Betti
+    # table but for the 260 letters in b[1][1].
+    names = " > ".join(f"a{i}" for i in range(257))
+    big = parse_presentation(XYZ_TEXT.replace("vars: x", f"vars: {names} > x"))
+    small_ctx, big_ctx = (ResolutionContext(complete(p, 5), 5, 5) for p in (xyz, big))
+
+    def up(w):
+        return tuple(i + 257 for i in w)
+
+    for c in small_ctx.chains.index.values():
+        want = {(up(k.word), up(w)): a for (k, w), a in small_ctx.differential(c).terms.items()}
+        got = big_ctx.differential(big_ctx.chains.find(c.level, up(c.word))).terms
+        assert {(k.word, w): a for (k, w), a in got.items()} == want, c
+    assert len(big_ctx.chains.index) == len(small_ctx.chains.index) + 257
+    want = betti_table(xyz, 5, 5, ctx=small_ctx).values
+    want[1][1] = 260
+    assert betti_table(big, 5, 5, ctx=big_ctx).values == want
+
+
 @pytest.mark.parametrize(
     ("order", "d", "level_max", "deg_max", "level", "degree"),
     [
@@ -636,15 +679,16 @@ def test_slice_payload_matches_pinned_digest(name, xyz, yxsq_high):
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(5)])
 def test_nf_word_is_the_normal_form_of_every_word(text, max_deg, field):
     # nf_word answers a normal word itself and hands the rest to normal_form;
-    # both must give normal_form's terms, with the same scalar types.
+    # both must give normal_form's terms, with the same scalar types.  It
+    # takes and returns code words, the words inside the context.
     pres = parse_presentation(text, field_override=field)
     gb = complete(pres, max_deg)
     ctx, reducer = ResolutionContext(gb, 1, max_deg), Reducer(field, gb.elements)
     words = [w for d in range(max_deg + 1) for w in all_words(pres.alphabet.size, d)]
     for w in words:
         want = normal_form(Polynomial.monomial(w, 1, field.p), reducer).terms
-        got = ctx.nf_word(w)
+        got = {_word(u): a for u, a in ctx.nf_word(_code(w)).items()}
         assert got == want, w
         assert [type(a) for a in got.values()] == [type(a) for a in want.values()]
     # Both kinds of word occur.
-    assert 0 < sum(ctx.nf_word(w) == {w: 1} for w in words) < len(words)
+    assert 0 < sum(ctx.nf_word(_code(w)) == {_code(w): 1} for w in words) < len(words)

@@ -4,7 +4,7 @@ import pytest
 from helpers import bf_has_factor, check_antichain_reference
 from hypothesis import given, settings, strategies as st
 
-from anick import AlgebraError, Alphabet, DegLex, overlaps
+from anick import AlgebraError, Alphabet, DegLex, Polynomial, overlaps, render_poly
 from anick.words import check_antichain, deglex_desc
 from anick.errors import AntichainError
 
@@ -105,6 +105,15 @@ def test_word_split_and_render(xyz_alpha):
     assert xyz_alpha.str_word(()) == "1"
     with pytest.raises(AlgebraError):
         xyz_alpha.word("xq")
+
+
+@pytest.mark.parametrize("w, bad", [((-1,), -1), ((-1, 0), -1), ((3,), 3), ((0, 2, 7), 7)])
+def test_str_word_renders_only_letters_of_its_alphabet(xyz_alpha, w, bad):
+    # (-1,) rendered as 'z', the last letter, and (3,) raised a raw IndexError.
+    with pytest.raises(AlgebraError, match=f"letter {bad} is outside the alphabet"):
+        xyz_alpha.str_word(w)
+    with pytest.raises(AlgebraError, match=f"letter {bad} is outside"):
+        render_poly(xyz_alpha, Polynomial({w: 1}))
 
 
 def test_word_split_multicharacter_names():
