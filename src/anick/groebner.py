@@ -24,7 +24,7 @@ from . import linalg
 from .errors import AlgebraError, FieldError, TruncationError
 from .fields import Field
 from .poly import Polynomial
-from .words import Alphabet, Word, overlaps
+from .words import Alphabet, Word
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,11 @@ def _word(s: str) -> Word:
 class Reducer:
     """Monic basis elements as integer rows (over Q the primitive multiple
     with a positive lead, over Fp the residues with lead 1), and the one
-    rewriting loop.  ``memo`` maps each word looked up to its reducer;
-    adding rows clears it, since a new leading word may divide a seen word.
+    rewriting loop.  ``memo`` maps each word looked up to its reducer, and
+    ``expansions`` each rewritten word to the words and coefficients of its
+    rewrite; adding rows clears both, since a new leading word may divide a
+    seen word.  ``heads`` holds the leads' prefixes of the shortest lead
+    length, so ``_find`` skips a position where none begins.
     A polynomial of another modulus than the field's raises ``FieldError``.
     ``rows``, ``first``, ``memo``, ``find``'s word and ``reduce``'s remainders are ``_code``s.
     """
@@ -121,6 +124,7 @@ class Reducer:
         self.rows: list[tuple[str, int, dict[str, int]]] = []  # (lead, lc, tail)
         self.first: dict[str, int] = {}
         self.memo: dict[str, tuple[int, int] | None] = {}
+        self.expansions: dict[str, list[tuple[str, int]]] = {}
         self.extend(basis)
 
     def extend(self, basis: Iterable[Polynomial]) -> None:
@@ -142,7 +146,9 @@ class Reducer:
             self.first.setdefault(lead, len(self.rows))
             self.rows.append((lead, row.pop(lead), row))
         self.lengths = sorted({len(lead) for lead in self.first})
+        self.heads = {lead[:self.lengths[0]] for lead in self.first}
         self.memo.clear()
+        self.expansions.clear()
 
     def find(self, w: str) -> tuple[int, int] | None:
         """The leftmost position of a ``_code`` string w holding a leading word (an
@@ -152,9 +158,13 @@ class Reducer:
         return hit
 
     def _find(self, w: str) -> tuple[int, int] | None:
-        """``find`` of a ``_code`` string, unmemoized; it tries only leads that end in w."""
-        first, miss, end = self.first, len(self.rows), len(w)
-        for pos in range(end + 1):
+        """``find`` of a ``_code`` string, unmemoized; it tries only leads that end in w,
+        at positions where ``heads`` says one may begin."""
+        first, heads, miss, end = self.first, self.heads, len(self.rows), len(w)
+        m = self.lengths[0] if heads else 0
+        for pos in range(end - m + 1):
+            if w[pos:pos + m] not in heads:
+                continue
             gi = miss
             for n in self.lengths:
                 if pos + n > end:
@@ -179,7 +189,7 @@ class Reducer:
         deglex); a step adds words below, so no longer than, the one it
         rewrites, and a popped word missing from the dict has cancelled.
         """
-        p, rows, memo = self.p, self.rows, self.memo
+        p, rows, memo, expansions = self.p, self.rows, self.memo, self.expansions
         pending, scale = self._int_row(poly)
         heaps: dict[int, list[str]] = {}
         for w in sorted(pending):
@@ -203,9 +213,12 @@ class Reducer:
                     continue
                 pos, gi = hit
                 lead, lc, tail = rows[gi]
-                left, right = w[:pos], w[pos + len(lead):]
                 if trace is not None:
-                    trace.append((gi, self.field.of(c, scale), _word(left), _word(right)))
+                    left, right = _word(w[:pos]), _word(w[pos + len(lead):])
+                    trace.append((gi, self.field.of(c, scale), left, right))
+                if (rewrite := expansions.get(w)) is None:
+                    left, right = w[:pos], w[pos + len(lead):]
+                    rewrite = expansions[w] = [(left + u + right, a) for u, a in tail.items()]
                 if lc != 1:
                     m = lc // gcd(c, lc)
                     c, scale = c * m // lc, scale * m
@@ -213,8 +226,7 @@ class Reducer:
                         for terms in (pending, done):
                             for u in terms:
                                 terms[u] *= m
-                for u, a in tail.items():
-                    x = left + u + right
+                for x, a in rewrite:
                     prev = pending.get(x)
                     if prev is None:
                         pending[x] = -c * a
@@ -276,12 +288,15 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
     At degree d the relations of degree d and the S-polynomials whose
     overlap word has length d are reduced against the basis so far, which
     holds only elements of lower degree.  One reduced echelon step over
-    the nonzero remainders, with the degree-d words as columns (greatest
-    first), gives the degree-d elements from its integer pivot rows.  A
-    degree-d leading word divides no shorter word, so no earlier element
-    is ever superseded or reduced again.  Elements come out sorted by
-    leading word, and the certificate is certified-complete exactly when
-    no overlap word is longer than max_deg.
+    the nonzero remainders, shortest first (the result is the same in any
+    order, and short rows make the forward pass cheaper), with the degree-d
+    words as columns (greatest first), gives the degree-d elements from its
+    integer pivot rows.  A degree-d leading word divides no shorter word, so
+    no earlier element is ever superseded or reduced again.  A new element
+    finds its S-pairs in an index of the leads' proper prefixes and
+    suffixes, in the order of the all-pairs ``words.overlaps`` scan.
+    Elements come out sorted by leading word, and the certificate is
+    certified-complete exactly when no overlap word is longer than max_deg.
     """
     if type(max_deg) is not int:
         raise TypeError(f"truncation degree must be an int, got {type(max_deg).__name__}")
@@ -296,6 +311,8 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
     # S-pairs (i, j, overlap length) bucketed by overlap-word length; every
     # overlap word is longer than both leading words.
     pairs: dict[int, list[tuple[int, int, int]]] = {}
+    prefixes: dict[str, list[int]] = {}  # proper prefix -> indices of the leads it begins
+    suffixes: dict[str, list[int]] = {}  # proper suffix -> indices of the leads it ends
     basis: list[Polynomial] = []
     field, p = presentation.field, presentation.field.p
     reducer = Reducer(field)
@@ -311,22 +328,24 @@ def complete(presentation: Presentation, max_deg: int) -> GroebnerBasis:
         # leading word.  The basis grows only after echelon has drawn
         # every remainder, undivided: an integer multiple has the same
         # pivot rows.  The reducer takes those integer rows as they are.
-        remainders = (reducer.reduce(f)[0] for f in chain(relations.pop(d, ()), s_polys))
-        start, rows = len(basis), linalg._reduced(remainders, field)[::-1]
+        remainders = [reducer.reduce(f)[0] for f in chain(relations.pop(d, ()), s_polys)]
+        start, rows = len(basis), linalg._reduced(sorted(remainders, key=len), field)[::-1]
         for lead, row in rows:
             basis.append(Polynomial({_word(w): field.of(c, row[lead]) for w, c in row.items()}, p))
         reducer._add_rows(rows)
-        # Pairing each new element with those before it only lists every
-        # pair once.
-        for new in range(start, len(basis)):
-            u = basis[new].lead_word()
-            for j, h in enumerate(basis[:new + 1]):
-                w = h.lead_word()
-                for l in overlaps(u, w):
-                    pairs.setdefault(len(u) + len(w) - l, []).append((new, j, l))
-                if j != new:
-                    for l in overlaps(w, u):
-                        pairs.setdefault(len(u) + len(w) - l, []).append((j, new, l))
+        # A new lead u pairs with each lead w so far, itself included, as
+        # (u, w, l) where u's suffix of length l begins w and as (w, u, l)
+        # where u's prefix ends w; sorted by (w, which way, l) as the scan is.
+        for new, (u, _) in enumerate(rows, start):
+            n = len(u)
+            for l in range(1, n):
+                prefixes.setdefault(u[:l], []).append(new)
+                suffixes.setdefault(u[n - l:], []).append(new)
+            found = [(j, 0, l) for l in range(1, n) for j in prefixes.get(u[n - l:], ())]
+            found += [(j, 1, l) for l in range(1, n) for j in suffixes.get(u[:l], ()) if j != new]
+            for j, way, l in sorted(found):
+                pairs.setdefault(n + len(reducer.rows[j][0]) - l, []).append(
+                    (j, new, l) if way else (new, j, l))
     # What is left are pairs above max_deg.
     certificate = Certificate(not pairs, max_deg if pairs else None)
     return GroebnerBasis(presentation, tuple(basis), max_deg, certificate)

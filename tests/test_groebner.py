@@ -307,10 +307,45 @@ def oracle_presentations(draw):
     return Presentation(alphabet, field, tuple(rels))
 
 
+def overlap_scan(gb):
+    """``(lead g, lead h, l)`` of every S-pair through the truncation degree,
+    as the all-pairs ``overlaps`` scan over the basis in order lists them:
+    by overlap-word length, then by the later element, the earlier one,
+    which way round and l."""
+    pairs, leads = {}, gb.obstructions
+    for new, u in enumerate(leads):
+        for j, w in enumerate(leads[:new + 1]):
+            for l in overlaps(u, w):
+                pairs.setdefault(len(u) + len(w) - l, []).append((u, w, l))
+            if j != new:
+                for l in overlaps(w, u):
+                    pairs.setdefault(len(u) + len(w) - l, []).append((w, u, l))
+    return [pair for d in sorted(pairs) if d <= gb.truncation_degree for pair in pairs[d]]
+
+
+def s_pairs_of_complete(pres, max_deg):
+    """The basis ``complete`` returns, and ``(lead g, lead h, l)`` of each
+    ``s_polynomial`` call it made, in order."""
+    import anick.groebner
+
+    made = []
+
+    def recording(g, h, l):
+        made.append((g.lead_word(), h.lead_word(), l))
+        return s_polynomial(g, h, l)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(anick.groebner, "s_polynomial", recording)
+        return complete(pres, max_deg), made
+
+
 def assert_matches_oracle(pres, max_deg):
-    got, want = complete(pres, max_deg), complete_reference(pres, max_deg)
+    (got, made), want = s_pairs_of_complete(pres, max_deg), complete_reference(pres, max_deg)
     assert [g.terms for g in got.elements] == [g.terms for g in want.elements]
     assert got.certificate == want.certificate
+    # complete finds its S-pairs through an index of the leads' prefixes and
+    # suffixes; the oracle cannot see a pair listed twice, the scan can.
+    assert made == overlap_scan(got)
 
 
 # The example count comes from the active hypothesis profile (conftest.py).
@@ -319,6 +354,13 @@ def assert_matches_oracle(pres, max_deg):
 def test_complete_matches_buchberger_oracle(pres):
     for max_deg in range(pres.max_relation_degree(), 7):
         assert_matches_oracle(pres, max_deg)
+
+
+@pytest.mark.parametrize("max_deg, calls", [(6, 95), (7, 195)])
+def test_complete_forms_the_s_pairs_of_the_overlap_scan_on_g4(max_deg, calls):
+    gb, made = s_pairs_of_complete(g4(), max_deg)
+    assert len(made) == calls
+    assert made == overlap_scan(gb)
 
 
 def test_complete_matches_oracle_under_every_g4_precedence():
@@ -340,6 +382,19 @@ def test_reducer_memo_is_cleared_when_elements_are_added():
     yx = Polynomial.monomial(alpha.word("yx"), field.one)
     reducer.extend([xy - yx])
     assert normal_form(xy, reducer) == normal_form(xy, Reducer(field, [xy - yx])) == yx
+    # reduce keeps each rewritten word's expansion; a row whose lead sits
+    # further left in that word must replace it.
+    alpha = Alphabet(("x", "y", "z"))
+
+    def m(text):
+        return Polynomial.monomial(alpha.word(text), field.one)
+
+    basis = [m("yz") - m("zy"), m("xy") - m("yx")]
+    reducer = Reducer(field, basis[:1])
+    assert normal_form(m("xyz"), reducer) == m("xzy")
+    reducer.extend(basis[1:])
+    fresh = Reducer(field, basis)
+    assert normal_form(m("xyz"), reducer) == normal_form(m("xyz"), fresh) == m("yxz")
 
 
 @pytest.mark.parametrize("algebra, max_deg", [("g4", 6), ("g4-fp5", 6), ("xyz", 8)])
@@ -407,6 +462,12 @@ def test_s_polynomial_rejects_bad_overlap(xyz):
         s_polynomial(mono(xyz, "xz"), mono(xyz, "zy"), 2)
     with pytest.raises(AlgebraError):
         s_polynomial(mono(xyz, "zy"), mono(xyz, "xz"), 1)
+
+
+def test_s_polynomial_rejects_an_overlap_as_long_as_the_first_lead(xyz):
+    # lead g = xz begins lead h = xzy: an inclusion, not an overlap.
+    with pytest.raises(AlgebraError, match="invalid overlap length"):
+        s_polynomial(mono(xyz, "xz"), mono(xyz, "xzy"), 2)
 
 
 def test_s_polynomial_of_two_moduli_raises_field_error():

@@ -692,3 +692,11 @@ def test_nf_word_is_the_normal_form_of_every_word(text, max_deg, field):
         assert [type(a) for a in got.values()] == [type(a) for a in want.values()]
     # Both kinds of word occur.
     assert 0 < sum(ctx.nf_word(_code(w)) == {_code(w): 1} for w in words) < len(words)
+
+
+def test_context_automaton_refuses_degrees_past_deg_max(xyz_gb8):
+    # The context drops the obstructions above deg_max, so its automaton is
+    # truthful only through deg_max, although the basis is valid through 8.
+    ctx = ResolutionContext(xyz_gb8, 3, 5)
+    with pytest.raises(CoverageError):
+        ctx.automaton.hilbert_coefficients(6)
