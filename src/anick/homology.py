@@ -87,7 +87,7 @@ def betti_table(
             if j > ctx.deg_max or i > ctx.level_max:
                 reliable[i][j] = False
                 continue
-            out_rank = rank(i - 1, j) if i > 1 else 0
+            out_rank = rank(i - 1, j) if i > 1 else 0  # skips ranking an empty level-0 matrix
             values[i][j] = len(ctx.chains.at(i - 1, j)) - out_rank - rank(i, j)
     return BettiTable(values, reliable, i_max, j_max)
 

@@ -1,11 +1,11 @@
 """Resolution differentials by leading-term splitting.
 
 The free modules are spanned by pairs (chain, normal word); the product
-word of a pair well-orders the basis through deglex, ties broken by chain
-length.  Following Anick, chains start at the (-1)-chain ``1``, the empty
-word, whose module is the algebra itself, so a letter's differential is
-``d(x (x) 1) = 1 (x) x``.  The differential of a level-n chain
-``c = c' + t``, n >= 1, is
+word of a pair well-orders each level's basis through deglex, since no
+chain word of a level is a proper prefix of another.  Following Anick,
+chains start at the (-1)-chain ``1``, the empty word, whose module is the
+algebra itself, so a letter's differential is ``d(x (x) 1) = 1 (x) x``.
+The differential of a level-n chain ``c = c' + t``, n >= 1, is
 
     d(c (x) 1) = c' (x) t  -  split(d(c' (x) t))
 
@@ -24,20 +24,20 @@ the requested degree and raises.
 
 Inside a context a chain is its int id, ``Chain.id`` (0 is the chain set's
 unit, then its chains level by level), and a word is a ``str`` of code
-points, as in ``Reducer``: ``nf_word`` takes and returns them, and the
-split's terms, heap and result, the differential cache and the pair bases
-hold ``(chain id, code word)``.  An id's code word is its prefix's plus its
-tail's; a dict maps (prefix id, tail code) to the child id.  Only the public
-methods (``differential``, ``split``, ``act_right``, ``pair_basis``, ``slice``)
-take or return ``Chain`` keys and tuple words; a letter outside the alphabet
-there raises ``AlgebraError``.  A chain, level or degree outside the
-context's bounds raises ``TruncationError``; a wrong type, ``TypeError``.
+points, as in ``Reducer``: ``nf_word`` and ``split`` take and return them,
+and the differential cache and the pair bases hold ``(chain id, code
+word)``.  An id's code word is its prefix's plus its tail's; a dict maps
+(prefix id, tail code) to the child id.  Only ``differential`` of a
+``Chain``, ``pair_basis`` and ``slice`` give ``Chain`` keys and tuple
+words.  A letter outside the alphabet raises ``AlgebraError`` where a word
+reaches ``nf_word``; a chain, level or degree outside the context's bounds,
+``TruncationError``; a wrong type, ``TypeError``.
 
 Over Fp the context computes on plain ``int`` residues in 1..p-1 and
 stores no zero, reducing mod p where it sums; over Q (``p == 0``)
-coefficients are ``int`` or ``Fraction``.  The elements it returns hold
-the same scalars and carry ``p``; an element of another modulus handed to
-it raises ``FieldError``.
+coefficients are ``int`` or ``Fraction``.  The ``FreeElement`` that
+``differential`` returns for a ``Chain`` holds the same scalars and
+carries ``p``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .automaton import NormalWordAutomaton, normal_word_automaton
 from .chains import Chain, ChainSet, enumerate_chains
-from .errors import AlgebraError, CoverageError, FieldError, SplittingError, TruncationError
+from .errors import AlgebraError, CoverageError, SplittingError, TruncationError
 from .groebner import GroebnerBasis, Presentation, Reducer, _code, _word, complete, normal_form
 from .poly import LinComb, Polynomial
 from .words import Word
@@ -82,6 +82,9 @@ class ResolutionContext:
     """
 
     def __init__(self, gb: GroebnerBasis, level_max: int, deg_max: int):
+        for name, bound in (("level_max", level_max), ("deg_max", deg_max)):
+            if type(bound) is not int:
+                raise TypeError(f"{name} must be an int, got {type(bound).__name__}")
         if level_max < 0 or deg_max < 0:
             raise CoverageError(f"context bounds must be >= 0, got ({level_max}, {deg_max})")
         if gb.valid_degree is not None and deg_max > gb.valid_degree:
@@ -160,60 +163,35 @@ class ResolutionContext:
                 out[k] = out.get(k, 0) + coeff * scalar
         return out
 
-    def _own(self, elem: FreeElement) -> dict:
-        """elem's terms; elem must be over the context's field."""
-        if not isinstance(elem, FreeElement):
-            raise TypeError(f"expected a FreeElement, got {type(elem).__name__}")
-        if elem.p != self.p:
-            raise FieldError(f"an element mod {elem.p} in a context over {self.field.name}")
-        return elem.terms
-
-    def act_right(self, elem: FreeElement, w: Word) -> FreeElement:
-        """Right action of a word on a free-module element, in normal form."""
-        terms, w = self._own(elem), self._check(_code(w))
-        out = self._times({(c, _code(u)): a for (c, u), a in terms.items()}, w)
-        return FreeElement({(c, _word(u)): a for (c, u), a in out.items()}, self.p)
-
-    def split(self, level: int, xi: FreeElement | dict) -> FreeElement | dict:
-        """Find eta at the given level whose differential is xi.
+    def split(self, level: int, xi: dict) -> dict:
+        """Find eta at the given level whose differential is xi, both keyed by
+        (chain id, code word).
 
         xi must lie in the kernel of the previous differential and be supported
-        below the given level's chains, which holds for every element this engine
-        feeds in.  At level 0, xi is an algebra element keyed by ``self.unit`` and
-        must have no degree-0 term.  A ``FreeElement`` of another modulus raises
-        ``FieldError``, and one with a letter outside the alphabet ``AlgebraError``;
-        over Fp a dict's coefficients may be any ``int``; the result holds residues.
-        A ``FreeElement`` gives one; a dict keyed by (chain id, code word) a dict.
-        A pair with an empty cofactor is never split, since no chain extension fits
-        it; it must cancel.  A term at another level, or one that does not cancel,
-        raises ``SplittingError``; a chain outside the context's bounds, or an id
-        that names none, ``TruncationError``; any other xi, or a ``FreeElement``
-        key with no ``Chain``, ``TypeError``.
+        on the chains one level down, which holds for every element this engine
+        feeds in.  At level 0, xi is an algebra element keyed by the unit's id 0
+        and must have no degree-0 term.  Over Fp its coefficients may be any
+        ``int``; the result holds residues.  A pair with an empty cofactor is
+        never split, since no chain extension fits it; it must cancel.  A term
+        that does not cancel raises ``SplittingError``; an id that names no chain
+        one level down, ``TruncationError``; a letter outside the alphabet in a
+        left-over cofactor, ``AlgebraError``; any xi but a dict, ``TypeError``.
         """
+        if not isinstance(xi, dict):
+            raise TypeError(f"expected a dict of (id, code word) terms, got {type(xi).__name__}")
         p, at, child = self.p, self._at.get(level - 1, {}), self._child
-        if public := not isinstance(xi, dict):
-            terms = {}
-            for (c, w), a in self._own(xi).items():
-                if not isinstance(c, Chain):
-                    raise TypeError(f"expected a Chain in a key, got {type(c).__name__}")
-                if c.level != level - 1:
-                    raise SplittingError(
-                        f"a level-{level} split got a level-{c.level} term {c.word} (x) {w}"
-                    )
-                terms[self._id_of(c), self._check(_code(w))] = a
-            xi = terms
         work = {k: r for k, a in xi.items() if (r := a % p if p else a)}
-        # Products in one split share a length, so the code word orders them in
-        # deglex, the shorter cofactor (the longer chain) first on a tie.  A pair with
-        # an empty cofactor fits no tail and stays off the heap, unless at lacks its id.
+        # Products in one split share a length, so the code word orders them in deglex;
+        # one level's chains are prefix-free, so equal words mean equal keys.  A pair
+        # with an empty cofactor fits no tail and stays off the heap, unless at lacks its id.
         try:  # at[i] raises for an id that names no chain one level down
-            heap = [(at[k[0]] + k[1], len(k[1]), k) for k in work if k[1] or k[0] not in at]
+            heap = [(at[k[0]] + k[1], k) for k in work if k[1] or k[0] not in at]
         except KeyError as e:
             raise self._outside(f"chain id {e.args[0]} at level {level - 1}") from None
         heapq.heapify(heap)
         emitted: dict[tuple[int, str], object] = {}
         while heap:
-            key = heapq.heappop(heap)[2]
+            key = heapq.heappop(heap)[1]
             coeff = work.get(key)
             if coeff is None:
                 continue
@@ -239,16 +217,14 @@ class ResolutionContext:
                 if s := (prev - coeff * a) % p if p else prev - coeff * a:
                     work[k] = s
                     if not prev and k[1]:
-                        heapq.heappush(heap, (at[k[0]] + k[1], len(k[1]), k))
+                        heapq.heappush(heap, (at[k[0]] + k[1], k))
                 elif prev:
                     del work[k]
         if work:
             # A pair left over has an empty cofactor or one that is not a
             # normal word, so xi is not in the image of the differential.
             raise SplittingError(f"level-{level} split left {len(work)} terms uncancelled")
-        if not public:
-            return emitted
-        return FreeElement({(self._chains[i], _word(w)): a for (i, w), a in emitted.items()}, p)
+        return emitted
 
     def differential(self, c: Chain | int) -> FreeElement | dict:
         """d(c (x) 1) as an element one level down; a letter x maps to
@@ -295,7 +271,7 @@ class ResolutionContext:
                         out += [(c.id, s, w) for c in at for s, w in cofactors]
                 # The split heap's key, reversed: ascending in the order in
                 # which the heap pops the greatest pair first.
-                out.sort(key=lambda k: (words[k[0]] + k[1], len(k[1])), reverse=True)
+                out.sort(key=lambda k: words[k[0]] + k[1], reverse=True)
             cached = self._basis_cache[level, degree] = tuple(out)
         return cached
 

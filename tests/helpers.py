@@ -33,7 +33,15 @@ from anick.errors import (
     SplittingError,
     TruncationError,
 )
-from anick.groebner import Certificate, GroebnerBasis, Presentation, normal_form, s_polynomial
+from anick.groebner import (
+    Certificate,
+    GroebnerBasis,
+    Presentation,
+    _code,
+    _word,
+    normal_form,
+    s_polynomial,
+)
 from anick.linalg import echelon
 from anick.words import EMPTY, DegLex, Word, deglex_desc, overlaps
 
@@ -521,6 +529,21 @@ def complete_reference(presentation: Presentation, max_deg: int) -> GroebnerBasi
 
 # ---------------------------------------------------------------------------
 # what the package no longer exports: only tests used these
+
+def right_action(ctx, elem: FreeElement, w: Word) -> FreeElement:
+    """elem . w in normal form, each product word reduced by ``ctx.nf_word``."""
+    pairs = []
+    for (c, u), a in elem.terms.items():
+        pairs += (((c, _word(v)), a * b) for v, b in ctx.nf_word(_code(u + w)).items())
+    return FreeElement.from_pairs(pairs, ctx.p)
+
+
+def split_element(ctx, level: int, xi: FreeElement) -> FreeElement:
+    """``ctx.split`` of xi, passed in and read back through chain ids and code words."""
+    chains = {c.id: c for c in (ctx.unit, *ctx.chains.index.values())}
+    eta = ctx.split(level, {(c.id, _code(w)): a for (c, w), a in xi.terms.items()})
+    return FreeElement({(chains[i], _word(w)): a for (i, w), a in eta.items()}, ctx.p)
+
 
 def koszul_verdict_for(presentation: Presentation, max_degree: int) -> KoszulVerdict:
     """The Koszul verdict of a quadratic presentation through max_degree,

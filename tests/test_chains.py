@@ -216,6 +216,18 @@ def test_graph_path_counts_match_enumeration(case, level_max, deg_max):
     assert_path_counts_match_enumeration(*case, level_max, deg_max)
 
 
+@settings(deadline=None)
+@given(antichains(), st.integers(1, 12))
+def test_the_chains_of_one_level_are_prefix_free(case, deg_max):
+    # Two pairs of one level with equal product words would need one chain
+    # word to be a proper prefix of the other, so split's heap and the pair
+    # bases order pairs by product word alone.
+    chains = enumerate_chains(*case, 6, deg_max)
+    for level in range(7):
+        words = {c.word for c in chains.level(level)}
+        assert not [w for w in words if any(w[:n] in words for n in range(1, len(w)))]
+
+
 def test_graph_path_counts_match_enumeration_on_fixtures(xyz, xyz_gb8, g4_d8_obstructions):
     assert_path_counts_match_enumeration(xyz.alphabet, list(xyz_gb8.obstructions), 8, 8)
     assert_path_counts_match_enumeration(*g4_d8_obstructions, 8, 8)

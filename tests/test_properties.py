@@ -31,6 +31,8 @@ from helpers import (
     differentials_reference,
     interreduce,
     letter_split_differential,
+    right_action,
+    split_element,
 )
 
 FIELD = Rationals()
@@ -226,15 +228,15 @@ def test_scalars_stay_int_fraction_or_modp(case):
     returned += nf.terms.values()
     # Every polynomial and element returned carries the field's modulus.
     assert all(g.p == field.p for g in (*basis, nf))
-    # What a context computes stays inside it: act_right, split,
+    # What a context computes stays inside it: nf_word, split,
     # differential and the induced matrices.
     ctx = ResolutionContext(gb, 3, 5)
     inside = []
     for level in (2, 3):
         for chain in ctx.chains.level(level):
-            xi = ctx.act_right(ctx.differential(chain.prefix), chain.tail)
+            xi = right_action(ctx, ctx.differential(chain.prefix), chain.tail)
             inside += xi.terms.values()
-            inside += ctx.split(level - 1, xi).terms.values()
+            inside += split_element(ctx, level - 1, xi).terms.values()
     for chain in ctx.chains.index.values():
         d = ctx.differential(chain)
         assert d.p == field.p

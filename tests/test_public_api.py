@@ -1,7 +1,10 @@
 """The public surface of ``anick``, pinned: a name is added to or removed
 from the package only by editing this list."""
 
+import pytest
+
 import anick
+from anick import FreeElement, ResolutionContext
 
 PUBLIC = """
     AlgebraError Alphabet AntichainError BettiTable Certificate Chain ChainError
@@ -21,3 +24,13 @@ def test_public_names_are_pinned_sorted_and_resolve():
     assert all(hasattr(anick, name) for name in PUBLIC)
     # Prime-field scalars are plain int residues; there is no wrapper type.
     assert not hasattr(anick, "ModP") and not hasattr(anick.fields, "ModP")
+
+
+def test_the_resolution_context_surface_is_pinned(xyz_ctx):
+    # Inside the context chains are ids and words code points; the tests'
+    # helpers build a right action and a FreeElement split on nf_word and split.
+    public = sorted(n for n in dir(ResolutionContext) if not n.startswith("_"))
+    assert public == ["differential", "nf_word", "pair_basis", "slice", "slices", "split"]
+    x = xyz_ctx.chains.find(0, (0,))
+    with pytest.raises(TypeError, match=r"expected a dict of \(id, code word\) terms"):
+        xyz_ctx.split(1, FreeElement({(x, (2,)): 1}))
